@@ -1,15 +1,25 @@
-"""Benchmark the two Brandes kernels against each other.
+"""Benchmark exact Brandes betweenness, reduced and unreduced.
 
-Builds seeded random graphs in CSR form and times the numba kernel and
-the pure-numpy fallback on identical inputs, reporting wall time per
-graph, the speedup, and the largest score disagreement.  Run it as
+Two graph shapes, both in CSR form and seeded:
+
+* ``random``: connected-ish random graphs with no leaves, where the
+  component split and leaf folding in ``betweenness_csr`` save nothing.
+  The numpy and numba kernels are timed on them from every source.
+* ``forest``: the shape the pipeline actually builds from discourse data, a
+  leaf-heavy star forest (one hub with thousands of spokes plus small
+  stars) with dyads and isolated nodes beside it.  ``betweenness_csr``
+  (reduced) is timed against one all-sources, unit-weight kernel call over
+  the whole graph.
+
+Every row prints the largest score difference between the paths it times.
+Run it as
 
     python3 benchmarks/bench_betweenness.py
-    python3 benchmarks/bench_betweenness.py --nodes 300 1000 3000 --repeats 5
+    python3 benchmarks/bench_betweenness.py --nodes 300 1000 --forest-nodes 9000
 
-The numpy column is always measured.  The numba column needs numba
-importable; the VALUESCOPE_DISABLE_NUMBA flag is ignored here on purpose
-so both paths can be compared in one invocation.
+The numpy kernel is always measured.  The numba kernel needs numba
+importable; without it the script says so and times what it has.  The
+VALUESCOPE_DISABLE_NUMBA flag picks the kernel behind ``betweenness_csr``.
 """
 
 import argparse
@@ -18,21 +28,16 @@ import time
 
 import numpy as np
 
-from valuescope._kernels import HAS_NUMBA, _brandes_numpy
+from valuescope._kernels import (
+    HAS_NUMBA,
+    USE_NUMBA,
+    _brandes_numba,
+    _brandes_numpy,
+    betweenness_csr,
+)
 
-if HAS_NUMBA:
-    from valuescope._kernels import _brandes_numba
 
-
-def random_csr(n: int, edges_per_node: int, rng: random.Random):
-    """Seeded undirected graph with about n * edges_per_node / 2 edges."""
-    target = max(n - 1, n * edges_per_node // 2)
-    pairs = set()
-    while len(pairs) < target:
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i != j:
-            pairs.add((min(i, j), max(i, j)))
+def to_csr(n: int, pairs):
     neighbors = [[] for _ in range(n)]
     for i, j in pairs:
         neighbors[i].append(j)
@@ -44,49 +49,88 @@ def random_csr(n: int, edges_per_node: int, rng: random.Random):
         dtype=np.int64,
         count=int(indptr[-1]),
     )
-    return indptr, indices, len(pairs)
+    return indptr, indices
 
 
-def timed(kernel, indptr, indices, n, repeats):
+def random_csr(n: int, edges_per_node: int, rng: random.Random):
+    """Seeded undirected graph with about n * edges_per_node / 2 edges."""
+    target = max(n - 1, n * edges_per_node // 2)
+    pairs = set()
+    while len(pairs) < target:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    return (*to_csr(n, pairs), len(pairs))
+
+
+def forest_csr(n: int, rng: random.Random):
+    """About n nodes: a star forest holding most of them, dyads, isolates.
+
+    The node ids are shuffled, so components interleave in index order as
+    sorted handles do in a real graph.
+    """
+    hub_spokes = int(n * 0.85)
+    small_stars = n // 200
+    dyads = n // 40
+    pairs = []
+    count = 1 + hub_spokes
+    pairs += [(0, spoke) for spoke in range(1, count)]
+    for _ in range(small_stars):
+        hub = count
+        spokes = rng.randint(2, 6)
+        pairs += [(hub, hub + k) for k in range(1, spokes + 1)]
+        pairs.append((0, hub))  # small stars hang off the main hub
+        count += spokes + 1
+    for _ in range(dyads):
+        pairs.append((count, count + 1))
+        count += 2
+    total = max(n, count)  # the remainder are isolated nodes
+    relabel = list(range(total))
+    rng.shuffle(relabel)
+    pairs = [(relabel[i], relabel[j]) for i, j in pairs]
+    return (*to_csr(total, pairs), total, len(pairs))
+
+
+def all_sources(kernel):
+    def run(indptr, indices, n):
+        return kernel(
+            indptr, indices, n, np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
+        )
+
+    return run
+
+
+def timed(fn, indptr, indices, n, repeats):
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = kernel(indptr, indices, n)
+        result = fn(indptr, indices, n)
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--nodes", type=int, nargs="+", default=[200, 500, 1000, 2000]
-    )
-    parser.add_argument("--edges-per-node", type=int, default=6)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args()
-
+def bench_random(args, rng) -> None:
+    print("random graphs, every node a source")
     if HAS_NUMBA:
         # First call pays the JIT compile; keep it out of the timings.
-        warm = random_csr(30, 4, random.Random(0))
-        _brandes_numba(warm[0], warm[1], 30)
+        warm_indptr, warm_indices, _ = random_csr(30, 4, random.Random(0))
+        all_sources(_brandes_numba)(warm_indptr, warm_indices, 30)
         header = f"{'n':>6} {'edges':>8} {'numpy (s)':>10} {'numba (s)':>10} {'speedup':>8} {'max |diff|':>11}"
     else:
-        print("numba is not importable; timing the numpy fallback only")
+        print("numba is not importable; timing the numpy kernel only")
         header = f"{'n':>6} {'edges':>8} {'numpy (s)':>10}"
     print(header)
     print("-" * len(header))
-
-    rng = random.Random(args.seed)
     for n in args.nodes:
         indptr, indices, edges = random_csr(n, args.edges_per_node, rng)
         numpy_time, numpy_scores = timed(
-            _brandes_numpy, indptr, indices, n, args.repeats
+            all_sources(_brandes_numpy), indptr, indices, n, args.repeats
         )
         if HAS_NUMBA:
             numba_time, numba_scores = timed(
-                _brandes_numba, indptr, indices, n, args.repeats
+                all_sources(_brandes_numba), indptr, indices, n, args.repeats
             )
             drift = float(np.max(np.abs(numba_scores - numpy_scores)))
             print(
@@ -95,6 +139,41 @@ def main() -> None:
             )
         else:
             print(f"{n:>6} {edges:>8} {numpy_time:>10.3f}")
+
+
+def bench_forest(args, rng) -> None:
+    kernel_name = "numba" if USE_NUMBA else "numpy"
+    unreduced = all_sources(_brandes_numba if USE_NUMBA else _brandes_numpy)
+    print()
+    print(f"leaf-heavy star forest with dyads and isolates ({kernel_name} kernel)")
+    header = (
+        f"{'n':>6} {'edges':>8} {'unreduced (s)':>14} {'reduced (s)':>12} "
+        f"{'speedup':>8} {'max |diff|':>11}"
+    )
+    print(header)
+    print("-" * len(header))
+    for n in args.forest_nodes:
+        indptr, indices, total, edges = forest_csr(n, rng)
+        slow_time, slow_scores = timed(unreduced, indptr, indices, total, 1)
+        fast_time, fast_scores = timed(betweenness_csr, indptr, indices, total, args.repeats)
+        drift = float(np.max(np.abs(fast_scores - slow_scores)))
+        print(
+            f"{total:>6} {edges:>8} {slow_time:>14.3f} {fast_time:>12.4f} "
+            f"{slow_time / fast_time:>7.0f}x {drift:>11.2e}"
+        )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--nodes", type=int, nargs="+", default=[200, 500, 1000, 2000])
+    parser.add_argument("--edges-per-node", type=int, default=6)
+    parser.add_argument("--forest-nodes", type=int, nargs="+", default=[1000, 9000])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args()
+    rng = random.Random(args.seed)
+    bench_random(args, rng)
+    bench_forest(args, rng)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ hint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
@@ -60,6 +61,13 @@ class MetricVector:
         unknown = set(raw) - set(METRICS)
         if unknown:
             raise ValueError(f"unknown metric names: {sorted(unknown)}")
+        for name, value in raw.items():
+            if value is not None and not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
+                raise ValueError(
+                    f"metric {name!r} must be a finite number or null, got {value!r}"
+                )
         return cls(**{k: raw[k] for k in raw})
 
 

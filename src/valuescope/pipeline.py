@@ -269,9 +269,13 @@ def replay_metrics(
     }
 
 
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"replay file holds a non-finite value: {token}")
+
+
 def load_replay_file(path: str) -> dict[str, dict[str, float | None]]:
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        raw = json.load(handle, parse_constant=_reject_constant)
     if not isinstance(raw, dict) or not all(
         isinstance(v, dict) for v in raw.values()
     ):
@@ -280,7 +284,7 @@ def load_replay_file(path: str) -> dict[str, dict[str, float | None]]:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(report, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def _write_outputs(

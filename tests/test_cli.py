@@ -130,6 +130,18 @@ class TestReplayVerb:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, caplog, token):
+        path = tmp_path / "metrics.json"
+        path.write_text(
+            '{"Customers": {"activity": %s}, "Employees": {"activity": 3},'
+            ' "Excellence": {"activity": 5}}' % token
+        )
+        code, stdout = run_cli(capsys, "replay", "--metrics", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert "non-finite" in caplog.text or "finite number" in caplog.text
+
 
 class TestSynthVerb:
     def test_preset_demo_writes_parseable_corpus(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,8 @@ from valuescope import (
     write_dot,
     write_graphml,
 )
-from valuescope._kernels import _brandes_numpy, betweenness_csr
+from valuescope import _kernels
+from valuescope._kernels import _brandes_numba, _brandes_numpy, betweenness_csr
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -229,15 +231,25 @@ class TestBetweenness:
             for node, value in exact.items():
                 assert abs(approx[node] - float(value)) < 1e-12
 
-    def test_numpy_fallback_matches_dispatch(self):
+    def test_numba_and_numpy_kernels_match_exact(self, monkeypatch):
+        # Without numba the njit stub leaves _brandes_numba as plain Python,
+        # so both kernel bodies run here whether or not numba is installed:
+        # directly from every source with unit weights, and behind the
+        # component split and leaf folding of betweenness_csr.
         rng = random.Random(7)
         for _ in range(15):
             n = rng.randint(2, 30)
-            edges = random_edge_set(rng, n, 0.15)
+            edges = random_edge_set(rng, n, rng.uniform(0.05, 0.3))
             graph = graph_from_edges(edges, extra_nodes=indexed_nodes(n))
-            via_dispatch = betweenness_csr(graph._indptr, graph._indices, n)
-            via_numpy = _brandes_numpy(graph._indptr, graph._indices, n)
-            assert abs(via_dispatch - via_numpy).max() < 1e-9
+            exact = [float(betweenness_exact(graph)[h]) for h in graph.nodes]
+            sources = np.arange(n, dtype=np.int64)
+            weights = np.ones(n, dtype=np.float64)
+            for kernel, use_numba in ((_brandes_numba, True), (_brandes_numpy, False)):
+                direct = kernel(graph._indptr, graph._indices, n, sources, weights)
+                assert np.abs(direct / 2.0 - exact).max() < 1e-12
+                monkeypatch.setattr(_kernels, "USE_NUMBA", use_numba)
+                reduced = betweenness_csr(graph._indptr, graph._indices, n)
+                assert np.abs(reduced / 2.0 - exact).max() < 1e-12
 
     def test_disconnected_components_scored_independently(self):
         graph = graph_from_edges(
@@ -330,6 +342,73 @@ def test_centralization_bounds_property(seed, n):
     graph = graph_from_edges(edges, extra_nodes=indexed_nodes(n))
     assert -1e-12 <= group_degree_centralization(graph) <= 1 + 1e-12
     assert -1e-12 <= group_betweenness_centralization(graph) <= 1 + 1e-12
+
+
+@st.composite
+def shattered_graph(draw):
+    """Several components at once, handles shuffled so they interleave.
+
+    Returns the edge list and the isolated handles.  Components are isolated
+    nodes, dyads, stars, pendant chains and random connected cores with
+    leaves and pendant chains hung on them: every case the component split
+    and leaf folding in betweenness_csr treat specially.
+    """
+    kinds = draw(
+        st.lists(
+            st.sampled_from(("isolated", "dyad", "star", "chain", "core")),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges: list[tuple[int, int]] = []
+    isolated: list[int] = []
+    count = 0
+
+    def fresh(k: int) -> list[int]:
+        nonlocal count
+        count += k
+        return list(range(count - k, count))
+
+    for kind in kinds:
+        if kind == "isolated":
+            isolated += fresh(1)
+        elif kind == "dyad":
+            edges.append(tuple(fresh(2)))
+        elif kind == "star":
+            hub, *spokes = fresh(rng.randint(3, 7))
+            edges += [(hub, spoke) for spoke in spokes]
+        elif kind == "chain":
+            chain = fresh(rng.randint(3, 6))
+            edges += list(zip(chain, chain[1:]))
+        else:
+            core = fresh(rng.randint(3, 7))
+            edges += list(zip(core, core[1:]))  # a spanning path keeps it connected
+            edges += [
+                (u, v)
+                for i, u in enumerate(core)
+                for v in core[i + 2 :]
+                if rng.random() < 0.4
+            ]
+            for _ in range(rng.randint(0, 4)):
+                pendant = fresh(rng.randint(1, 3))
+                edges += list(zip([rng.choice(core), *pendant], pendant))
+    names = indexed_nodes(count)
+    rng.shuffle(names)
+    return [(names[u], names[v]) for u, v in edges], [names[v] for v in isolated]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shattered_graph(), st.booleans())
+def test_reduced_betweenness_matches_fraction_oracle(shape, use_numba):
+    edges, isolated = shape
+    graph = graph_from_edges(edges, extra_nodes=isolated)
+    exact = betweenness_exact(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "USE_NUMBA", use_numba)
+        scores = betweenness(graph)
+    for node, value in exact.items():
+        assert abs(scores[node] - float(value)) < 1e-9
 
 
 class TestExports:

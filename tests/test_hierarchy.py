@@ -264,6 +264,11 @@ class TestMetricVector:
         with pytest.raises(ValueError, match="unknown metric"):
             MetricVector.from_dict({"vibes": 1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5"])
+    def test_non_finite_or_non_numeric_value_rejected(self, value):
+        with pytest.raises(ValueError, match="finite number"):
+            MetricVector.from_dict({"activity": value})
+
     def test_metric_groups_partition_the_list(self):
         groups = CONNECTIVITY_METRICS + INTERACTIVITY_METRICS + METRICS[9:]
         assert groups == METRICS

@@ -457,3 +457,7 @@ class TestRound6:
         report = {"b": 1, "a": [1.5, None, "x"]}
         assert dump_report(report) == dump_report(report)
         assert dump_report(report).endswith("\n")
+
+    def test_report_serialization_refuses_non_finite(self):
+        with pytest.raises(ValueError):
+            dump_report({"a": float("nan")})
