@@ -13,6 +13,7 @@ from .corpus import (
     Message,
     OrientationLexicon,
     ParseResult,
+    Partitioned,
     TaggedMessage,
     filter_and_partition,
     load_corpus,
@@ -38,7 +39,6 @@ from .graph import (
     ConnectivityScores,
     InteractionGraph,
     betweenness,
-    betweenness_exact,
     build_graph,
     connectivity_scores,
     density,

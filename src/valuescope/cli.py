@@ -19,9 +19,15 @@ import logging
 import sys
 
 from .config import ConfigError, RunConfig
-from .corpus import ORIENTATIONS, CorpusError, OrientationLexicon, filter_and_partition, load_corpus
+from .corpus import ORIENTATIONS, CorpusError, filter_and_partition, load_corpus
 from .graph import build_graph, write_dot, write_graphml
-from .pipeline import dump_report, load_replay_file, replay_metrics, run_pipeline
+from .pipeline import (
+    _load_lexicons,
+    dump_report,
+    load_replay_file,
+    replay_metrics,
+    run_pipeline,
+)
 from .synth import SynthSpec, demo_spec, full_scale_spec, generate_corpus, write_corpus
 
 logger = logging.getLogger("valuescope")
@@ -163,16 +169,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    try:
-        lexicon = (
-            OrientationLexicon.from_file(args.orientation_lexicon)
-            if args.orientation_lexicon
-            else OrientationLexicon.default()
-        )
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad lexicon: {exc}") from exc
+    lexicon, _ = _load_lexicons(RunConfig(orientation_lexicon=args.orientation_lexicon))
     parsed = load_corpus(args.corpus)
-    partitions, _ = filter_and_partition(parsed.messages, lexicon)
+    partitions = filter_and_partition(parsed.messages, lexicon).partitions
     graph = build_graph([t.message for t in partitions[args.orientation]])
     if args.fmt == "graphml":
         write_graphml(graph, args.orientation, args.out)

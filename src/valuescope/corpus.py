@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 ORIENTATIONS: tuple[str, ...] = (
     "Customers",
@@ -54,8 +56,11 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class TaggedMessage:
+    """A message, its orientations and its tokens (interned strings)."""
+
     message: Message
     orientations: frozenset[str]
+    tokens: tuple[str, ...]
 
 
 @dataclass
@@ -69,11 +74,12 @@ def _parse_timestamp(raw: object) -> datetime | None:
         return None
     try:
         stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError:
+        if stamp.tzinfo is None:
+            return stamp.replace(tzinfo=timezone.utc)
+        # Raises OverflowError when the offset moves the date past year 1 or 9999.
+        return stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         return None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
 
 
 def _clean_handle(raw: object) -> str | None:
@@ -227,11 +233,12 @@ class OrientationLexicon:
         )
         return cls(json.loads(data))
 
-    def match(self, tokens: list[str]) -> frozenset[str]:
+    def match(self, tokens: Sequence[str]) -> frozenset[str]:
         """Orientations whose phrases occur as contiguous subsequences."""
+        index = self._by_first_token
         found: set[str] = set()
-        for start, token in enumerate(tokens):
-            for orientation, phrase in self._by_first_token.get(token, ()):
+        for start in [i for i, token in enumerate(tokens) if token in index]:
+            for orientation, phrase in index[tokens[start]]:
                 if orientation in found:
                     continue
                 if tuple(tokens[start : start + len(phrase)]) == phrase:
@@ -243,26 +250,44 @@ def tag_message(message: Message, lexicon: OrientationLexicon) -> frozenset[str]
     return lexicon.match(tokenize(message.text))
 
 
+class Partitioned(NamedTuple):
+    partitions: dict[str, list[TaggedMessage]]
+    discarded: int
+    token_counts: Counter[str]  # over every message, untagged ones included
+
+
 def filter_and_partition(
     messages: Iterable[Message], lexicon: OrientationLexicon
-) -> tuple[dict[str, list[TaggedMessage]], int]:
-    """Tag messages and split them into per-orientation partitions.
+) -> Partitioned:
+    """Tokenize and tag messages and split them into per-orientation partitions.
 
-    A message matching several orientations lands in each of them; untagged
-    messages are dropped and counted.  Partitions come back sorted by
-    (created_at, id) so every downstream computation is independent of
-    input order.
+    Each message is tokenized exactly once; its tokens ride along with it
+    and are counted corpus-wide, untagged messages included, for the
+    reference dictionary.  A message matching several orientations lands in
+    each of them; untagged messages are dropped and counted.  Partitions
+    come back sorted by (created_at, id) so every downstream computation is
+    independent of input order.
     """
     partitions: dict[str, list[TaggedMessage]] = {o: [] for o in ORIENTATIONS}
+    carried: list[tuple[str, ...]] = []
     discarded = 0
+    # Interning pools: all messages share one string object per distinct
+    # token and one frozenset per distinct combination of orientations.
+    canonical = {}.setdefault
+    shared_tags = {}.setdefault
     for message in messages:
-        tags = tag_message(message, lexicon)
+        raw = tokenize(message.text)
+        tokens = tuple(map(canonical, raw, raw))
+        carried.append(tokens)
+        tags = lexicon.match(tokens)
         if not tags:
             discarded += 1
             continue
-        tagged = TaggedMessage(message=message, orientations=tags)
+        tags = shared_tags(tags, tags)
+        tagged = TaggedMessage(message=message, orientations=tags, tokens=tokens)
         for orientation in tags:
             partitions[orientation].append(tagged)
     for bucket in partitions.values():
         bucket.sort(key=lambda t: (t.message.created_at, t.message.id))
-    return partitions, discarded
+    counts = Counter(chain.from_iterable(carried))
+    return Partitioned(partitions, discarded, counts)

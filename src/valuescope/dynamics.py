@@ -35,9 +35,10 @@ def activity(messages: Iterable[Message]) -> int:
     return total
 
 
-def _contact_streams(
-    messages: Sequence[Message],
-) -> dict[tuple[str, str], list[float]]:
+_Streams = dict[tuple[str, str], list[float]]
+
+
+def _contact_streams(messages: Sequence[Message]) -> _Streams:
     """Chronological contact timestamps (epoch seconds) per ordered pair."""
     ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
     author_of = {m.id: m.author for m in ordered}
@@ -65,7 +66,12 @@ def average_response_time(
     Contacts that are never answered (or answered past ``cutoff_hours``, when
     given) carry no lag.  Returns None when nothing was answered.
     """
-    streams = _contact_streams(messages)
+    return _average_response_time(_contact_streams(messages), cutoff_hours)
+
+
+def _average_response_time(
+    streams: _Streams, cutoff_hours: float | None
+) -> float | None:
     lags: list[float] = []
     for pair in sorted(streams):
         replies = streams.get((pair[1], pair[0]))
@@ -93,7 +99,10 @@ def nudges(
     previous answer.  Chains that never get an answer are dropped, so the
     metric is only defined over answered chains and is always >= 1.
     """
-    streams = _contact_streams(messages)
+    return _nudges(_contact_streams(messages), cutoff_hours)
+
+
+def _nudges(streams: _Streams, cutoff_hours: float | None) -> float | None:
     chains: list[int] = []
     for pair in sorted(streams):
         contacts = streams[pair]
@@ -229,11 +238,12 @@ def interactivity_scores(
 ) -> InteractivityScores:
     volume = activity(messages)
     actors = graph.node_count
+    streams = _contact_streams(messages)
     return InteractivityScores(
         activity=volume,
         actor_count=actors,
         avg_activity_per_actor=average_activity(volume, actors),
-        art_hours=average_response_time(messages, cutoff_hours),
-        nudges=nudges(messages, cutoff_hours),
+        art_hours=_average_response_time(streams, cutoff_hours),
+        nudges=_nudges(streams, cutoff_hours),
         rotating_leadership=rotating_leadership(windows, mode),
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from fractions import Fraction
 from typing import Iterable
 from xml.sax.saxutils import escape, quoteattr
 
@@ -113,45 +112,6 @@ def betweenness(graph: InteractionGraph) -> dict[str, float]:
     """Exact betweenness per node, unordered pairs counted once."""
     raw = _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count)
     return {handle: float(raw[i]) / 2.0 for i, handle in enumerate(graph.nodes)}
-
-
-def betweenness_exact(graph: InteractionGraph) -> dict[str, Fraction]:
-    """Brandes with rational arithmetic.
-
-    Same algorithm as the float kernel but every dependency is a Fraction,
-    so results can be compared against path enumeration with no rounding.
-    Meant for small graphs; cost grows fast with size.
-    """
-    n = graph.node_count
-    adjacency = [
-        [int(j) for j in graph._indices[graph._indptr[i] : graph._indptr[i + 1]]]
-        for i in range(n)
-    ]
-    bc = [Fraction(0)] * n
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        order = [s]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    order.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-        delta = [Fraction(0)] * n
-        for w in reversed(order[1:]):
-            coeff = (1 + delta[w]) / Fraction(sigma[w])
-            for v in adjacency[w]:
-                if dist[v] == dist[w] - 1:
-                    delta[v] += sigma[v] * coeff
-            bc[w] += delta[w]
-    return {handle: bc[i] / 2 for i, handle in enumerate(graph.nodes)}
 
 
 def group_degree_centralization(graph: InteractionGraph) -> float:

@@ -1,9 +1,10 @@
 """Language metrics: lexicon sentiment, emotionality, unigram surprisal.
 
 Sentiment scorers are pluggable: anything callable as ``scorer(text) -> float``
-with output in [0, 1] works.  The built-in baseline counts polar lexicon
-tokens.  Complexity is the mean negative log probability (nats) of a
-partition's tokens under a smoothed corpus-wide unigram model.
+with output in [0, 1] works, and any other output fails the run.  The
+built-in baseline counts polar lexicon tokens, reading the tokens each
+message already carries.  Complexity is the mean negative log probability
+(nats) of a partition's tokens under a smoothed corpus-wide unigram model.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import Message, tokenize
+from .corpus import TaggedMessage, tokenize
 
 SentimentScorer = Callable[[str], float]
 
@@ -28,6 +30,8 @@ class PolarLexicon:
     def __init__(self, positive: Iterable[str], negative: Iterable[str]):
         self.positive = self._normalize(positive, "positive")
         self.negative = self._normalize(negative, "negative")
+        # A token on both sides counts as positive only.
+        self._negative_only = self.negative - self.positive
 
     @staticmethod
     def _normalize(terms: Iterable[str], side: str) -> frozenset[str]:
@@ -63,17 +67,17 @@ class PolarLexicon:
         return cls(raw["positive"], raw["negative"])
 
 
-def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
+def score_tokens(tokens: Sequence[str], lexicon: PolarLexicon) -> float:
     """0.5 + (p - q) / (2 (p + q)); 0.5 when no polar token occurs."""
-    p = q = 0
-    for token in tokenize(text):
-        if token in lexicon.positive:
-            p += 1
-        elif token in lexicon.negative:
-            q += 1
+    p = sum(map(lexicon.positive.__contains__, tokens))
+    q = sum(map(lexicon._negative_only.__contains__, tokens))
     if p + q == 0:
         return NEUTRAL_SENTIMENT
     return 0.5 + (p - q) / (2.0 * (p + q))
+
+
+def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
+    return score_tokens(tokenize(text), lexicon)
 
 
 class LexiconSentimentScorer:
@@ -108,7 +112,10 @@ class ReferenceDictionary:
             raise ValueError(f"probabilities sum to {total}, above 1")
         self.probabilities = dict(probabilities)
         self.unseen = unseen
-        self._surprisal_cache: dict[str, float] = {}
+        self.surprisals = _SurprisalTable(
+            {token: -math.log(prob) for token, prob in self.probabilities.items()},
+            -math.log(unseen),
+        )
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "ReferenceDictionary":
@@ -138,25 +145,33 @@ class ReferenceDictionary:
         return self.probabilities.get(token, self.unseen)
 
     def surprisal(self, token: str) -> float:
-        cached = self._surprisal_cache.get(token)
-        if cached is None:
-            cached = -math.log(self.probability(token))
-            self._surprisal_cache[token] = cached
-        return cached
+        return self.surprisals[token]
 
 
-def build_reference(tokens: Iterable[str]) -> ReferenceDictionary:
+class _SurprisalTable(dict):
+    """token -> -log p(token); tokens outside the table get the unseen value."""
+
+    def __init__(self, surprisals: dict[str, float], unseen: float):
+        super().__init__(surprisals)
+        self.unseen = unseen
+
+    def __missing__(self, token: str) -> float:
+        return self.unseen
+
+
+def build_reference(tokens: Iterable[str] | Mapping[str, int]) -> ReferenceDictionary:
+    """Reference dictionary from a token stream or from token counts."""
     counts = Counter(tokens)
     if not counts:
         raise ValueError("cannot build a reference dictionary from zero tokens")
-    return ReferenceDictionary.from_counts(dict(counts))
+    return ReferenceDictionary.from_counts(counts)
 
 
 def complexity(tokens: Sequence[str], reference: ReferenceDictionary) -> float | None:
     """Mean surprisal (nats) of ``tokens`` under ``reference``."""
     if not tokens:
         return None
-    return sum(reference.surprisal(t) for t in tokens) / len(tokens)
+    return sum(map(reference.surprisals.__getitem__, tokens)) / len(tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,14 +182,30 @@ class LanguageScores:
 
 
 def language_scores(
-    messages: Sequence[Message],
+    messages: Sequence[TaggedMessage],
     scorer: SentimentScorer,
     reference: ReferenceDictionary | None,
 ) -> LanguageScores:
+    """Sentiment, emotionality and complexity of one partition.
+
+    The default lexicon scorer reads each message's carried tokens; any
+    other scorer is called with the message text.  A sentiment outside
+    [0, 1], NaN or not a number raises ValueError naming the message.
+    """
     if not messages:
         return LanguageScores(None, None, None)
-    sentiments = [scorer(m.text) for m in messages]
-    tokens = [token for m in messages for token in tokenize(m.text)]
+    if type(scorer) is LexiconSentimentScorer:
+        lexicon = scorer.lexicon
+        sentiments = [score_tokens(t.tokens, lexicon) for t in messages]
+    else:
+        sentiments = [scorer(t.message.text) for t in messages]
+    for tagged, value in zip(messages, sentiments):
+        if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"sentiment scorer returned {value!r} for message "
+                f"{tagged.message.id!r}; expected a finite number in [0, 1]"
+            )
+    tokens = list(chain.from_iterable(t.tokens for t in messages))
     return LanguageScores(
         sentiment=sum(sentiments) / len(sentiments),
         emotionality=emotionality(sentiments),

@@ -18,7 +18,6 @@ from .corpus import (
     OrientationLexicon,
     filter_and_partition,
     load_corpus,
-    tokenize,
 )
 from .dynamics import WindowStat, interactivity_scores, window_series
 from .graph import InteractionGraph, build_graph, connectivity_scores, write_dot, write_graphml
@@ -180,7 +179,9 @@ def run_pipeline(
         scorer = LexiconSentimentScorer(polar)
 
     parsed = load_corpus(cfg.corpus)
-    partitions, discarded = filter_and_partition(parsed.messages, lexicon)
+    partitions, discarded, token_counts = filter_and_partition(
+        parsed.messages, lexicon
+    )
 
     if cfg.reference_dictionary:
         try:
@@ -188,15 +189,15 @@ def run_pipeline(
         except (ValueError, OSError) as exc:
             raise ConfigError(f"bad reference dictionary: {exc}") from exc
     else:
-        tokens = [t for m in parsed.messages for t in tokenize(m.text)]
-        reference = build_reference(tokens) if tokens else None
+        reference = build_reference(token_counts) if token_counts else None
 
     vectors: dict[str, MetricVector] = {}
     graphs: dict[str, InteractionGraph] = {}
     windows: dict[str, list[WindowStat]] = {}
     dangling = 0
     for orientation in ORIENTATIONS:
-        messages = [t.message for t in partitions[orientation]]
+        tagged = partitions[orientation]
+        messages = [t.message for t in tagged]
         if not messages:
             vectors[orientation] = MetricVector()
             windows[orientation] = []
@@ -210,7 +211,7 @@ def run_pipeline(
         inter = interactivity_scores(
             messages, graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(messages, scorer, reference)
+        lang = language_scores(tagged, scorer, reference)
         vectors[orientation] = MetricVector(
             density=conn.density,
             degree_centralization=conn.degree_centralization,

@@ -8,8 +8,9 @@ offset in hours from a fixed UTC base instant.
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
-from valuescope import InteractionGraph, Message, build_graph
+from valuescope import InteractionGraph, Message, TaggedMessage, build_graph, tokenize
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -32,6 +33,11 @@ def msg(
         retweet_of=retweet_of,
         mentions=mentions,
     )
+
+
+def carrying_tokens(messages) -> list[TaggedMessage]:
+    """Messages as partitions hold them: each with its own tokens."""
+    return [TaggedMessage(m, frozenset(), tuple(tokenize(m.text))) for m in messages]
 
 
 def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
@@ -64,3 +70,42 @@ def random_edge_set(rng, n: int, p: float) -> list[tuple[str, str]]:
             if rng.random() < p:
                 edges.append((nodes[i], nodes[j]))
     return edges
+
+
+def betweenness_exact(graph: InteractionGraph) -> dict[str, Fraction]:
+    """Brandes with rational arithmetic.
+
+    Same algorithm as the float kernel but every dependency is a Fraction,
+    so results can be compared against path enumeration with no rounding.
+    Meant for small graphs; cost grows fast with size.
+    """
+    n = graph.node_count
+    adjacency = [
+        [int(j) for j in graph._indices[graph._indptr[i] : graph._indptr[i + 1]]]
+        for i in range(n)
+    ]
+    bc = [Fraction(0)] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]
+        head = 0
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    order.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        delta = [Fraction(0)] * n
+        for w in reversed(order[1:]):
+            coeff = (1 + delta[w]) / Fraction(sigma[w])
+            for v in adjacency[w]:
+                if dist[v] == dist[w] - 1:
+                    delta[v] += sigma[v] * coeff
+            bc[w] += delta[w]
+    return {handle: bc[i] / 2 for i, handle in enumerate(graph.nodes)}

@@ -18,7 +18,12 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from math import log
 
-from conftest import graph_from_edges, indexed_nodes, random_edge_set
+from conftest import (
+    betweenness_exact,
+    graph_from_edges,
+    indexed_nodes,
+    random_edge_set,
+)
 from reference_case import (
     DIVERGENT,
     EXPECTED_CLASS,
@@ -45,7 +50,6 @@ from valuescope import (
     SynthSpec,
     average_activity,
     betweenness,
-    betweenness_exact,
     build_reference,
     classify,
     complexity,

@@ -227,6 +227,16 @@ class TestExportGraphVerb:
         )
         assert code == 1
 
+    def test_bad_orientation_lexicon_is_config_error(self, corpus, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"Customers": ["quality"]}))
+        code, _ = run_cli(
+            capsys, "export-graph", "--corpus", str(corpus),
+            "--orientation", "Customers", "--format", "dot",
+            "--out", str(tmp_path / "x.dot"), "--orientation-lexicon", str(lexicon),
+        )
+        assert code == 2
+
 
 class TestConfig:
     def test_validation_catches_bad_thresholds(self):

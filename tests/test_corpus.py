@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from conftest import msg
 from valuescope import (
     ORIENTATIONS,
     CorpusError,
+    Message,
     OrientationLexicon,
     filter_and_partition,
     parse_corpus,
@@ -36,6 +37,38 @@ def record(ident="m1", author="alice", created_at="2021-03-01T10:00:00Z", **extr
 
 def lines(*records):
     return [json.dumps(r) for r in records]
+
+
+# Anything json.loads can return, and records that mix plausible field values
+# (handles, ids, RFC 3339 stamps at any offset) with arbitrary JSON.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_offsets = st.timedeltas(
+    min_value=timedelta(hours=-23, minutes=-59),
+    max_value=timedelta(hours=23, minutes=59),
+).map(timezone)
+_stamps = st.one_of(
+    st.datetimes(timezones=st.none() | _offsets).map(datetime.isoformat),
+    st.datetimes().map(lambda d: d.strftime("%Y-%m-%dT%H:%M:%SZ")),
+    st.text(alphabet="0123456789-:TZ+. ", max_size=26),
+)
+_handles = st.text(alphabet="@ aZ_9", max_size=5)
+_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.sampled_from(["m1", "m2", ""]) | _json_values,
+        "author": _handles | _json_values,
+        "created_at": _stamps | _json_values,
+        "text": st.text(max_size=12) | _json_values,
+        "reply_to": st.sampled_from(["m1", "m2", ""]) | _json_values,
+        "retweet_of": st.sampled_from(["m1", "m2", ""]) | _json_values,
+        "mentions": st.lists(_handles | _json_values, max_size=3) | _json_values,
+    },
+)
 
 
 class TestTokenize:
@@ -130,6 +163,19 @@ class TestParse:
         assert message.reply_to is None
         assert message.retweet_of is None
 
+    @pytest.mark.parametrize(
+        "stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+    )
+    def test_offset_past_the_calendar_edge_rejected(self, stamp):
+        # Converting these to UTC leaves the years datetime can hold.
+        assert parse_record(record(created_at=stamp)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(_json_values, _records))
+    def test_parse_record_never_raises(self, raw):
+        result = parse_record(raw)
+        assert result is None or isinstance(result, Message)
+
 
 class TestLexicon:
     def test_default_covers_all_orientations(self):
@@ -216,7 +262,7 @@ class TestPartition:
             msg("m3", "c", hours=3.0, text="nothing relevant"),
             msg("m4", "d", hours=4.0, text="team spirit and quality"),
         ]
-        partitions, discarded = filter_and_partition(messages, lexicon)
+        partitions, discarded, _ = filter_and_partition(messages, lexicon)
         assert discarded == 1
         assert [t.message.id for t in partitions["Customers"]] == ["m1", "m2", "m4"]
         assert [t.message.id for t in partitions["Employees"]] == ["m4"]
@@ -224,7 +270,7 @@ class TestPartition:
 
     def test_multi_tagged_message_lands_in_each_partition(self, lexicon):
         messages = [msg("m1", "a", text="quality with integrity")]
-        partitions, discarded = filter_and_partition(messages, lexicon)
+        partitions, discarded, _ = filter_and_partition(messages, lexicon)
         assert discarded == 0
         assert len(partitions["Customers"]) == 1
         assert len(partitions["Citizenship"]) == 1
@@ -237,7 +283,7 @@ class TestPartition:
             msg("mb", "a", hours=1.0, text="quality"),
             msg("ma", "b", hours=1.0, text="quality"),
         ]
-        partitions, _ = filter_and_partition(messages, lexicon)
+        partitions, _, _ = filter_and_partition(messages, lexicon)
         assert [t.message.id for t in partitions["Customers"]] == ["ma", "mb"]
 
     def test_input_order_does_not_matter(self, lexicon):
@@ -247,8 +293,8 @@ class TestPartition:
         ]
         shuffled = messages[:]
         random.Random(3).shuffle(shuffled)
-        first, _ = filter_and_partition(messages, lexicon)
-        second, _ = filter_and_partition(shuffled, lexicon)
+        first, _, _ = filter_and_partition(messages, lexicon)
+        second, _, _ = filter_and_partition(shuffled, lexicon)
         assert [t.message.id for t in first["Customers"]] == [
             t.message.id for t in second["Customers"]
         ]
@@ -260,7 +306,7 @@ class TestPartition:
             msg("m3", "c", text="blah"),
             msg("m4", "d", text="team spirit"),
         ]
-        partitions, discarded = filter_and_partition(messages, lexicon)
+        partitions, discarded, _ = filter_and_partition(messages, lexicon)
         tagged_ids = {
             t.message.id for bucket in partitions.values() for t in bucket
         }

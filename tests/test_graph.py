@@ -18,10 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_edges, indexed_nodes, msg, random_edge_set
+from conftest import (
+    betweenness_exact,
+    graph_from_edges,
+    indexed_nodes,
+    msg,
+    random_edge_set,
+)
 from valuescope import (
     betweenness,
-    betweenness_exact,
     build_graph,
     connectivity_scores,
     density,

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import msg
+from conftest import carrying_tokens, msg
 from valuescope import (
+    ORIENTATIONS,
+    LanguageScores,
     LexiconSentimentScorer,
+    OrientationLexicon,
     PolarLexicon,
     ReferenceDictionary,
     build_reference,
     complexity,
     emotionality,
+    filter_and_partition,
     language_scores,
     score_sentiment,
+    tokenize,
 )
 
 POS = ("good", "great", "love")
@@ -173,7 +180,9 @@ class TestLanguageScores:
         ref = build_reference(
             t for m in messages for t in ("good", "bad", "thing")
         )
-        scores = language_scores(messages, LexiconSentimentScorer(lexicon), ref)
+        scores = language_scores(
+            carrying_tokens(messages), LexiconSentimentScorer(lexicon), ref
+        )
         assert scores.sentiment == pytest.approx((1.0 + 0.0) / 2)
         assert scores.emotionality == pytest.approx(0.5)
         assert scores.complexity == pytest.approx(
@@ -190,12 +199,93 @@ class TestLanguageScores:
 
     def test_without_reference_complexity_absent(self, lexicon):
         messages = [msg("m1", "x", 0.0, text="good")]
-        scores = language_scores(messages, LexiconSentimentScorer(lexicon), None)
+        scores = language_scores(
+            carrying_tokens(messages), LexiconSentimentScorer(lexicon), None
+        )
         assert scores.sentiment == 1.0
         assert scores.complexity is None
 
     def test_custom_callable_scorer(self):
         messages = [msg("m1", "x", 0.0, text="whatever")]
-        scores = language_scores(messages, lambda text: 0.25, None)
+        scores = language_scores(carrying_tokens(messages), lambda text: 0.25, None)
         assert scores.sentiment == 0.25
         assert scores.emotionality == 0.25
+
+
+# Tagging words, polar words (one on both sides), plain words and noise.
+_WORDS = (
+    "quality", "Team", "spirit", "integrity", "ETHICS", "service", "good",
+    "great!", "love", "bad", "awful", "hate", "mixed", "plain", "words",
+    "rare", "#tag", "@who", "...",
+)
+
+
+def _text_based_scores(messages, lexicon, reference) -> LanguageScores:
+    """The computation before messages carried tokens: re-tokenize each text."""
+    sentiments = []
+    for m in messages:
+        p = q = 0
+        for token in tokenize(m.text):
+            if token in lexicon.positive:
+                p += 1
+            elif token in lexicon.negative:
+                q += 1
+        sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
+    tokens = [token for m in messages for token in tokenize(m.text)]
+    return LanguageScores(
+        sentiment=sum(sentiments) / len(sentiments),
+        emotionality=sum(abs(s - 0.5) for s in sentiments) / len(sentiments),
+        complexity=sum(
+            -math.log(reference.probabilities.get(t, reference.unseen))
+            for t in tokens
+        )
+        / len(tokens)
+        if tokens
+        else None,
+    )
+
+
+@pytest.fixture(scope="module")
+def file_reference(tmp_path_factory):
+    # Holds only some corpus tokens, so the rest take the unseen surprisal.
+    path = tmp_path_factory.mktemp("ref") / "reference.json"
+    path.write_text(json.dumps({"quality": 7, "good": 2, "plain": 3, "other": 1}))
+    return ReferenceDictionary.from_file(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_carried_tokens_equal_text_based_computation(texts, file_reference):
+    polar = PolarLexicon(
+        ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
+    )
+    messages = [msg(f"m{i:02d}", "a", float(i), text=t) for i, t in enumerate(texts)]
+    partitions, _, counts = filter_and_partition(
+        messages, OrientationLexicon.default()
+    )
+
+    text_counts = Counter(t for m in messages for t in tokenize(m.text))
+    assert counts == text_counts
+    references = [file_reference]
+    if text_counts:
+        corpus_reference = build_reference(counts)
+        text_reference = ReferenceDictionary.from_counts(dict(text_counts))
+        assert corpus_reference.probabilities == text_reference.probabilities
+        assert corpus_reference.unseen == text_reference.unseen
+        references.append(corpus_reference)
+
+    scorer = LexiconSentimentScorer(polar)
+    for reference in references:
+        for orientation in ORIENTATIONS:
+            tagged = partitions[orientation]
+            if not tagged:
+                continue
+            assert language_scores(tagged, scorer, reference) == _text_based_scores(
+                [t.message for t in tagged], polar, reference
+            )

@@ -25,11 +25,14 @@ from __future__ import annotations
 import json
 import math
 import random
+from importlib import resources
 
 import pytest
 
 from reference_case import EXPECTED_HINTS
 from valuescope import ConfigError, CorpusError, RunConfig, replay_metrics, run_pipeline
+from valuescope import corpus as corpus_module
+from valuescope import language as language_module
 from valuescope.pipeline import dump_report, load_replay_file, round6
 
 FIXTURE_RECORDS = [
@@ -315,6 +318,47 @@ class TestRunVariants:
         report = run_pipeline(cfg, scorer=lambda text: 0.9)
         assert entry_for(report, "Customers")["metrics"]["sentiment"] == 0.9
         assert entry_for(report, "Customers")["attitude"] == "positive"
+
+    def test_each_message_is_tokenized_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = corpus_module.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(language_module, "tokenize", counting_tokenize)
+        corpus = tmp_path / "corpus.ndjson"
+        write_corpus_file(corpus)
+        run_pipeline(RunConfig(corpus=str(corpus), output_dir=str(tmp_path / "out")))
+
+        data = resources.files("valuescope.data")
+        phrases = json.loads(data.joinpath("orientation_lexicon.json").read_text())
+        polar = json.loads(data.joinpath("sentiment_lexicon.json").read_text())
+        lexicon_terms = sum(map(len, phrases.values())) + sum(map(len, polar.values()))
+        texts = [r["text"] for r in FIXTURE_RECORDS]
+        assert len(calls) == len(texts) + lexicon_terms
+        assert all(calls.count(text) == 1 for text in texts)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (1.5, -0.5),
+            (float("nan"), 0.5),
+            (float("inf"), 0.5),
+            ("0.5", 0.5),
+            (None, 0.5),
+        ],
+    )
+    def test_scorer_output_is_checked_per_message(self, tmp_path, first, second):
+        # 1.5 and -0.5 average to a valid 0.5; each is still refused.
+        corpus = tmp_path / "corpus.ndjson"
+        write_corpus_file(corpus)
+        cfg = RunConfig(corpus=str(corpus), output_dir=str(tmp_path / "out"))
+        outputs = {"quality check one": first, "quality check two": second}
+        with pytest.raises(ValueError, match="message 'm1'"):
+            run_pipeline(cfg, scorer=lambda text: outputs.get(text, 0.5))
 
     def test_window_csv_and_graph_exports(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
