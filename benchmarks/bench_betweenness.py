@@ -4,22 +4,17 @@ Two graph shapes, both in CSR form and seeded:
 
 * ``random``: connected-ish random graphs with no leaves, where the
   component split and leaf folding in ``betweenness_csr`` save nothing.
-  The numpy and numba kernels are timed on them from every source.
+  The kernel is timed on them from every source.
 * ``forest``: the shape the pipeline actually builds from discourse data, a
   leaf-heavy star forest (one hub with thousands of spokes plus small
   stars) with dyads and isolated nodes beside it.  ``betweenness_csr``
   (reduced) is timed against one all-sources, unit-weight kernel call over
-  the whole graph.
+  the whole graph, and the row prints the largest score difference.
 
-Every row prints the largest score difference between the paths it times.
 Run it as
 
     python3 benchmarks/bench_betweenness.py
     python3 benchmarks/bench_betweenness.py --nodes 300 1000 --forest-nodes 9000
-
-The numpy kernel is always measured.  The numba kernel needs numba
-importable; without it the script says so and times what it has.  The
-VALUESCOPE_DISABLE_NUMBA flag picks the kernel behind ``betweenness_csr``.
 """
 
 import argparse
@@ -28,13 +23,7 @@ import time
 
 import numpy as np
 
-from valuescope._kernels import (
-    HAS_NUMBA,
-    USE_NUMBA,
-    _brandes_numba,
-    _brandes_numpy,
-    betweenness_csr,
-)
+from valuescope._kernels import _brandes_numpy, betweenness_csr
 
 
 def to_csr(n: int, pairs):
@@ -92,13 +81,10 @@ def forest_csr(n: int, rng: random.Random):
     return (*to_csr(total, pairs), total, len(pairs))
 
 
-def all_sources(kernel):
-    def run(indptr, indices, n):
-        return kernel(
-            indptr, indices, n, np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
-        )
-
-    return run
+def all_sources(indptr, indices, n):
+    return _brandes_numpy(
+        indptr, indices, n, np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
+    )
 
 
 def timed(fn, indptr, indices, n, repeats):
@@ -113,39 +99,18 @@ def timed(fn, indptr, indices, n, repeats):
 
 def bench_random(args, rng) -> None:
     print("random graphs, every node a source")
-    if HAS_NUMBA:
-        # First call pays the JIT compile; keep it out of the timings.
-        warm_indptr, warm_indices, _ = random_csr(30, 4, random.Random(0))
-        all_sources(_brandes_numba)(warm_indptr, warm_indices, 30)
-        header = f"{'n':>6} {'edges':>8} {'numpy (s)':>10} {'numba (s)':>10} {'speedup':>8} {'max |diff|':>11}"
-    else:
-        print("numba is not importable; timing the numpy kernel only")
-        header = f"{'n':>6} {'edges':>8} {'numpy (s)':>10}"
+    header = f"{'n':>6} {'edges':>8} {'time (s)':>10}"
     print(header)
     print("-" * len(header))
     for n in args.nodes:
         indptr, indices, edges = random_csr(n, args.edges_per_node, rng)
-        numpy_time, numpy_scores = timed(
-            all_sources(_brandes_numpy), indptr, indices, n, args.repeats
-        )
-        if HAS_NUMBA:
-            numba_time, numba_scores = timed(
-                all_sources(_brandes_numba), indptr, indices, n, args.repeats
-            )
-            drift = float(np.max(np.abs(numba_scores - numpy_scores)))
-            print(
-                f"{n:>6} {edges:>8} {numpy_time:>10.3f} {numba_time:>10.3f} "
-                f"{numpy_time / numba_time:>7.1f}x {drift:>11.2e}"
-            )
-        else:
-            print(f"{n:>6} {edges:>8} {numpy_time:>10.3f}")
+        elapsed, _ = timed(all_sources, indptr, indices, n, args.repeats)
+        print(f"{n:>6} {edges:>8} {elapsed:>10.3f}")
 
 
 def bench_forest(args, rng) -> None:
-    kernel_name = "numba" if USE_NUMBA else "numpy"
-    unreduced = all_sources(_brandes_numba if USE_NUMBA else _brandes_numpy)
     print()
-    print(f"leaf-heavy star forest with dyads and isolates ({kernel_name} kernel)")
+    print("leaf-heavy star forest with dyads and isolates")
     header = (
         f"{'n':>6} {'edges':>8} {'unreduced (s)':>14} {'reduced (s)':>12} "
         f"{'speedup':>8} {'max |diff|':>11}"
@@ -154,7 +119,7 @@ def bench_forest(args, rng) -> None:
     print("-" * len(header))
     for n in args.forest_nodes:
         indptr, indices, total, edges = forest_csr(n, rng)
-        slow_time, slow_scores = timed(unreduced, indptr, indices, total, 1)
+        slow_time, slow_scores = timed(all_sources, indptr, indices, total, 1)
         fast_time, fast_scores = timed(betweenness_csr, indptr, indices, total, args.repeats)
         drift = float(np.max(np.abs(fast_scores - slow_scores)))
         print(

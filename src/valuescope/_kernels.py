@@ -15,16 +15,10 @@ search it shrinks the work with two exact reductions:
   counts the leaves attached to ``u``, and ``k_u * (|C| - 2)`` is added to
   ``u``'s score afterwards.
 
-Two interchangeable kernels then run Brandes from the given sources of one
-component, each dependency vector scaled by its source's weight:
-
-* a numba ``@njit`` queue kernel (default when numba imports cleanly), and
-* a pure-numpy level-synchronous fallback.
-
-Set ``VALUESCOPE_DISABLE_NUMBA=1`` to force the fallback.  Components and
-sources are visited in a fixed order, so each kernel is bitwise-deterministic
-for a given graph; the two kernels may disagree in the last float ulp
-because they accumulate dependencies in different orders.
+A numpy level-synchronous Brandes kernel (Brandes 2001) then runs from the
+given sources of one component, each dependency vector scaled by its
+source's weight.  Components and sources are visited in a fixed order, so
+the scores are bitwise-deterministic for a given graph.
 
 Returned scores are raw Brandes sums over ordered source/target pairs; the
 caller halves them for the undirected convention.
@@ -32,81 +26,7 @@ caller halves them for the undirected convention.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("VALUESCOPE_DISABLE_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-USE_NUMBA = HAS_NUMBA and not _numba_disabled()
-
-
-@njit(cache=True)
-def _brandes_numba(indptr, indices, n, sources, weights):  # pragma: no cover - compiled
-    bc = np.zeros(n, dtype=np.float64)
-    dist = np.empty(n, dtype=np.int64)
-    sigma = np.empty(n, dtype=np.float64)
-    delta = np.empty(n, dtype=np.float64)
-    order = np.empty(n, dtype=np.int64)
-    for si in range(len(sources)):
-        s = sources[si]
-        weight = weights[si]
-        for i in range(n):
-            dist[i] = -1
-            sigma[i] = 0.0
-            delta[i] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for ei in range(indptr[v], indptr[v + 1]):
-                w = indices[ei]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order[tail] = w
-                    tail += 1
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-        # Nodes in reverse BFS order are non-increasing in distance, which is
-        # exactly the order dependency accumulation needs.
-        for oi in range(tail - 1, 0, -1):
-            w = order[oi]
-            coeff = (1.0 + delta[w]) / sigma[w]
-            dw = dist[w]
-            for ei in range(indptr[w], indptr[w + 1]):
-                v = indices[ei]
-                if dist[v] == dw - 1:
-                    delta[v] += sigma[v] * coeff
-            bc[w] += weight * delta[w]
-    return bc
 
 
 def _brandes_numpy(
@@ -190,13 +110,12 @@ def betweenness_csr(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarr
     edge = np.repeat(indptr[perm] - sub_indptr[:-1], kept_degree)
     sub_indices = position[indices[edge + np.arange(sub_indptr[-1])]]
 
-    kernel = _brandes_numba if USE_NUMBA else _brandes_numpy
     bounds = [0, *(np.flatnonzero(np.diff(label[perm])) + 1).tolist(), perm.size]
     for lo, hi in zip(bounds, bounds[1:]):
         size = hi - lo
         sources = np.flatnonzero(kept_degree[lo:hi] > 1)
         folded = leaves[perm[lo:hi][sources]].astype(np.float64)
-        scores = kernel(
+        scores = _brandes_numpy(
             sub_indptr[lo : hi + 1] - sub_indptr[lo],
             sub_indices[sub_indptr[lo] : sub_indptr[hi]] - lo,
             size,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
+from .config import ConfigError
 from .corpus import Message
 from .graph import (
     InteractionGraph,
@@ -23,6 +24,9 @@ from .graph import (
 )
 
 SECONDS_PER_HOUR = 3600.0
+# Each window builds a graph and runs Brandes.  The full-scale preset has 60
+# windows per series and four weeks in hourly windows have 672.
+MAX_WINDOWS = 100_000
 
 
 def activity(messages: Iterable[Message]) -> int:
@@ -133,7 +137,8 @@ def _nudges(streams: _Streams, cutoff_hours: float | None) -> float | None:
 class WindowStat:
     start: datetime
     end: datetime
-    graph: InteractionGraph
+    node_count: int
+    edge_count: int
     betweenness: dict[str, float]
     centralization: float
 
@@ -155,6 +160,11 @@ def window_series(
     stamps = [m.created_at.timestamp() for m in messages]
     first = int(min(stamps) // width)
     last = int(max(stamps) // width)
+    if last - first + 1 > MAX_WINDOWS:
+        raise ConfigError(
+            f"window_hours={window_hours} gives {last - first + 1} windows, "
+            f"more than the {MAX_WINDOWS} allowed"
+        )
     buckets: dict[int, list[Message]] = {}
     for m, stamp in zip(messages, stamps):
         buckets.setdefault(int(stamp // width), []).append(m)
@@ -169,7 +179,8 @@ def window_series(
             WindowStat(
                 start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
                 end=datetime.fromtimestamp((idx + 1) * width, tz=timezone.utc),
-                graph=graph,
+                node_count=graph.node_count,
+                edge_count=graph.simple_edge_count,
                 betweenness=scores,
                 centralization=group_betweenness_centralization(graph, scores),
             )
@@ -205,7 +216,7 @@ def rotating_leadership(windows: Sequence[WindowStat], mode: str = "group") -> i
         return 0
     if mode == "group":
         return count_extrema([w.centralization for w in windows])
-    actors = sorted({node for w in windows for node in w.graph.nodes})
+    actors = sorted({node for w in windows for node in w.betweenness})
     total = 0
     for actor in actors:
         total += count_extrema([w.betweenness.get(actor, 0.0) for w in windows])

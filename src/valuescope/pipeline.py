@@ -368,8 +368,8 @@ def _write_window_csv(series: list[WindowStat], path: str) -> None:
             writer.writerow(
                 [
                     stat.start.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    stat.graph.node_count,
-                    stat.graph.simple_edge_count,
+                    stat.node_count,
+                    stat.edge_count,
                     round6(stat.centralization),
                 ]
             )

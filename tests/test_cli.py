@@ -49,6 +49,21 @@ class TestRunVerb:
         )
         assert code == 2
 
+    def test_too_many_windows_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "two_years.ndjson"
+        records = [
+            {"id": "m1", "author": "alice", "created_at": "2021-03-01T10:00:00Z",
+             "text": "quality first", "mentions": ["bob"]},
+            {"id": "m2", "author": "bob", "created_at": "2023-03-01T10:00:00Z",
+             "text": "quality second", "mentions": ["alice"]},
+        ]
+        write_corpus_file(corpus, records, extra_lines=())
+        code, _ = run_cli(
+            capsys, "run", "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"), "--window-hours", "0.001",
+        )
+        assert code == 2
+
     def test_config_file_feeds_run(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"window_hours": 12.0, "window_csv": True}))

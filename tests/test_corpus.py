@@ -152,8 +152,17 @@ class TestParse:
         assert message.created_at.tzinfo == timezone.utc
         assert message.created_at.hour == 10
 
-    def test_offset_timestamp_converted_to_utc(self):
-        message = parse_record(record(created_at="2021-03-01T12:00:00+02:00"))
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2021-03-01T12:00:00+02:00",
+            "2021-03-01T10:00:00+0000",
+            "20210301T100000Z",
+            "2021-03-01T10:00:00.123Z",
+        ],
+    )
+    def test_offset_timestamp_converted_to_utc(self, stamp):
+        message = parse_record(record(created_at=stamp))
         assert message.created_at.hour == 10
         assert message.created_at.tzinfo == timezone.utc
 

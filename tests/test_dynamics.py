@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import BASE, msg
 from valuescope import (
+    ConfigError,
     activity,
     average_activity,
     average_response_time,
@@ -21,6 +22,7 @@ from valuescope import (
     rotating_leadership,
     window_series,
 )
+from valuescope.dynamics import MAX_WINDOWS
 
 
 def exchange(prefix, a, b, t0, lag_hours, pings=1):
@@ -245,7 +247,7 @@ class TestWindows:
         assert len(windows) == 3
         assert windows[0].start == BASE
         assert all(w.start.hour == 0 for w in windows)
-        assert [w.graph.node_count for w in windows] == [2, 0, 2]
+        assert [w.node_count for w in windows] == [2, 0, 2]
         assert windows[1].centralization == 0.0
 
     def test_message_on_boundary_goes_to_later_window(self):
@@ -255,7 +257,7 @@ class TestWindows:
         ]
         windows = window_series(messages)
         assert len(windows) == 2
-        assert windows[1].graph.node_count == 2
+        assert windows[1].node_count == 2
 
     def test_custom_width(self):
         messages = [
@@ -268,6 +270,18 @@ class TestWindows:
         assert window_series([]) == []
         with pytest.raises(ValueError):
             window_series([msg("m1", "a")], window_hours=0.0)
+
+    @pytest.mark.parametrize(
+        ("span_hours", "window_hours"),
+        [(2 * 365 * 24.0, 0.001), (float(MAX_WINDOWS), 1.0)],
+    )
+    def test_too_many_windows_refused_before_building(self, span_hours, window_hours):
+        # The second span is one window past the cap.
+        messages = [msg("m1", "a", 0.0), msg("m2", "b", span_hours)]
+        with pytest.raises(ConfigError, match="window_hours") as raised:
+            window_series(messages, window_hours=window_hours)
+        count = int(span_hours / window_hours) + 1
+        assert f" {count} windows" in str(raised.value)
 
 
 def day_star(day, hub, spokes):

@@ -1,4 +1,4 @@
-"""Graph construction, connectivity metrics and the betweenness kernels.
+"""Graph construction, connectivity metrics and the betweenness kernel.
 
 The betweenness oracle here is deliberately a different algorithm from the
 shipped one: Floyd-Warshall distances plus explicit depth-first enumeration
@@ -35,8 +35,7 @@ from valuescope import (
     write_dot,
     write_graphml,
 )
-from valuescope import _kernels
-from valuescope._kernels import _brandes_numba, _brandes_numpy, betweenness_csr
+from valuescope._kernels import _brandes_numpy, betweenness_csr
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -236,11 +235,9 @@ class TestBetweenness:
             for node, value in exact.items():
                 assert abs(approx[node] - float(value)) < 1e-12
 
-    def test_numba_and_numpy_kernels_match_exact(self, monkeypatch):
-        # Without numba the njit stub leaves _brandes_numba as plain Python,
-        # so both kernel bodies run here whether or not numba is installed:
-        # directly from every source with unit weights, and behind the
-        # component split and leaf folding of betweenness_csr.
+    def test_numpy_kernel_matches_exact(self):
+        # The kernel runs directly from every source with unit weights, and
+        # behind the component split and leaf folding of betweenness_csr.
         rng = random.Random(7)
         for _ in range(15):
             n = rng.randint(2, 30)
@@ -249,12 +246,10 @@ class TestBetweenness:
             exact = [float(betweenness_exact(graph)[h]) for h in graph.nodes]
             sources = np.arange(n, dtype=np.int64)
             weights = np.ones(n, dtype=np.float64)
-            for kernel, use_numba in ((_brandes_numba, True), (_brandes_numpy, False)):
-                direct = kernel(graph._indptr, graph._indices, n, sources, weights)
-                assert np.abs(direct / 2.0 - exact).max() < 1e-12
-                monkeypatch.setattr(_kernels, "USE_NUMBA", use_numba)
-                reduced = betweenness_csr(graph._indptr, graph._indices, n)
-                assert np.abs(reduced / 2.0 - exact).max() < 1e-12
+            direct = _brandes_numpy(graph._indptr, graph._indices, n, sources, weights)
+            assert np.abs(direct / 2.0 - exact).max() < 1e-12
+            reduced = betweenness_csr(graph._indptr, graph._indices, n)
+            assert np.abs(reduced / 2.0 - exact).max() < 1e-12
 
     def test_disconnected_components_scored_independently(self):
         graph = graph_from_edges(
@@ -404,14 +399,12 @@ def shattered_graph(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shattered_graph(), st.booleans())
-def test_reduced_betweenness_matches_fraction_oracle(shape, use_numba):
+@given(shattered_graph())
+def test_reduced_betweenness_matches_fraction_oracle(shape):
     edges, isolated = shape
     graph = graph_from_edges(edges, extra_nodes=isolated)
     exact = betweenness_exact(graph)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "USE_NUMBA", use_numba)
-        scores = betweenness(graph)
+    scores = betweenness(graph)
     for node, value in exact.items():
         assert abs(scores[node] - float(value)) < 1e-9
 

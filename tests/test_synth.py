@@ -465,7 +465,7 @@ class TestPlantedOscillation:
     def test_every_window_is_populated(self, oscillating_windows):
         _, windows = oscillating_windows
         assert len(windows) == 24
-        assert all(len(w.graph.nodes) > 0 for w in windows)
+        assert all(w.node_count > 0 for w in windows)
 
     def test_centralization_follows_the_dyad_wave(self, oscillating_windows):
         plant, windows = oscillating_windows
