@@ -35,7 +35,6 @@ from .dynamics import (
     window_series,
 )
 from .graph import (
-    Arc,
     ConnectivityScores,
     InteractionGraph,
     betweenness,

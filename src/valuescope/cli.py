@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 
@@ -172,7 +171,7 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
     lexicon, _ = _load_lexicons(RunConfig(orientation_lexicon=args.orientation_lexicon))
     parsed = load_corpus(args.corpus)
     partitions = filter_and_partition(parsed.messages, lexicon).partitions
-    graph = build_graph([t.message for t in partitions[args.orientation]])
+    graph = build_graph(t.message for t in partitions[args.orientation])
     if args.fmt == "graphml":
         write_graphml(graph, args.orientation, args.out)
     else:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .hierarchy import CONNECTIVITY_METRICS, INTERACTIVITY_METRICS, is_finite_number
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or config file."""
@@ -42,6 +44,15 @@ class RunConfig:
     window_csv: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.split(" |")[0]  # annotations are strings, e.g. "float | None"
+            if value is None and f.type.endswith("| None"):
+                continue
+            if kind == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            if kind == "float" and not is_finite_number(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for low_name, high_name in (
             ("interactivity_low", "interactivity_high"),
             ("connectivity_low", "connectivity_high"),
@@ -64,10 +75,21 @@ class RunConfig:
             )
         if self.response_cutoff_hours is not None and self.response_cutoff_hours <= 0:
             raise ConfigError("response_cutoff_hours must be positive when set")
-        for name in ("connectivity_weights", "interactivity_weights"):
-            for metric, weight in getattr(self, name).items():
-                if weight < 0:
-                    raise ConfigError(f"{name}[{metric!r}] is negative")
+        for name, metrics in (
+            ("connectivity_weights", CONNECTIVITY_METRICS),
+            ("interactivity_weights", INTERACTIVITY_METRICS),
+        ):
+            weights = getattr(self, name)
+            if not isinstance(weights, dict):
+                raise ConfigError(f"{name} must map metric names to weights")
+            for metric, weight in weights.items():
+                if metric not in metrics or not is_finite_number(weight) or weight < 0:
+                    raise ConfigError(
+                        f"{name}[{metric!r}] must name one of {list(metrics)} "
+                        f"and be a finite number >= 0, got {weight!r}"
+                    )
+            if not any(weights.get(metric, 1.0) > 0 for metric in metrics):
+                raise ConfigError(f"{name} sets every weight to zero")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -12,16 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .config import ConfigError
-from .corpus import Message
-from .graph import (
-    InteractionGraph,
-    betweenness,
-    build_graph,
-    group_betweenness_centralization,
-)
+from .graph import InteractionGraph, betweenness, group_betweenness_centralization
 
 SECONDS_PER_HOUR = 3600.0
 # Each window builds a graph and runs Brandes.  The full-scale preset has 60
@@ -29,53 +25,20 @@ SECONDS_PER_HOUR = 3600.0
 MAX_WINDOWS = 100_000
 
 
-def activity(messages: Iterable[Message]) -> int:
+def activity(graph: InteractionGraph) -> int:
     """Messages plus every mention, reply reference and retweet reference."""
-    total = 0
-    for m in messages:
-        total += 1 + len(m.mentions)
-        total += m.reply_to is not None
-        total += m.retweet_of is not None
-    return total
-
-
-_Streams = dict[tuple[str, str], list[float]]
-
-
-def _contact_streams(messages: Sequence[Message]) -> _Streams:
-    """Chronological contact timestamps (epoch seconds) per ordered pair."""
-    ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
-    author_of = {m.id: m.author for m in ordered}
-    streams: dict[tuple[str, str], list[float]] = {}
-    for m in ordered:
-        targets: list[str] = []
-        for handle in m.mentions:
-            if handle != m.author and handle not in targets:
-                targets.append(handle)
-        if m.reply_to is not None:
-            target = author_of.get(m.reply_to)
-            if target is not None and target != m.author and target not in targets:
-                targets.append(target)
-        stamp = m.created_at.timestamp()
-        for target in targets:
-            streams.setdefault((m.author, target), []).append(stamp)
-    return streams
+    return len(graph.messages) + len(graph.arc_rows) + graph.dangling_refs
 
 
 def average_response_time(
-    messages: Sequence[Message], cutoff_hours: float | None = None
+    graph: InteractionGraph, cutoff_hours: float | None = None
 ) -> float | None:
     """Mean hours from a contact to its earliest strictly later answer.
 
     Contacts that are never answered (or answered past ``cutoff_hours``, when
     given) carry no lag.  Returns None when nothing was answered.
     """
-    return _average_response_time(_contact_streams(messages), cutoff_hours)
-
-
-def _average_response_time(
-    streams: _Streams, cutoff_hours: float | None
-) -> float | None:
+    streams = graph.contact_streams
     lags: list[float] = []
     for pair in sorted(streams):
         replies = streams.get((pair[1], pair[0]))
@@ -95,7 +58,7 @@ def _average_response_time(
 
 
 def nudges(
-    messages: Sequence[Message], cutoff_hours: float | None = None
+    graph: InteractionGraph, cutoff_hours: float | None = None
 ) -> float | None:
     """Mean run length of contacts A->B needed before B answers.
 
@@ -103,10 +66,7 @@ def nudges(
     previous answer.  Chains that never get an answer are dropped, so the
     metric is only defined over answered chains and is always >= 1.
     """
-    return _nudges(_contact_streams(messages), cutoff_hours)
-
-
-def _nudges(streams: _Streams, cutoff_hours: float | None) -> float | None:
+    streams = graph.contact_streams
     chains: list[int] = []
     for pair in sorted(streams):
         contacts = streams[pair]
@@ -136,7 +96,6 @@ def _nudges(streams: _Streams, cutoff_hours: float | None) -> float | None:
 @dataclass(frozen=True, slots=True)
 class WindowStat:
     start: datetime
-    end: datetime
     node_count: int
     edge_count: int
     betweenness: dict[str, float]
@@ -144,7 +103,7 @@ class WindowStat:
 
 
 def window_series(
-    messages: Sequence[Message], window_hours: float = 24.0
+    graph: InteractionGraph, window_hours: float = 24.0
 ) -> list[WindowStat]:
     """Tumbling, epoch-aligned windows covering the full message span.
 
@@ -154,35 +113,27 @@ def window_series(
     """
     if window_hours <= 0:
         raise ValueError("window_hours must be positive")
-    if not messages:
+    if not graph.messages:
         return []
     width = window_hours * SECONDS_PER_HOUR
-    stamps = [m.created_at.timestamp() for m in messages]
-    first = int(min(stamps) // width)
-    last = int(max(stamps) // width)
+    buckets = graph.stamps // width  # rows are in time order, so ascending
+    first, last = int(buckets[0]), int(buckets[-1])
     if last - first + 1 > MAX_WINDOWS:
         raise ConfigError(
             f"window_hours={window_hours} gives {last - first + 1} windows, "
             f"more than the {MAX_WINDOWS} allowed"
         )
-    buckets: dict[int, list[Message]] = {}
-    for m, stamp in zip(messages, stamps):
-        buckets.setdefault(int(stamp // width), []).append(m)
+    labels = (buckets - first).astype(np.int64)  # small exact integers
     series: list[WindowStat] = []
-    for idx in range(first, last + 1):
-        inside = sorted(
-            buckets.get(idx, ()), key=lambda m: (m.created_at, m.id)
-        )
-        graph = build_graph(inside)
-        scores = betweenness(graph)
+    for idx, window in enumerate(graph.windows(labels, last - first + 1), start=first):
+        scores = betweenness(window)
         series.append(
             WindowStat(
                 start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
-                end=datetime.fromtimestamp((idx + 1) * width, tz=timezone.utc),
-                node_count=graph.node_count,
-                edge_count=graph.simple_edge_count,
+                node_count=window.node_count,
+                edge_count=window.simple_edge_count,
                 betweenness=scores,
-                centralization=group_betweenness_centralization(graph, scores),
+                centralization=group_betweenness_centralization(window, scores),
             )
         )
     return series
@@ -241,20 +192,18 @@ def average_activity(volume: int, actors: int) -> float | None:
 
 
 def interactivity_scores(
-    messages: Sequence[Message],
     graph: InteractionGraph,
     windows: Sequence[WindowStat],
     mode: str = "group",
     cutoff_hours: float | None = None,
 ) -> InteractivityScores:
-    volume = activity(messages)
+    volume = activity(graph)
     actors = graph.node_count
-    streams = _contact_streams(messages)
     return InteractivityScores(
         activity=volume,
         actor_count=actors,
         avg_activity_per_actor=average_activity(volume, actors),
-        art_hours=_average_response_time(streams, cutoff_hours),
-        nudges=_nudges(streams, cutoff_hours),
+        art_hours=average_response_time(graph, cutoff_hours),
+        nudges=nudges(graph, cutoff_hours),
         rotating_leadership=rotating_leadership(windows, mode),
     )

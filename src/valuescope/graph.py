@@ -1,16 +1,20 @@
 """Interaction graphs and connectivity metrics.
 
-Arcs are directed interaction events (mention, reply, retweet) with
-timestamps; metrics run on the simple undirected projection (distinct
-unordered pairs, self-pairs dropped).  Betweenness is exact Brandes, never
-sampled; group centralization follows Freeman's formulation.
+``build_graph`` resolves one partition's mentions, replies and retweets
+once, into an integer interaction table.  The whole graph, its window
+graphs, the contact streams, activity and the exports all read that table.
+Metrics run on the simple undirected projection (distinct unordered pairs,
+self-pairs dropped).  Betweenness is exact Brandes, never sampled; group
+centralization follows Freeman's formulation.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -19,102 +23,143 @@ from . import _kernels
 from .corpus import Message
 
 ARC_KINDS = ("mention", "reply", "retweet")
+MENTION, REPLY, RETWEET = range(len(ARC_KINDS))
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
-    source: str
-    target: str
-    timestamp: datetime
-    kind: str
+def _simple_csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the distinct unordered pairs among arcs ``heads[i] -> tails[i]``, self-pairs dropped."""
+    pairs = np.unique((np.minimum(heads, tails) * n + np.maximum(heads, tails))[heads != tails])
+    both = np.sort(np.concatenate((pairs, pairs % n * n + pairs // n)))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+    return indptr, both % n
 
 
-class InteractionGraph:
-    """Directed multigraph of interaction events plus its simple projection."""
+class SimpleGraph:
+    """Sorted node handles and the simple undirected projection, as CSR."""
 
-    def __init__(self, nodes: tuple[str, ...], arcs: list[Arc], dangling_refs: int):
+    def __init__(self, nodes: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray):
         self.nodes = nodes
-        self.index = {handle: i for i, handle in enumerate(nodes)}
-        self.arcs = arcs
-        self.dangling_refs = dangling_refs
-
-        n = len(nodes)
-        pairs: set[tuple[int, int]] = set()
-        for arc in arcs:
-            i = self.index[arc.source]
-            j = self.index[arc.target]
-            if i == j:
-                continue  # self-arcs stay in the arc list only
-            pairs.add((i, j) if i < j else (j, i))
-        self.simple_edge_count = len(pairs)
-        if pairs:
-            edges = np.array(sorted(pairs), dtype=np.int64)
-            u = np.concatenate([edges[:, 0], edges[:, 1]])
-            v = np.concatenate([edges[:, 1], edges[:, 0]])
-            order = np.lexsort((v, u))
-            u, v = u[order], v[order]
-            counts = np.bincount(u, minlength=n)
-            self._indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=self._indptr[1:])
-            self._indices = v
-        else:
-            self._indptr = np.zeros(n + 1, dtype=np.int64)
-            self._indices = np.zeros(0, dtype=np.int64)
-        self.degrees = np.diff(self._indptr)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def neighbors(self, node: str) -> list[str]:
-        i = self.index[node]
-        return [self.nodes[j] for j in self._indices[self._indptr[i] : self._indptr[i + 1]]]
+        self.node_count = len(nodes)
+        self._indptr, self._indices = indptr, indices
+        self.degrees = np.diff(indptr)
+        self.simple_edge_count = len(indices) // 2
 
 
-def build_graph(messages: Iterable[Message]) -> InteractionGraph:
-    """Build the interaction graph for one partition.
+class InteractionGraph(SimpleGraph):
+    """One partition's interaction table plus its simple projection.
 
-    Nodes are message authors plus every mentioned handle and every resolved
-    reply/retweet target author, so actors who never posted still appear.
-    Reply and retweet ids are resolved against the given message set only;
-    unresolved ids produce no arc and are counted as dangling references.
+    ``messages`` are rows in ``(created_at, id)`` order, with ``authors``
+    (node ids) and ``stamps`` (epoch seconds).  Arcs are the columns of
+    ``table``, in row order and, within a row, mentions, then reply, then
+    retweet; its rows are ``arc_rows``, ``arc_targets`` (node ids),
+    ``arc_kinds`` (into ``ARC_KINDS``) and ``arc_refs`` (the referenced
+    row, -1 for a mention).  Nodes, the sorted handle table, are the
+    authors and every mentioned handle.  Reply and retweet ids resolve
+    against these messages only (ids are unique); an unresolved id adds no
+    arc and counts as dangling.
     """
-    msgs = list(messages)
-    author_of = {m.id: m.author for m in msgs}
-    nodes: set[str] = set()
-    arcs: list[Arc] = []
-    dangling = 0
-    for m in msgs:
-        nodes.add(m.author)
-        for handle in m.mentions:
-            nodes.add(handle)
-            arcs.append(Arc(m.author, handle, m.created_at, "mention"))
-        for ref, kind in ((m.reply_to, "reply"), (m.retweet_of, "retweet")):
-            if ref is None:
-                continue
-            target = author_of.get(ref)
-            if target is None:
-                dangling += 1
-                continue
-            nodes.add(target)
-            arcs.append(Arc(m.author, target, m.created_at, kind))
-    return InteractionGraph(tuple(sorted(nodes)), arcs, dangling)
+
+    def __init__(self, messages: Iterable[Message]):
+        self.messages = ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
+        nodes = tuple(sorted({m.author for m in ordered}.union(*(m.mentions for m in ordered))))
+        index = {handle: i for i, handle in enumerate(nodes)}
+        row_of = {m.id: row for row, m in enumerate(ordered)}
+        authors = array("q", [index[m.author] for m in ordered])
+        arcs = array("q")  # (row, target, kind, ref) per arc, flat
+        self.dangling_refs = 0
+        for row, m in enumerate(ordered):
+            for handle in m.mentions:
+                arcs.extend((row, index[handle], MENTION, -1))
+            for ref, kind in ((m.reply_to, REPLY), (m.retweet_of, RETWEET)):
+                if ref is None:
+                    continue
+                ref_row = row_of.get(ref)
+                if ref_row is None:
+                    self.dangling_refs += 1
+                else:
+                    arcs.extend((row, authors[ref_row], kind, ref_row))
+        self.authors = np.frombuffer(authors, dtype=np.int64)
+        self.stamps = np.fromiter((m.created_at.timestamp() for m in ordered), np.float64, len(ordered))
+        self.table = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 4).T.copy()
+        self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
+        super().__init__(nodes, *_simple_csr(len(nodes), self.authors[self.arc_rows], self.arc_targets))
+
+    def windows(self, labels: np.ndarray, count: int) -> list[SimpleGraph]:
+        """The graph of each window alone, rows labelled ``0..count-1`` ascending.
+
+        A window holds its rows' authors and arcs; a reply or retweet of a
+        row in another window adds no arc and no node there.
+        """
+        n, refs = self.node_count, self.arc_refs
+        arc_labels = labels[self.arc_rows]
+        inside = (refs < 0) | (labels[refs] == arc_labels)
+        heads = arc_labels[inside] * n + self.authors[self.arc_rows[inside]]
+        tails = arc_labels[inside] * n + self.arc_targets[inside]
+        # Every window's nodes as (label, node id) keys, in label then id order;
+        # one CSR over all of them splits into one block per window.
+        keys = np.unique(np.concatenate((labels * n + self.authors, tails)))
+        indptr, indices = _simple_csr(
+            keys.size, np.searchsorted(keys, heads), np.searchsorted(keys, tails)
+        )
+        names = [self.nodes[i] for i in (keys % n).tolist()]
+        bounds = np.searchsorted(keys, np.arange(count + 1) * n).tolist()
+        return [
+            SimpleGraph(
+                tuple(names[lo:hi]),
+                indptr[lo : hi + 1] - indptr[lo],
+                indices[indptr[lo] : indptr[hi]] - lo,
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    @cached_property
+    def contact_streams(self) -> dict[tuple[int, int], list[float]]:
+        """Chronological contact stamps per ordered ``(sender, target)`` node-id pair.
+
+        A contact is a mention or a reply (resolved over all rows) of another
+        actor, counted once per message and target.
+        """
+        n = self.node_count
+        heads = self.authors[self.arc_rows]
+        contact = (self.arc_kinds != RETWEET) & (heads != self.arc_targets)
+        rows, heads, tails = self.arc_rows[contact], heads[contact], self.arc_targets[contact]
+        # One contact per (row, target).  unique orders them by row, and the
+        # stable sort by pair keeps each pair's contacts in row order.
+        _, once = np.unique(rows * n + tails, return_index=True)
+        pairs = (heads * n + tails)[once]
+        order = np.argsort(pairs, kind="stable")
+        pairs, stamps = pairs[order], self.stamps[rows[once][order]].tolist()
+        starts = np.flatnonzero(np.diff(pairs, prepend=-1)).tolist()
+        return {
+            divmod(pair, n): stamps[lo:hi]
+            for pair, lo, hi in zip(pairs[starts].tolist(), starts, [*starts[1:], len(stamps)])
+        }
+
+    def iter_arcs(self) -> Iterator[tuple[str, str, str, datetime]]:
+        """``(source, target, kind, created_at)`` per arc, in table order."""
+        for row, target, kind in self.table[:3].T.tolist():
+            message = self.messages[row]
+            yield message.author, self.nodes[target], ARC_KINDS[kind], message.created_at
 
 
-def density(graph: InteractionGraph) -> float:
+build_graph = InteractionGraph  # build_graph(messages), in any order
+
+
+def density(graph: SimpleGraph) -> float:
     n = graph.node_count
     if n < 2:
         return 0.0
     return 2.0 * graph.simple_edge_count / (n * (n - 1))
 
 
-def betweenness(graph: InteractionGraph) -> dict[str, float]:
+def betweenness(graph: SimpleGraph) -> dict[str, float]:
     """Exact betweenness per node, unordered pairs counted once."""
     raw = _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count)
-    return {handle: float(raw[i]) / 2.0 for i, handle in enumerate(graph.nodes)}
+    return dict(zip(graph.nodes, (raw / 2.0).tolist()))
 
 
-def group_degree_centralization(graph: InteractionGraph) -> float:
+def group_degree_centralization(graph: SimpleGraph) -> float:
     """Freeman degree centralization of the simple projection."""
     n = graph.node_count
     if n < 3:
@@ -125,7 +170,7 @@ def group_degree_centralization(graph: InteractionGraph) -> float:
 
 
 def group_betweenness_centralization(
-    graph: InteractionGraph, scores: dict[str, float] | None = None
+    graph: SimpleGraph, scores: dict[str, float] | None = None
 ) -> float:
     """Freeman betweenness centralization of the simple projection.
 
@@ -148,22 +193,23 @@ class ConnectivityScores:
     density: float
     degree_centralization: float
     betweenness_centralization: float
-    node_count: int
-    simple_edge_count: int
 
 
-def connectivity_scores(graph: InteractionGraph) -> ConnectivityScores:
+def connectivity_scores(graph: SimpleGraph) -> ConnectivityScores:
     return ConnectivityScores(
         density=density(graph),
         degree_centralization=group_degree_centralization(graph),
         betweenness_centralization=group_betweenness_centralization(graph),
-        node_count=graph.node_count,
-        simple_edge_count=graph.simple_edge_count,
     )
 
 
 def _format_ts(stamp: datetime) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
 
 
 def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
@@ -184,15 +230,13 @@ def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
             f'<data key="d0">{orient}</data>'
             f'<data key="d1">{int(graph.degrees[i])}</data></node>'
         )
-    for arc in graph.arcs:
+    for source, target, kind, stamp in graph.iter_arcs():
         lines.append(
-            f"    <edge source={quoteattr(arc.source)} target={quoteattr(arc.target)}>"
-            f'<data key="d2">{arc.kind}</data>'
-            f'<data key="d3">{_format_ts(arc.timestamp)}</data></edge>'
+            f"    <edge source={quoteattr(source)} target={quoteattr(target)}>"
+            f'<data key="d2">{kind}</data>'
+            f'<data key="d3">{_format_ts(stamp)}</data></edge>'
         )
-    lines.extend(["  </graph>", "</graphml>", ""])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+    _write_lines(path, [*lines, "  </graph>", "</graphml>"])
 
 
 def _dot_quote(value: str) -> str:
@@ -207,11 +251,9 @@ def write_dot(graph: InteractionGraph, orientation: str, path: str) -> None:
             f"  {_dot_quote(handle)} [orientation={_dot_quote(orientation)}, "
             f"degree={int(graph.degrees[i])}];"
         )
-    for arc in graph.arcs:
+    for source, target, kind, stamp in graph.iter_arcs():
         lines.append(
-            f"  {_dot_quote(arc.source)} -> {_dot_quote(arc.target)} "
-            f"[kind={_dot_quote(arc.kind)}, timestamp={_dot_quote(_format_ts(arc.timestamp))}];"
+            f"  {_dot_quote(source)} -> {_dot_quote(target)} "
+            f"[kind={_dot_quote(kind)}, timestamp={_dot_quote(_format_ts(stamp))}];"
         )
-    lines.extend(["}", ""])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+    _write_lines(path, [*lines, "}"])

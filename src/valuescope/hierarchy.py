@@ -9,7 +9,7 @@ hint.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
@@ -38,6 +38,13 @@ LANGUAGE_METRICS: tuple[str, ...] = METRICS[9:]
 LOWER_IS_MORE: frozenset[str] = frozenset({"art_hours"})
 
 
+def is_finite_number(value: object) -> bool:
+    """A finite int or float that fits a float; booleans are flags, not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # False for NaN and infinities
+
+
 @dataclass(frozen=True, slots=True)
 class MetricVector:
     density: float | None = None
@@ -62,9 +69,7 @@ class MetricVector:
         if unknown:
             raise ValueError(f"unknown metric names: {sorted(unknown)}")
         for name, value in raw.items():
-            if value is not None and not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
+            if value is not None and not is_finite_number(value):
                 raise ValueError(
                     f"metric {name!r} must be a finite number or null, got {value!r}"
                 )

@@ -141,12 +141,6 @@ class ReferenceDictionary:
             counts[str(token)] = count
         return cls.from_counts(counts)
 
-    def probability(self, token: str) -> float:
-        return self.probabilities.get(token, self.unseen)
-
-    def surprisal(self, token: str) -> float:
-        return self.surprisals[token]
-
 
 class _SurprisalTable(dict):
     """token -> -log p(token); tokens outside the table get the unseen value."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import asdict
 from typing import Mapping
 
 from .config import ConfigError, RunConfig
@@ -197,35 +198,23 @@ def run_pipeline(
     dangling = 0
     for orientation in ORIENTATIONS:
         tagged = partitions[orientation]
-        messages = [t.message for t in tagged]
-        if not messages:
+        if not tagged:
             vectors[orientation] = MetricVector()
             windows[orientation] = []
             continue
-        graph = build_graph(messages)
-        graphs[orientation] = graph
+        graph = build_graph(t.message for t in tagged)
+        if cfg.export_graphml or cfg.export_dot:
+            graphs[orientation] = graph
         dangling += graph.dangling_refs
-        series = window_series(messages, cfg.window_hours)
+        series = window_series(graph, cfg.window_hours)
         windows[orientation] = series
         conn = connectivity_scores(graph)
         inter = interactivity_scores(
-            messages, graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
+            graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
         lang = language_scores(tagged, scorer, reference)
-        vectors[orientation] = MetricVector(
-            density=conn.density,
-            degree_centralization=conn.degree_centralization,
-            betweenness_centralization=conn.betweenness_centralization,
-            art_hours=inter.art_hours,
-            nudges=inter.nudges,
-            actor_count=float(inter.actor_count),
-            activity=float(inter.activity),
-            avg_activity_per_actor=inter.avg_activity_per_actor,
-            rotating_leadership=float(inter.rotating_leadership),
-            sentiment=lang.sentiment,
-            emotionality=lang.emotionality,
-            complexity=lang.complexity,
-        )
+        # The three bundles hold exactly the metric vector's twelve fields.
+        vectors[orientation] = MetricVector(**asdict(conn), **asdict(inter), **asdict(lang))
 
     report = {
         "mode": "run",

@@ -7,10 +7,23 @@ offset in hours from a fixed UTC base instant.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
-from valuescope import InteractionGraph, Message, TaggedMessage, build_graph, tokenize
+import numpy as np
+
+from valuescope import (
+    InteractionGraph,
+    Message,
+    TaggedMessage,
+    WindowStat,
+    betweenness,
+    build_graph,
+    group_betweenness_centralization,
+    tokenize,
+)
+from valuescope.graph import SimpleGraph
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -109,3 +122,114 @@ def betweenness_exact(graph: InteractionGraph) -> dict[str, Fraction]:
                     delta[v] += sigma[v] * coeff
             bc[w] += delta[w]
     return {handle: bc[i] / 2 for i, handle in enumerate(graph.nodes)}
+
+
+# ----------------------------------------------------------------- oracles
+#
+# The Message-walking computations that the interaction table replaced.
+# Each resolves references on its own, straight from the messages, so the
+# table-based code can be checked against them for exact equality.
+
+
+@dataclass
+class OracleGraph:
+    nodes: tuple[str, ...]
+    arcs: list[tuple[str, str, str, datetime]]  # (source, target, kind, created_at)
+    dangling_refs: int
+    simple: SimpleGraph
+
+
+def oracle_build_graph(messages) -> OracleGraph:
+    """Arcs in the given message order; CSR built from Python sets."""
+    msgs = list(messages)
+    author_of = {m.id: m.author for m in msgs}
+    nodes: set[str] = set()
+    arcs = []
+    dangling = 0
+    for m in msgs:
+        nodes.add(m.author)
+        for handle in m.mentions:
+            nodes.add(handle)
+            arcs.append((m.author, handle, "mention", m.created_at))
+        for ref, kind in ((m.reply_to, "reply"), (m.retweet_of, "retweet")):
+            if ref is None:
+                continue
+            target = author_of.get(ref)
+            if target is None:
+                dangling += 1
+                continue
+            nodes.add(target)
+            arcs.append((m.author, target, kind, m.created_at))
+    ordered = tuple(sorted(nodes))
+    index = {handle: i for i, handle in enumerate(ordered)}
+    adjacency: list[set[int]] = [set() for _ in ordered]
+    for source, target, _, _ in arcs:
+        i, j = index[source], index[target]
+        if i != j:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    indptr, indices = [0], []
+    for neighbours in adjacency:
+        indices.extend(sorted(neighbours))
+        indptr.append(len(indices))
+    simple = SimpleGraph(
+        ordered, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
+    )
+    return OracleGraph(ordered, arcs, dangling, simple)
+
+
+def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
+    """Bucket the messages, sort each bucket and build each window alone."""
+    if not messages:
+        return []
+    width = window_hours * 3600.0
+    stamps = [m.created_at.timestamp() for m in messages]
+    first = int(min(stamps) // width)
+    last = int(max(stamps) // width)
+    buckets: dict[int, list[Message]] = {}
+    for m, stamp in zip(messages, stamps):
+        buckets.setdefault(int(stamp // width), []).append(m)
+    series = []
+    for idx in range(first, last + 1):
+        inside = sorted(buckets.get(idx, ()), key=lambda m: (m.created_at, m.id))
+        graph = oracle_build_graph(inside).simple
+        scores = betweenness(graph)
+        series.append(
+            WindowStat(
+                start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
+                node_count=graph.node_count,
+                edge_count=graph.simple_edge_count,
+                betweenness=scores,
+                centralization=group_betweenness_centralization(graph, scores),
+            )
+        )
+    return series
+
+
+def oracle_contact_streams(messages) -> dict[tuple[str, str], list[float]]:
+    """Chronological contact timestamps per ordered handle pair."""
+    ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
+    author_of = {m.id: m.author for m in ordered}
+    streams: dict[tuple[str, str], list[float]] = {}
+    for m in ordered:
+        targets: list[str] = []
+        for handle in m.mentions:
+            if handle != m.author and handle not in targets:
+                targets.append(handle)
+        if m.reply_to is not None:
+            target = author_of.get(m.reply_to)
+            if target is not None and target != m.author and target not in targets:
+                targets.append(target)
+        stamp = m.created_at.timestamp()
+        for target in targets:
+            streams.setdefault((m.author, target), []).append(stamp)
+    return streams
+
+
+def oracle_activity(messages) -> int:
+    total = 0
+    for m in messages:
+        total += 1 + len(m.mentions)
+        total += m.reply_to is not None
+        total += m.retweet_of is not None
+    return total

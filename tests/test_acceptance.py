@@ -50,6 +50,7 @@ from valuescope import (
     SynthSpec,
     average_activity,
     betweenness,
+    build_graph,
     build_reference,
     classify,
     complexity,
@@ -232,7 +233,7 @@ def test_leadership_oscillation():
         seed=5,
     )
     parsed = parse_corpus(json.dumps(r) for r in generate_corpus(spec))
-    windows = window_series(parsed.messages, 24.0)
+    windows = window_series(build_graph(parsed.messages), 24.0)
     # Each window is a 4-spoke star plus k planted dyads, so the group
     # centralization is a strictly decreasing function of k and the planted
     # extremum count can be derived from the plan with exact arithmetic.

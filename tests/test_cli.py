@@ -49,6 +49,49 @@ class TestRunVerb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--window-hours", "nan"),
+            ("--window-hours", "inf"),
+            ("--response-cutoff-hours", "nan"),
+        ],
+    )
+    def test_non_finite_flag_is_config_error(self, corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out), flag, value
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"window_hours": "24"}',
+            '{"window_hours": true}',
+            '{"window_hours": NaN}',
+            pytest.param('{"window_hours": 1' + "0" * 400 + "}", id="int-past-float"),
+            '{"interactivity_weights": {"art_hours": "2"}}',
+            '{"interactivity_weights": {"nudges": Infinity}}',
+            '{"connectivity_weights": {"densty": 5}}',
+            '{"export_dot": "no"}',
+            '{"window_csv": 1}',
+        ],
+    )
+    def test_bad_config_value_is_config_error(self, corpus, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(raw)
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus),
+            "--config", str(cfg_path), "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+
     def test_too_many_windows_is_config_error(self, tmp_path, capsys):
         corpus = tmp_path / "two_years.ndjson"
         records = [
@@ -145,7 +188,17 @@ class TestReplayVerb:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e999",
+            "true",
+            pytest.param("1" + "0" * 400, id="int-past-float"),
+        ],
+    )
     def test_non_finite_value_is_input_error(self, tmp_path, capsys, caplog, token):
         path = tmp_path / "metrics.json"
         path.write_text(
@@ -267,6 +320,46 @@ class TestConfig:
             RunConfig(response_cutoff_hours=0.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(interactivity_weights={"nudges": -1.0}).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"window_hours": float("nan")},
+            {"window_hours": float("inf")},
+            {"window_hours": "24"},
+            {"window_hours": True},
+            {"connectivity_low": None},
+            {"response_cutoff_hours": float("nan")},
+            {"response_cutoff_hours": False},
+            {"centralization_positive": "yes"},
+            {"export_graphml": 1},
+            {"connectivity_weights": {"densty": 5.0}},
+            {"interactivity_weights": {"density": 1.0}},
+            {"interactivity_weights": {"art_hours": "2"}},
+            {"interactivity_weights": {"art_hours": True}},
+            {"connectivity_weights": {"density": float("nan")}},
+            {"connectivity_weights": [("density", 1.0)]},
+            {
+                "connectivity_weights": {
+                    "density": 0,
+                    "degree_centralization": 0,
+                    "betweenness_centralization": 0,
+                }
+            },
+        ],
+    )
+    def test_validation_refuses_bad_values(self, overrides):
+        with pytest.raises(ConfigError):
+            RunConfig(**overrides).validate()
+
+    def test_validation_accepts_ints_and_unset_options(self):
+        RunConfig(
+            window_hours=6,
+            response_cutoff_hours=None,
+            corpus=None,
+            connectivity_weights={"density": 2, "degree_centralization": 0},
+            interactivity_weights={"art_hours": 0.5},
+        ).validate()
 
     def test_defaults_are_valid(self):
         RunConfig().validate()

@@ -48,18 +48,18 @@ class TestActivity:
             msg("m2", "b", 1.0, reply_to="m1", retweet_of=None),
         ]
         # m1: 1 + 2 mentions = 3; m2: 1 + 1 reply = 2
-        assert activity(messages) == 5
+        assert activity(build_graph(messages)) == 5
 
     def test_plain_messages_count_once_each(self):
         messages = [msg(f"m{i}", "a", float(i)) for i in range(7)]
-        assert activity(messages) == 7
+        assert activity(build_graph(messages)) == 7
 
     def test_retweet_reference_counts(self):
         messages = [
             msg("m1", "a", 0.0),
             msg("m2", "b", 1.0, retweet_of="m1"),
         ]
-        assert activity(messages) == 3
+        assert activity(build_graph(messages)) == 3
 
     def test_average_activity(self):
         assert average_activity(14, 5) == pytest.approx(2.8)
@@ -72,7 +72,7 @@ class TestAverageResponseTime:
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 2.0, mentions=("a",)),
         ]
-        assert average_response_time(messages) == pytest.approx(2.0)
+        assert average_response_time(build_graph(messages)) == pytest.approx(2.0)
 
     def test_mean_over_three_pairs(self):
         messages = (
@@ -80,32 +80,32 @@ class TestAverageResponseTime:
             + exchange("q", "c", "d", 0.0, 3.0)
             + exchange("r", "e", "f", 0.0, 8.0)
         )
-        assert average_response_time(messages) == pytest.approx(4.0)
+        assert average_response_time(build_graph(messages)) == pytest.approx(4.0)
 
     def test_unanswered_contact_is_none(self):
         messages = [msg("m1", "a", 0.0, mentions=("b",))]
-        assert average_response_time(messages) is None
+        assert average_response_time(build_graph(messages)) is None
 
     def test_simultaneous_message_is_not_an_answer(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 0.0, mentions=("a",)),
         ]
-        assert average_response_time(messages) is None
+        assert average_response_time(build_graph(messages)) is None
 
     def test_reply_without_mention_answers(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.5, reply_to="m1"),
         ]
-        assert average_response_time(messages) == pytest.approx(1.5)
+        assert average_response_time(build_graph(messages)) == pytest.approx(1.5)
 
     def test_retweets_make_no_contact(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.0, retweet_of="m1"),
         ]
-        assert average_response_time(messages) is None
+        assert average_response_time(build_graph(messages)) is None
 
     def test_mention_and_reply_to_same_target_dedupe(self):
         # a pings b twice in one message (mention + reply); one contact only,
@@ -116,14 +116,14 @@ class TestAverageResponseTime:
             msg("m2", "b", 3.0, reply_to="m1"),
         ]
         # contacts: b->a at 0 (answered at 1.0), a->b at 1 (answered at 3.0)
-        assert average_response_time(messages) == pytest.approx(1.5)
+        assert average_response_time(build_graph(messages)) == pytest.approx(1.5)
 
     def test_self_mention_ignored(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("a",)),
             msg("m2", "a", 1.0, mentions=("a",)),
         ]
-        assert average_response_time(messages) is None
+        assert average_response_time(build_graph(messages)) is None
 
     def test_earliest_answer_wins(self):
         messages = [
@@ -131,15 +131,15 @@ class TestAverageResponseTime:
             msg("m2", "b", 1.0, mentions=("a",)),
             msg("m3", "b", 9.0, mentions=("a",)),
         ]
-        assert average_response_time(messages) == pytest.approx(1.0)
+        assert average_response_time(build_graph(messages)) == pytest.approx(1.0)
 
     def test_cutoff_drops_slow_answers(self):
         messages = (
             exchange("p", "a", "b", 0.0, 1.0)
             + exchange("q", "c", "d", 0.0, 50.0)
         )
-        assert average_response_time(messages) == pytest.approx(25.5)
-        assert average_response_time(messages, cutoff_hours=24.0) == pytest.approx(1.0)
+        assert average_response_time(build_graph(messages)) == pytest.approx(25.5)
+        assert average_response_time(build_graph(messages), cutoff_hours=24.0) == pytest.approx(1.0)
 
     def test_order_independent(self):
         messages = (
@@ -149,13 +149,13 @@ class TestAverageResponseTime:
         )
         shuffled = messages[:]
         random.Random(1).shuffle(shuffled)
-        assert average_response_time(shuffled) == average_response_time(messages)
+        assert average_response_time(build_graph(shuffled)) == average_response_time(build_graph(messages))
 
 
 class TestNudges:
     def test_answer_after_three_pings(self):
         messages = exchange("p", "a", "b", 0.0, 1.0, pings=3)
-        assert nudges(messages) == pytest.approx(3.0)
+        assert nudges(build_graph(messages)) == pytest.approx(3.0)
 
     def test_mean_over_chains(self):
         messages = (
@@ -163,18 +163,18 @@ class TestNudges:
             + exchange("q", "c", "d", 0.0, 1.0, pings=1)
             + exchange("r", "e", "f", 0.0, 1.0, pings=2)
         )
-        assert nudges(messages) == pytest.approx(4 / 3)
+        assert nudges(build_graph(messages)) == pytest.approx(4 / 3)
 
     def test_unanswered_chain_dropped(self):
         messages = exchange("p", "a", "b", 0.0, 1.0) + [
             msg("x1", "c", 0.0, mentions=("d",)),
             msg("x2", "c", 1.0, mentions=("d",)),
         ]
-        assert nudges(messages) == pytest.approx(1.0)
+        assert nudges(build_graph(messages)) == pytest.approx(1.0)
 
     def test_no_answers_anywhere_is_none(self):
         messages = [msg("m1", "a", 0.0, mentions=("b",))]
-        assert nudges(messages) is None
+        assert nudges(build_graph(messages)) is None
 
     def test_chain_resets_after_answer(self):
         messages = [
@@ -187,7 +187,7 @@ class TestNudges:
         # a->b chains: pings {0,1} answered at 2 (length 2), ping {3}
         # answered at 4 (length 1).  b's answer at 2 is itself a contact
         # b->a, answered by a's ping at 3 (length 1).  Mean of {2,1,1}.
-        assert nudges(messages) == pytest.approx(4 / 3)
+        assert nudges(build_graph(messages)) == pytest.approx(4 / 3)
 
     def test_answer_with_no_prior_contact_ignored(self):
         messages = [
@@ -197,12 +197,12 @@ class TestNudges:
         ]
         # b's ping at 0 is answered by a at 1 (chain 1); a's ping answered
         # at 2 (chain 1).
-        assert nudges(messages) == pytest.approx(1.0)
+        assert nudges(build_graph(messages)) == pytest.approx(1.0)
 
     def test_cutoff_applies_to_latest_contact(self):
         messages = exchange("p", "a", "b", 0.0, 30.0, pings=2)
-        assert nudges(messages) == pytest.approx(2.0)
-        assert nudges(messages, cutoff_hours=24.0) is None
+        assert nudges(build_graph(messages)) == pytest.approx(2.0)
+        assert nudges(build_graph(messages), cutoff_hours=24.0) is None
 
 
 class TestCountExtrema:
@@ -243,7 +243,7 @@ class TestWindows:
             # nothing on day 2
             msg("m2", "c", 49.0, mentions=("d",)),
         ]
-        windows = window_series(messages)
+        windows = window_series(build_graph(messages))
         assert len(windows) == 3
         assert windows[0].start == BASE
         assert all(w.start.hour == 0 for w in windows)
@@ -255,21 +255,38 @@ class TestWindows:
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "c", 24.0, mentions=("d",)),
         ]
-        windows = window_series(messages)
+        windows = window_series(build_graph(messages))
         assert len(windows) == 2
         assert windows[1].node_count == 2
+
+    def test_reply_across_a_boundary_resolves_only_for_contacts(self):
+        # b's reply on day 2 points at a's day-1 message.  The day-2 window
+        # resolves references inside itself only: no arc, and a is no node
+        # there.  The contact streams resolve against the whole partition,
+        # so the reply still answers a's mention, 24 hours later.
+        messages = [
+            msg("m1", "a", 1.0, mentions=("b",)),
+            msg("m2", "b", 25.0, reply_to="m1"),
+        ]
+        graph = build_graph(messages)
+        assert graph.simple_edge_count == 1
+        windows = window_series(graph)
+        assert [(w.node_count, w.edge_count) for w in windows] == [(2, 1), (1, 0)]
+        assert list(windows[1].betweenness) == ["b"]
+        assert average_response_time(graph) == pytest.approx(24.0)
+        assert nudges(graph) == pytest.approx(1.0)
 
     def test_custom_width(self):
         messages = [
             msg("m1", "a", 0.0),
             msg("m2", "a", 11.0),
         ]
-        assert len(window_series(messages, window_hours=6.0)) == 2
+        assert len(window_series(build_graph(messages), window_hours=6.0)) == 2
 
     def test_empty_and_bad_width(self):
-        assert window_series([]) == []
+        assert window_series(build_graph([])) == []
         with pytest.raises(ValueError):
-            window_series([msg("m1", "a")], window_hours=0.0)
+            window_series(build_graph([msg("m1", "a")]), window_hours=0.0)
 
     @pytest.mark.parametrize(
         ("span_hours", "window_hours"),
@@ -279,7 +296,7 @@ class TestWindows:
         # The second span is one window past the cap.
         messages = [msg("m1", "a", 0.0), msg("m2", "b", span_hours)]
         with pytest.raises(ConfigError, match="window_hours") as raised:
-            window_series(messages, window_hours=window_hours)
+            window_series(build_graph(messages), window_hours=window_hours)
         count = int(span_hours / window_hours) + 1
         assert f" {count} windows" in str(raised.value)
 
@@ -300,7 +317,7 @@ class TestRotatingLeadership:
             msg("m1", "a", 1.0, mentions=("b",)),
             msg("m2", "b", 30.0, mentions=("a",)),
         ]
-        assert rotating_leadership(window_series(messages)) == 0
+        assert rotating_leadership(window_series(build_graph(messages))) == 0
 
     def test_group_mode_counts_planted_alternation(self):
         # Alternate days between a 4-star (centralization 1) and a dyad
@@ -311,7 +328,7 @@ class TestRotatingLeadership:
                 messages += day_star(day, "hub", [f"s{day}a", f"s{day}b", f"s{day}c", f"s{day}d"])
             else:
                 messages.append(msg(f"d{day}", "u", 24.0 * day + 1.0, mentions=("v",)))
-        windows = window_series(messages)
+        windows = window_series(build_graph(messages))
         assert [w.centralization for w in windows] == [1.0, 0.0, 1.0, 0.0, 1.0]
         assert rotating_leadership(windows, "group") == 3
 
@@ -324,7 +341,7 @@ class TestRotatingLeadership:
             msg("m2", "c", 25.5, mentions=("b",)),
             msg("m3", "a", 49.0, mentions=("b",)),
         ]
-        windows = window_series(messages)
+        windows = window_series(build_graph(messages))
         assert rotating_leadership(windows, "actor") == 1
         assert rotating_leadership(windows, "group") == 1
 
@@ -342,12 +359,12 @@ class TestInteractivityScores:
         )
         plain = [m.message if hasattr(m, "message") else m for m in messages]
         graph = build_graph(plain)
-        windows = window_series(plain)
-        scores = interactivity_scores(plain, graph, windows)
-        assert scores.activity == activity(plain)
+        windows = window_series(graph)
+        scores = interactivity_scores(graph, windows)
+        assert scores.activity == activity(graph)
         assert scores.actor_count == 4
         assert scores.avg_activity_per_actor == pytest.approx(
-            activity(plain) / 4
+            activity(graph) / 4
         )
         assert scores.art_hours == pytest.approx(2.0)
         assert scores.nudges == pytest.approx(1.0)

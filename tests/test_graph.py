@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -19,19 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BASE,
     betweenness_exact,
     graph_from_edges,
     indexed_nodes,
     msg,
+    oracle_activity,
+    oracle_build_graph,
+    oracle_contact_streams,
+    oracle_window_series,
     random_edge_set,
 )
 from valuescope import (
+    Message,
+    activity,
     betweenness,
     build_graph,
     connectivity_scores,
     density,
     group_betweenness_centralization,
     group_degree_centralization,
+    window_series,
     write_dot,
     write_graphml,
 )
@@ -45,9 +54,8 @@ def brute_force_betweenness(graph) -> dict[str, Fraction]:
     inf = float("inf")
     dist = [[0.0 if i == j else inf for j in range(n)] for i in range(n)]
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, node in enumerate(nodes):
-        for neighbor in graph.neighbors(node):
-            j = graph.index[neighbor]
+    for i in range(n):
+        for j in graph._indices[graph._indptr[i] : graph._indptr[i + 1]].tolist():
             adjacency[i].append(j)
             dist[i][j] = 1.0
     for k in range(n):
@@ -125,7 +133,7 @@ class TestBuildGraph:
         graph = build_graph(messages)
         assert graph.dangling_refs == 2
         assert graph.nodes == ("alice", "bob", "carol", "dave", "erin")
-        kinds = sorted((a.source, a.target, a.kind) for a in graph.arcs)
+        kinds = sorted((source, target, kind) for source, target, kind, _ in graph.iter_arcs())
         assert kinds == [
             ("alice", "bob", "mention"),
             ("bob", "alice", "reply"),
@@ -152,7 +160,7 @@ class TestBuildGraph:
         ]
         graph = build_graph(messages)
         assert graph.simple_edge_count == 1
-        assert len(graph.arcs) == 4
+        assert len(graph.arc_rows) == 4
 
     def test_empty(self):
         graph = build_graph([])
@@ -409,6 +417,46 @@ def test_reduced_betweenness_matches_fraction_oracle(shape):
         assert abs(scores[node] - float(value)) < 1e-9
 
 
+EXPECTED_GRAPHML = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="orientation" attr.type="string"/>
+  <key id="d1" for="node" attr.name="degree" attr.type="int"/>
+  <key id="d2" for="edge" attr.name="kind" attr.type="string"/>
+  <key id="d3" for="edge" attr.name="timestamp" attr.type="string"/>
+  <graph id="G" edgedefault="directed">
+    <node id="alice"><data key="d0">Customers</data><data key="d1">2</data></node>
+    <node id="bob"><data key="d0">Customers</data><data key="d1">1</data></node>
+    <node id="carol"><data key="d0">Customers</data><data key="d1">2</data></node>
+    <node id='d&amp;"q"&lt;x&gt;'><data key="d0">Customers</data><data key="d1">1</data></node>
+    <node id="dave"><data key="d0">Customers</data><data key="d1">0</data></node>
+    <edge source="alice" target="bob"><data key="d2">mention</data><data key="d3">2021-03-01T00:00:00Z</data></edge>
+    <edge source="alice" target="bob"><data key="d2">mention</data><data key="d3">2021-03-01T00:00:00Z</data></edge>
+    <edge source="alice" target="alice"><data key="d2">mention</data><data key="d3">2021-03-01T00:00:00Z</data></edge>
+    <edge source="bob" target="alice"><data key="d2">reply</data><data key="d3">2021-03-01T01:00:30Z</data></edge>
+    <edge source="carol" target='d&amp;"q"&lt;x&gt;'><data key="d2">mention</data><data key="d3">2021-03-01T02:00:00Z</data></edge>
+    <edge source="carol" target="alice"><data key="d2">retweet</data><data key="d3">2021-03-01T02:00:00Z</data></edge>
+  </graph>
+</graphml>
+"""
+
+EXPECTED_DOT = """\
+digraph "Customers" {
+  "alice" [orientation="Customers", degree=2];
+  "bob" [orientation="Customers", degree=1];
+  "carol" [orientation="Customers", degree=2];
+  "d&\\"q\\"<x>" [orientation="Customers", degree=1];
+  "dave" [orientation="Customers", degree=0];
+  "alice" -> "bob" [kind="mention", timestamp="2021-03-01T00:00:00Z"];
+  "alice" -> "bob" [kind="mention", timestamp="2021-03-01T00:00:00Z"];
+  "alice" -> "alice" [kind="mention", timestamp="2021-03-01T00:00:00Z"];
+  "bob" -> "alice" [kind="reply", timestamp="2021-03-01T01:00:30Z"];
+  "carol" -> "d&\\"q\\"<x>" [kind="mention", timestamp="2021-03-01T02:00:00Z"];
+  "carol" -> "alice" [kind="retweet", timestamp="2021-03-01T02:00:00Z"];
+}
+"""
+
+
 class TestExports:
     @pytest.fixture()
     def graph(self):
@@ -428,7 +476,7 @@ class TestExports:
         nodes = tree.findall(".//g:node", ns)
         edges = tree.findall(".//g:edge", ns)
         assert len(nodes) == graph.node_count
-        assert len(edges) == len(graph.arcs)
+        assert len(edges) == len(graph.arc_rows)
         degree_data = {
             n.get("id"): n.find("g:data[@key='d1']", ns).text for n in nodes
         }
@@ -444,6 +492,33 @@ class TestExports:
         assert '"alice" -> "bob"' in text
         assert 'kind="reply"' in text
         assert '\\"quote\\"' in text
+
+    def test_exact_text(self, tmp_path):
+        # A duplicate mention, a self-mention, a reply, a retweet, a
+        # dangling reply and a fractional-second timestamp, which the
+        # timestamp text truncates.
+        graph = build_graph(
+            [
+                Message(
+                    "m1", "alice", BASE + timedelta(microseconds=999_999), "",
+                    mentions=("bob", "bob", "alice"),
+                ),
+                Message(
+                    "m2", "bob", BASE + timedelta(hours=1, seconds=30, microseconds=500_000),
+                    "", reply_to="m1",
+                ),
+                Message(
+                    "m3", "carol", BASE + timedelta(hours=2), "",
+                    retweet_of="m1", mentions=('d&"q"<x>',),
+                ),
+                Message("m4", "dave", BASE + timedelta(hours=3), "", reply_to="gone"),
+            ]
+        )
+        graphml, dot = tmp_path / "g.graphml", tmp_path / "g.dot"
+        write_graphml(graph, "Customers", str(graphml))
+        write_dot(graph, "Customers", str(dot))
+        assert graphml.read_text() == EXPECTED_GRAPHML
+        assert dot.read_text() == EXPECTED_DOT
 
     def test_export_is_deterministic(self, graph, tmp_path):
         a, b = tmp_path / "a.graphml", tmp_path / "b.graphml"
@@ -466,3 +541,66 @@ def test_build_is_order_independent():
     assert g1.nodes == g2.nodes
     assert betweenness(g1) == betweenness(g2)
     assert density(g1) == density(g2)
+
+
+HANDLES = ("a", "b", "c", "d")
+
+
+@st.composite
+def corpora(draw):
+    """Small unsorted corpora exercising every way a reference resolves.
+
+    Timestamps repeat and straddle window edges; mentions repeat, point at
+    their own author or at handles that never post; replies and retweets
+    point anywhere in the corpus (other windows, later messages, the
+    message itself) or at ids that do not exist.
+    """
+    size = draw(st.integers(min_value=0, max_value=16))
+    ids = [f"m{i:02d}" for i in range(size)]
+    references = st.none() | st.sampled_from([*ids, "gone1", "gone2"])
+    messages = []
+    for ident in ids:
+        hours = draw(st.sampled_from([0.0, 0.5, 5.9, 6.0, 11.75, 23.999, 24.0, 31.0, 49.5]))
+        micros = draw(st.sampled_from([0, 250_000, 999_999]))
+        messages.append(
+            Message(
+                id=ident,
+                author=draw(st.sampled_from(HANDLES)),
+                created_at=BASE + timedelta(hours=hours, microseconds=micros),
+                text="",
+                reply_to=draw(references),
+                retweet_of=draw(references),
+                mentions=tuple(
+                    draw(st.lists(st.sampled_from([*HANDLES, "x", "y"]), max_size=3))
+                ),
+            )
+        )
+    return draw(st.permutations(messages))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.sampled_from([0.37, 1.0, 6.0, 7.3, 24.0]))
+def test_interaction_table_matches_message_walking_oracles(messages, window_hours):
+    graph = build_graph(messages)
+    oracle = oracle_build_graph(messages)
+    assert graph.nodes == oracle.nodes
+    assert np.array_equal(graph._indptr, oracle.simple._indptr)
+    assert np.array_equal(graph._indices, oracle.simple._indices)
+    assert graph.simple_edge_count == oracle.simple.simple_edge_count
+    assert graph.dangling_refs == oracle.dangling_refs
+    in_order = sorted(messages, key=lambda m: (m.created_at, m.id))
+    assert list(graph.iter_arcs()) == oracle_build_graph(in_order).arcs
+
+    windows = window_series(graph, window_hours)
+    expected = oracle_window_series(messages, window_hours)
+    assert windows == expected
+    assert [list(w.betweenness.items()) for w in windows] == [
+        list(w.betweenness.items()) for w in expected
+    ]
+
+    streams = {
+        (graph.nodes[a], graph.nodes[b]): stamps
+        for (a, b), stamps in graph.contact_streams.items()
+    }
+    assert streams == oracle_contact_streams(messages)
+    assert activity(graph) == oracle_activity(messages)

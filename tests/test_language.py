@@ -108,9 +108,10 @@ class TestReferenceDictionary:
     def test_add_one_smoothing_worked_example(self):
         ref = build_reference(["a", "a", "b"])
         # N=3, V=2, denominator 6
-        assert ref.probability("a") == pytest.approx(3 / 6, abs=1e-15)
-        assert ref.probability("b") == pytest.approx(2 / 6, abs=1e-15)
-        assert ref.probability("zzz") == pytest.approx(1 / 6, abs=1e-15)
+        assert ref.probabilities["a"] == pytest.approx(3 / 6, abs=1e-15)
+        assert ref.probabilities["b"] == pytest.approx(2 / 6, abs=1e-15)
+        assert "zzz" not in ref.probabilities
+        assert ref.unseen == pytest.approx(1 / 6, abs=1e-15)
 
     def test_probability_mass_bounded(self):
         ref = build_reference("the quick brown fox jumps".split() * 40)
@@ -119,9 +120,10 @@ class TestReferenceDictionary:
 
     def test_surprisal_is_cached_and_consistent(self):
         ref = build_reference(["a", "b", "b"])
-        first = ref.surprisal("b")
-        assert first == pytest.approx(-math.log(ref.probability("b")))
-        assert ref.surprisal("b") == first
+        first = ref.surprisals["b"]
+        assert first == pytest.approx(-math.log(ref.probabilities["b"]))
+        assert ref.surprisals["b"] == first
+        assert ref.surprisals["zzz"] == pytest.approx(-math.log(ref.unseen))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +139,7 @@ class TestReferenceDictionary:
         path = tmp_path / "ref.json"
         path.write_text('{"a": 2, "b": 1}')
         ref = ReferenceDictionary.from_file(str(path))
-        assert ref.probability("a") == pytest.approx(3 / 6)
+        assert ref.probabilities["a"] == pytest.approx(3 / 6)
 
     def test_from_file_rejects_bad_counts(self, tmp_path):
         path = tmp_path / "ref.json"

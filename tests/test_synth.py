@@ -365,15 +365,15 @@ class TestPlantedStar:
         assert group_betweenness_centralization(graph) == 1.0
 
     def test_response_time_equals_the_lag(self, star_messages):
-        assert average_response_time(star_messages) == 2.0
+        assert average_response_time(build_graph(star_messages)) == 2.0
 
     def test_single_ping_exchanges(self, star_messages):
-        assert nudges(star_messages) == 1.0
+        assert nudges(build_graph(star_messages)) == 1.0
 
     def test_lag_is_configurable(self):
         plant = OrientationPlant(actors=50, messages=98, response_lag_hours=0.5)
         messages = parsed_messages(generate_corpus(single_plant_spec(plant)))
-        assert average_response_time(messages) == 0.5
+        assert average_response_time(build_graph(messages)) == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +399,7 @@ class TestPlantedDyads:
         assert group_betweenness_centralization(graph) == 0.0
 
     def test_response_time_equals_the_lag(self, dyad_messages):
-        assert average_response_time(dyad_messages) == 2.0
+        assert average_response_time(build_graph(dyad_messages)) == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +417,7 @@ class TestPlantedDenseCore:
         # too and the core may answer those hours later, so the mean is only
         # bounded below by something positive.
         messages = parsed_messages(core_records)
-        art = average_response_time(messages)
+        art = average_response_time(build_graph(messages))
         assert art is not None
         assert art > 0.0
 
@@ -458,7 +458,7 @@ def oscillating_windows():
     )
     spec = single_plant_spec(plant, days=24, seed=5)
     messages = parsed_messages(generate_corpus(spec))
-    return plant, window_series(messages, 24.0)
+    return plant, window_series(build_graph(messages), 24.0)
 
 
 class TestPlantedOscillation:
