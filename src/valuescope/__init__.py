@@ -19,7 +19,6 @@ from .corpus import (
     load_corpus,
     parse_corpus,
     parse_record,
-    tag_message,
     tokenize,
 )
 from .dynamics import (

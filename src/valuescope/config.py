@@ -53,6 +53,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be true or false, got {value!r}")
             if kind == "float" and not is_finite_number(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if kind == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
         for low_name, high_name in (
             ("interactivity_low", "interactivity_high"),
             ("connectivity_low", "connectivity_high"),

@@ -246,10 +246,6 @@ class OrientationLexicon:
         return frozenset(found)
 
 
-def tag_message(message: Message, lexicon: OrientationLexicon) -> frozenset[str]:
-    return lexicon.match(tokenize(message.text))
-
-
 class Partitioned(NamedTuple):
     partitions: dict[str, list[TaggedMessage]]
     discarded: int

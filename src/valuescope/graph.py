@@ -85,33 +85,24 @@ class InteractionGraph(SimpleGraph):
         self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
         super().__init__(nodes, *_simple_csr(len(nodes), self.authors[self.arc_rows], self.arc_targets))
 
-    def windows(self, labels: np.ndarray, count: int) -> list[SimpleGraph]:
-        """The graph of each window alone, rows labelled ``0..count-1`` ascending.
+    def windows(self, labels: np.ndarray, count: int) -> tuple[SimpleGraph, list[int]]:
+        """One block-diagonal graph of all windows, rows labelled ``0..count-1``, and bounds.
 
-        A window holds its rows' authors and arcs; a reply or retweet of a
-        row in another window adds no arc and no node there.
+        Window k is nodes ``bounds[k]:bounds[k+1]``.  It holds its rows' authors
+        and arcs; a reply or retweet of a row in another window adds nothing.
         """
         n, refs = self.node_count, self.arc_refs
         arc_labels = labels[self.arc_rows]
         inside = (refs < 0) | (labels[refs] == arc_labels)
         heads = arc_labels[inside] * n + self.authors[self.arc_rows[inside]]
         tails = arc_labels[inside] * n + self.arc_targets[inside]
-        # Every window's nodes as (label, node id) keys, in label then id order;
-        # one CSR over all of them splits into one block per window.
+        # Every window's nodes as (label, node id) keys, in label then id order.
         keys = np.unique(np.concatenate((labels * n + self.authors, tails)))
-        indptr, indices = _simple_csr(
-            keys.size, np.searchsorted(keys, heads), np.searchsorted(keys, tails)
+        block = SimpleGraph(
+            tuple(self.nodes[i] for i in (keys % n).tolist()),
+            *_simple_csr(keys.size, np.searchsorted(keys, heads), np.searchsorted(keys, tails)),
         )
-        names = [self.nodes[i] for i in (keys % n).tolist()]
-        bounds = np.searchsorted(keys, np.arange(count + 1) * n).tolist()
-        return [
-            SimpleGraph(
-                tuple(names[lo:hi]),
-                indptr[lo : hi + 1] - indptr[lo],
-                indices[indptr[lo] : indptr[hi]] - lo,
-            )
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        return block, np.searchsorted(keys, np.arange(count + 1) * n).tolist()
 
     @cached_property
     def contact_streams(self) -> dict[tuple[int, int], list[float]]:
@@ -153,10 +144,14 @@ def density(graph: SimpleGraph) -> float:
     return 2.0 * graph.simple_edge_count / (n * (n - 1))
 
 
+def betweenness_array(graph: SimpleGraph) -> np.ndarray:
+    """Exact betweenness in node order, unordered pairs counted once."""
+    return _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count) / 2.0
+
+
 def betweenness(graph: SimpleGraph) -> dict[str, float]:
-    """Exact betweenness per node, unordered pairs counted once."""
-    raw = _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count)
-    return dict(zip(graph.nodes, (raw / 2.0).tolist()))
+    """``betweenness_array`` keyed by node handle."""
+    return dict(zip(graph.nodes, betweenness_array(graph).tolist()))
 
 
 def group_degree_centralization(graph: SimpleGraph) -> float:
@@ -169,23 +164,22 @@ def group_degree_centralization(graph: SimpleGraph) -> float:
     return spread / ((n - 1) * (n - 2))
 
 
-def group_betweenness_centralization(
-    graph: SimpleGraph, scores: dict[str, float] | None = None
-) -> float:
-    """Freeman betweenness centralization of the simple projection.
+def centralization(scores: np.ndarray) -> float:
+    """Freeman centralization of one graph's betweenness scores, in node order.
 
-    Node scores are normalized by (n-1)(n-2)/2 before the spread is taken,
-    which pins a star at exactly 1.0.
+    Scores are normalized by (n-1)(n-2)/2 before the spread is taken, which
+    pins a star at exactly 1.0.
     """
-    n = graph.node_count
+    n = scores.size
     if n < 3:
         return 0.0
-    if scores is None:
-        scores = betweenness(graph)
-    values = np.array([scores[h] for h in graph.nodes], dtype=np.float64)
-    values /= (n - 1) * (n - 2) / 2.0
-    spread = float(np.sum(values.max() - values))
-    return spread / (n - 1)
+    values = scores / ((n - 1) * (n - 2) / 2.0)
+    return float(np.sum(values.max() - values)) / (n - 1)
+
+
+def group_betweenness_centralization(graph: SimpleGraph) -> float:
+    """Freeman betweenness centralization of the simple projection."""
+    return centralization(betweenness_array(graph))
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,6 +33,10 @@ CONNECTIVITY_METRICS: tuple[str, ...] = METRICS[:3]
 INTERACTIVITY_METRICS: tuple[str, ...] = METRICS[3:9]
 LANGUAGE_METRICS: tuple[str, ...] = METRICS[9:]
 
+# Each metric's domain, [0, inf] unless listed; nudges are always at least 1.
+DOMAINS = dict.fromkeys((*CONNECTIVITY_METRICS, "sentiment"), (0.0, 1.0))
+DOMAINS.update(emotionality=(0.0, 0.5), nudges=(1.0, float("inf")))
+
 # Only the response time reads "better when smaller"; its normalized value is
 # flipped before it enters a composite.
 LOWER_IS_MORE: frozenset[str] = frozenset({"art_hours"})
@@ -69,9 +73,11 @@ class MetricVector:
         if unknown:
             raise ValueError(f"unknown metric names: {sorted(unknown)}")
         for name, value in raw.items():
-            if value is not None and not is_finite_number(value):
+            low, high = DOMAINS.get(name, (0.0, float("inf")))
+            if value is not None and not (is_finite_number(value) and low <= value <= high):
                 raise ValueError(
-                    f"metric {name!r} must be a finite number or null, got {value!r}"
+                    f"metric {name!r} must be a finite number in [{low}, {high}] or null,"
+                    f" got {value!r}"
                 )
         return cls(**{k: raw[k] for k in raw})
 

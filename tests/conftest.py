@@ -193,14 +193,13 @@ def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
     for idx in range(first, last + 1):
         inside = sorted(buckets.get(idx, ()), key=lambda m: (m.created_at, m.id))
         graph = oracle_build_graph(inside).simple
-        scores = betweenness(graph)
         series.append(
             WindowStat(
                 start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
                 node_count=graph.node_count,
                 edge_count=graph.simple_edge_count,
-                betweenness=scores,
-                centralization=group_betweenness_centralization(graph, scores),
+                betweenness=betweenness(graph),
+                centralization=group_betweenness_centralization(graph),
             )
         )
     return series

@@ -92,6 +92,28 @@ class TestRunVerb:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"output_dir": 5}',
+            '{"sentiment_lexicon": 0}',
+            '{"orientation_lexicon": false}',
+            '{"reference_dictionary": ["ref.json"]}',
+            '{"corpus": 7}',
+        ],
+    )
+    def test_non_string_path_is_config_error(self, corpus, tmp_path, capsys, monkeypatch, raw):
+        # No --out: a bad output_dir must be refused before the analysis runs.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(raw)
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--config", str(cfg_path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
     def test_too_many_windows_is_config_error(self, tmp_path, capsys):
         corpus = tmp_path / "two_years.ndjson"
         records = [
@@ -209,6 +231,30 @@ class TestReplayVerb:
         assert code == 1
         assert stdout == ""
         assert "non-finite" in caplog.text or "finite number" in caplog.text
+
+    @pytest.mark.parametrize(
+        ("metric", "value"),
+        [
+            ("density", -3),
+            ("betweenness_centralization", 1.5),
+            ("sentiment", -0.1),
+            ("emotionality", 0.9),
+            ("nudges", 0.2),
+            ("art_hours", -5),
+            ("rotating_leadership", -1),
+        ],
+    )
+    def test_value_outside_its_domain_is_input_error(
+        self, tmp_path, capsys, caplog, metric, value
+    ):
+        path = tmp_path / "metrics.json"
+        path.write_text(
+            json.dumps({"Customers": {metric: value}, "Employees": {"density": 0.5}})
+        )
+        code, stdout = run_cli(capsys, "replay", "--metrics", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert f"metric {metric!r}" in caplog.text
 
 
 class TestSynthVerb:
@@ -346,6 +392,10 @@ class TestConfig:
                     "betweenness_centralization": 0,
                 }
             },
+            {"output_dir": 5},
+            {"output_dir": None},
+            {"sentiment_lexicon": 0},
+            {"gbco_mode": None},
         ],
     )
     def test_validation_refuses_bad_values(self, overrides):

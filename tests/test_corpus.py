@@ -19,7 +19,6 @@ from valuescope import (
     filter_and_partition,
     parse_corpus,
     parse_record,
-    tag_message,
     tokenize,
 )
 
@@ -226,28 +225,28 @@ class TestLexicon:
 
 class TestTagging:
     def test_multi_token_phrase_matches_through_punctuation(self, lexicon):
-        message = msg("m1", "a", text="Our PASSION, for our customers always!")
-        assert tag_message(message, lexicon) == frozenset({"Customers"})
+        text = "Our PASSION, for our customers always!"
+        assert lexicon.match(tokenize(text)) == frozenset({"Customers"})
 
     def test_multiple_orientations(self, lexicon):
-        message = msg("m1", "a", text="team spirit plus integrity every day")
-        assert tag_message(message, lexicon) == frozenset(
+        text = "team spirit plus integrity every day"
+        assert lexicon.match(tokenize(text)) == frozenset(
             {"Employees", "Citizenship"}
         )
 
     def test_no_match(self, lexicon):
-        message = msg("m1", "a", text="completely unrelated word salad")
-        assert tag_message(message, lexicon) == frozenset()
+        text = "completely unrelated word salad"
+        assert lexicon.match(tokenize(text)) == frozenset()
 
     def test_token_boundaries_respected(self, lexicon):
         # "quality" is a Customers keyword; it must not fire inside a larger
         # word, but must fire as a standalone token next to anything.
-        assert tag_message(msg("m1", "a", text="qualityx stuff"), lexicon) == frozenset()
-        assert tag_message(msg("m2", "a", text="high quality stuff"), lexicon) == frozenset({"Customers"})
+        assert lexicon.match(tokenize("qualityx stuff")) == frozenset()
+        assert lexicon.match(tokenize("high quality stuff")) == frozenset({"Customers"})
 
     def test_phrase_must_be_contiguous(self, lexicon):
-        message = msg("m1", "a", text="team building with true spirit")
-        assert "Employees" not in tag_message(message, lexicon)
+        text = "team building with true spirit"
+        assert "Employees" not in lexicon.match(tokenize(text))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -259,7 +258,7 @@ class TestTagging:
         styled = [w.upper() if c else w for w, c in zip(words, caps)]
         text = styled[0] + "".join(s + w for s, w in zip(seps, styled[1:]))
         lexicon = OrientationLexicon.default()
-        tags = tag_message(msg("m1", "a", text=text), lexicon)
+        tags = lexicon.match(tokenize(text))
         assert tags == frozenset({"Customers"})
 
 

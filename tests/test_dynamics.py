@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import BASE, msg
 from valuescope import (
     ConfigError,
+    WindowStat,
     activity,
     average_activity,
     average_response_time,
@@ -22,6 +23,7 @@ from valuescope import (
     rotating_leadership,
     window_series,
 )
+from valuescope import _kernels
 from valuescope.dynamics import MAX_WINDOWS
 
 
@@ -272,7 +274,7 @@ class TestWindows:
         assert graph.simple_edge_count == 1
         windows = window_series(graph)
         assert [(w.node_count, w.edge_count) for w in windows] == [(2, 1), (1, 0)]
-        assert list(windows[1].betweenness) == ["b"]
+        assert list(windows[1].betweenness) == []  # b alone scores 0
         assert average_response_time(graph) == pytest.approx(24.0)
         assert nudges(graph) == pytest.approx(1.0)
 
@@ -299,6 +301,24 @@ class TestWindows:
             window_series(build_graph(messages), window_hours=window_hours)
         count = int(span_hours / window_hours) + 1
         assert f" {count} windows" in str(raised.value)
+
+    def test_one_brandes_call_per_series(self, monkeypatch):
+        # Four days, three of them with a star or a path to score, one empty.
+        messages = day_star(0, "h", ["a", "b", "c"]) + day_star(3, "h", ["a", "d"])
+        messages.append(msg("p1", "x", 25.0, mentions=("y",)))
+        messages.append(msg("p2", "y", 25.5, mentions=("z",)))
+        calls = []
+        kernel = _kernels.betweenness_csr
+
+        def counted(*args):
+            calls.append(args[2])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "betweenness_csr", counted)
+        windows = window_series(build_graph(messages))
+        assert [w.node_count for w in windows] == [4, 3, 0, 3]
+        assert [w.betweenness for w in windows] == [{"h": 3.0}, {"y": 1.0}, {}, {"h": 1.0}]
+        assert calls == [10]  # one call over the nodes of all four windows
 
 
 def day_star(day, hub, spokes):
@@ -348,6 +368,26 @@ class TestRotatingLeadership:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             rotating_leadership([], "chaos")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from("abcde"), st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=5
+            ),
+            max_size=12,
+        )
+    )
+    def test_actor_mode_ignores_zero_scores(self, scores):
+        # An absent actor reads 0.0, so dropping zeros changes no actor's series.
+        def series(dicts):
+            return [WindowStat(BASE, 0, 0, d, 0.0) for d in dicts]
+
+        dense = [{actor: d.get(actor, 0.0) for actor in "abcde"} for d in scores]
+        sparse = [{actor: v for actor, v in d.items() if v} for d in scores]
+        assert rotating_leadership(series(dense), "actor") == rotating_leadership(
+            series(sparse), "actor"
+        )
 
 
 class TestInteractivityScores:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
@@ -417,6 +418,23 @@ def test_reduced_betweenness_matches_fraction_oracle(shape):
         assert abs(scores[node] - float(value)) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(shattered_graph() | st.just(([], [])), min_size=1, max_size=5))
+def test_block_diagonal_union_scores_as_its_blocks(shapes):
+    # Window series are scored as one block-diagonal graph: exact only if
+    # every block scores bit for bit as it does alone.
+    blocks = [graph_from_edges(edges, extra_nodes=isolated) for edges, isolated in shapes]
+    indptr, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    nodes = arcs = 0
+    for block in blocks:
+        indptr.append(block._indptr[1:] + arcs)
+        indices.append(block._indices + nodes)
+        nodes, arcs = nodes + block.node_count, arcs + len(block._indices)
+    union = betweenness_csr(np.concatenate(indptr), np.concatenate(indices), nodes)
+    apart = [betweenness_csr(b._indptr, b._indices, b.node_count) for b in blocks]
+    assert np.array_equal(union, np.concatenate(apart))
+
+
 EXPECTED_GRAPHML = """\
 <?xml version="1.0" encoding="UTF-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -592,7 +610,11 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
     assert list(graph.iter_arcs()) == oracle_build_graph(in_order).arcs
 
     windows = window_series(graph, window_hours)
-    expected = oracle_window_series(messages, window_hours)
+    # The oracle's window scores are dense; window_series keeps the nonzero ones.
+    expected = [
+        replace(w, betweenness={h: s for h, s in w.betweenness.items() if s})
+        for w in oracle_window_series(messages, window_hours)
+    ]
     assert windows == expected
     assert [list(w.betweenness.items()) for w in windows] == [
         list(w.betweenness.items()) for w in expected

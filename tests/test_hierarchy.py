@@ -269,6 +269,35 @@ class TestMetricVector:
         with pytest.raises(ValueError, match="finite number"):
             MetricVector.from_dict({"activity": value})
 
+    @pytest.mark.parametrize(
+        ("metric", "value"),
+        [
+            ("density", -0.01),
+            ("density", 1.01),
+            ("degree_centralization", 2),
+            ("betweenness_centralization", -1),
+            ("sentiment", 1.5),
+            ("emotionality", 0.51),
+            ("emotionality", -0.1),
+            ("nudges", 0.99),
+            ("art_hours", -5),
+            ("actor_count", -1),
+            ("complexity", -0.5),
+        ],
+    )
+    def test_value_outside_its_domain_rejected(self, metric, value):
+        with pytest.raises(ValueError, match=f"metric {metric!r} must be a finite number in"):
+            MetricVector.from_dict({metric: value})
+
+    def test_domain_edges_accepted(self):
+        edges = {
+            "density": 0, "degree_centralization": 1.0, "betweenness_centralization": 0.0,
+            "sentiment": 1, "emotionality": 0.5, "nudges": 1, "art_hours": 0.0,
+            "actor_count": 0, "activity": 0, "avg_activity_per_actor": 0.0,
+            "rotating_leadership": 0, "complexity": 1e300,
+        }
+        assert MetricVector.from_dict(edges).as_dict() == edges
+
     def test_metric_groups_partition_the_list(self):
         groups = CONNECTIVITY_METRICS + INTERACTIVITY_METRICS + METRICS[9:]
         assert groups == METRICS
