@@ -4,12 +4,13 @@ Two graph shapes, both in CSR form and seeded:
 
 * ``random``: connected-ish random graphs with no leaves, where the
   component split and leaf folding in ``betweenness_csr`` save nothing.
-  The kernel is timed on them from every source.
+  The kernel is timed on them as one single-root sweep per node.
 * ``forest``: the shape the pipeline actually builds from discourse data, a
   leaf-heavy star forest (one hub with thousands of spokes plus small
   stars) with dyads and isolated nodes beside it.  ``betweenness_csr``
-  (reduced) is timed against one all-sources, unit-weight kernel call over
-  the whole graph, and the row prints the largest score difference.
+  (reduced, one sweep per round) is timed against one unweighted
+  single-root sweep per node over the whole graph, and the row prints the
+  largest score difference.
 
 Run it as
 
@@ -23,7 +24,7 @@ import time
 
 import numpy as np
 
-from valuescope._kernels import _brandes_numpy, betweenness_csr
+from valuescope._kernels import _brandes_sweep, betweenness_csr
 
 
 def to_csr(n: int, pairs):
@@ -82,9 +83,12 @@ def forest_csr(n: int, rng: random.Random):
 
 
 def all_sources(indptr, indices, n):
-    return _brandes_numpy(
-        indptr, indices, n, np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
-    )
+    """Unreduced Brandes: one single-root sweep per node, summed."""
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    bc = np.zeros(n, dtype=np.float64)
+    for source in range(n):
+        bc += _brandes_sweep(heads, indices, n, np.array([source]))
+    return bc
 
 
 def timed(fn, indptr, indices, n, repeats):

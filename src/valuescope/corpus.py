@@ -38,6 +38,13 @@ class CorpusError(ValueError):
     """Fatal corpus defect, e.g. a duplicate message id or unreadable input."""
 
 
+def is_string_list(value: object) -> bool:
+    """A list, tuple or set of strings; a bare string is not one."""
+    return isinstance(value, (list, tuple, set, frozenset)) and all(
+        isinstance(item, str) for item in value
+    )
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on runs of non-alphanumerics."""
     return _TOKEN_RE.findall(text.lower())
@@ -196,6 +203,8 @@ class OrientationLexicon:
         # that can possibly start at a given position.
         self._by_first_token: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for orientation in ORIENTATIONS:
+            if not is_string_list(phrases[orientation]):
+                raise ValueError(f"{orientation}: phrases must be a list of strings")
             seen: set[tuple[str, ...]] = set()
             tokenized: list[tuple[str, ...]] = []
             for phrase in phrases[orientation]:

@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .corpus import TaggedMessage, tokenize
+from .corpus import TaggedMessage, is_string_list, tokenize
 
 SentimentScorer = Callable[[str], float]
 
@@ -27,14 +27,16 @@ NEUTRAL_SENTIMENT = 0.5
 class PolarLexicon:
     """Positive and negative single-token term sets."""
 
-    def __init__(self, positive: Iterable[str], negative: Iterable[str]):
+    def __init__(self, positive: Collection[str], negative: Collection[str]):
         self.positive = self._normalize(positive, "positive")
         self.negative = self._normalize(negative, "negative")
         # A token on both sides counts as positive only.
         self._negative_only = self.negative - self.positive
 
     @staticmethod
-    def _normalize(terms: Iterable[str], side: str) -> frozenset[str]:
+    def _normalize(terms: Collection[str], side: str) -> frozenset[str]:
+        if not is_string_list(terms):
+            raise ValueError(f"{side} sentiment terms must be a list of strings")
         cleaned: set[str] = set()
         for term in terms:
             tokens = tokenize(term)
@@ -136,7 +138,7 @@ class ReferenceDictionary:
             raise ValueError("reference dictionary must be a JSON object")
         counts: dict[str, int] = {}
         for token, count in raw.items():
-            if not isinstance(count, int) or count < 0:
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise ValueError(f"bad count for token {token!r}: {count!r}")
             counts[str(token)] = count
         return cls.from_counts(counts)

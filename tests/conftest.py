@@ -23,6 +23,7 @@ from valuescope import (
     group_betweenness_centralization,
     tokenize,
 )
+from valuescope._kernels import _component_labels
 from valuescope.graph import SimpleGraph
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
@@ -232,3 +233,79 @@ def oracle_activity(messages) -> int:
         total += m.reply_to is not None
         total += m.retweet_of is not None
     return total
+
+
+def oracle_betweenness_csr(indptr, indices, n: int) -> np.ndarray:
+    """The component loop that the rounds in ``betweenness_csr`` replaced.
+
+    Each component of 3 or more nodes is copied into its own renumbered
+    sub-CSR and searched from its non-leaf sources one by one, each weighted
+    by ``1 + k_u``; ``k_u * (|C| - 2)`` is added afterwards.  Same reductions,
+    same summation order, so the rounds must match it bit for bit.
+    """
+    bc = np.zeros(n, dtype=np.float64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    degree = np.diff(indptr)
+    if not (degree > 1).any():
+        return bc
+    heads = np.repeat(np.arange(n, dtype=np.int64), degree)
+    label = _component_labels(heads, indices, n)
+    leaves = np.bincount(heads[degree[indices] == 1], minlength=n)
+    kept = np.flatnonzero(np.bincount(label, minlength=n)[label] > 2)
+    perm = kept[np.argsort(label[kept], kind="stable")]
+    position = np.empty(n, dtype=np.int64)
+    position[perm] = np.arange(perm.size)
+    kept_degree = degree[perm]
+    sub_indptr = np.zeros(perm.size + 1, dtype=np.int64)
+    np.cumsum(kept_degree, out=sub_indptr[1:])
+    edge = np.repeat(indptr[perm] - sub_indptr[:-1], kept_degree)
+    sub_indices = position[indices[edge + np.arange(sub_indptr[-1])]]
+    bounds = [0, *(np.flatnonzero(np.diff(label[perm])) + 1).tolist(), perm.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = hi - lo
+        sources = np.flatnonzero(kept_degree[lo:hi] > 1)
+        folded = leaves[perm[lo:hi][sources]].astype(np.float64)
+        scores = _oracle_brandes(
+            sub_indptr[lo : hi + 1] - sub_indptr[lo],
+            sub_indices[sub_indptr[lo] : sub_indptr[hi]] - lo,
+            size,
+            sources,
+            1.0 + folded,
+        )
+        scores[sources] += folded * (size - 2)
+        bc[perm[lo:hi]] = scores
+    return bc
+
+
+def _oracle_brandes(indptr, indices, n, sources, weights) -> np.ndarray:
+    """Level-synchronous Brandes from each source in turn, weighted."""
+    bc = np.zeros(n, dtype=np.float64)
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    tails = indices
+    for s, weight in zip(sources.tolist(), weights.tolist()):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n, dtype=np.float64)
+        dist[s] = 0
+        sigma[s] = 1.0
+        steps = []
+        level = 0
+        while True:
+            on_level = dist[heads] == level
+            step_heads = heads[on_level]
+            if not step_heads.size:
+                break
+            step_tails = tails[on_level]
+            dist[step_tails[dist[step_tails] < 0]] = level + 1
+            forward = dist[step_tails] == level + 1
+            up, down = step_heads[forward], step_tails[forward]
+            sigma += np.bincount(down, weights=sigma[up], minlength=n)
+            steps.append((up, down))
+            level += 1
+        delta = np.zeros(n, dtype=np.float64)
+        for up, down in reversed(steps[1:]):
+            delta += np.bincount(
+                up, weights=sigma[up] / sigma[down] * (1.0 + delta[down]), minlength=n
+            )
+        bc += weight * delta
+    return bc

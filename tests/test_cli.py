@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -22,6 +23,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def default_lexicon(kind: str) -> dict:
+    data = resources.files("valuescope.data").joinpath(f"{kind}_lexicon.json")
+    return json.loads(data.read_text(encoding="utf-8"))
 
 
 class TestRunVerb:
@@ -350,6 +356,55 @@ class TestExportGraphVerb:
             "--out", str(tmp_path / "x.dot"), "--orientation-lexicon", str(lexicon),
         )
         assert code == 2
+
+
+class TestLexiconFiles:
+    @pytest.mark.parametrize("verb", ["run", "export-graph"])
+    @pytest.mark.parametrize("phrases", [5, [5], "client", {"client": 1}, None])
+    def test_orientation_phrases_of_wrong_type_are_config_error(
+        self, corpus, tmp_path, capsys, verb, phrases
+    ):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({**default_lexicon("orientation"), "Customers": phrases}))
+        out = tmp_path / ("out" if verb == "run" else "x.dot")
+        extra = () if verb == "run" else ("--orientation", "Customers", "--format", "dot")
+        code, stdout = run_cli(
+            capsys, verb, "--corpus", str(corpus), "--out", str(out),
+            "--orientation-lexicon", str(lexicon), *extra,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("positive", [5, [5], "good", ["good", None], {"good": 1}])
+    def test_sentiment_terms_of_wrong_type_are_config_error(
+        self, corpus, tmp_path, capsys, positive
+    ):
+        lexicon = tmp_path / "sentiment.json"
+        lexicon.write_text(json.dumps({**default_lexicon("sentiment"), "positive": positive}))
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out),
+            "--sentiment-lexicon", str(lexicon),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [True, False])
+    def test_reference_count_of_wrong_type_is_config_error(
+        self, corpus, tmp_path, capsys, count
+    ):
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({"quality": 4, "good": count}))
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out),
+            "--reference-dictionary", str(reference),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestConfig:

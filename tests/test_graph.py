@@ -27,6 +27,7 @@ from conftest import (
     indexed_nodes,
     msg,
     oracle_activity,
+    oracle_betweenness_csr,
     oracle_build_graph,
     oracle_contact_streams,
     oracle_window_series,
@@ -45,7 +46,8 @@ from valuescope import (
     write_dot,
     write_graphml,
 )
-from valuescope._kernels import _brandes_numpy, betweenness_csr
+from valuescope import _kernels
+from valuescope._kernels import _brandes_sweep, betweenness_csr
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -245,20 +247,51 @@ class TestBetweenness:
                 assert abs(approx[node] - float(value)) < 1e-12
 
     def test_numpy_kernel_matches_exact(self):
-        # The kernel runs directly from every source with unit weights, and
-        # behind the component split and leaf folding of betweenness_csr.
+        # One single-root sweep per node, summed, and the rounds behind the
+        # component split and leaf folding of betweenness_csr.
         rng = random.Random(7)
         for _ in range(15):
             n = rng.randint(2, 30)
             edges = random_edge_set(rng, n, rng.uniform(0.05, 0.3))
             graph = graph_from_edges(edges, extra_nodes=indexed_nodes(n))
             exact = [float(betweenness_exact(graph)[h]) for h in graph.nodes]
-            sources = np.arange(n, dtype=np.int64)
-            weights = np.ones(n, dtype=np.float64)
-            direct = _brandes_numpy(graph._indptr, graph._indices, n, sources, weights)
+            heads = np.repeat(np.arange(n), np.diff(graph._indptr))
+            direct = sum(
+                _brandes_sweep(heads, graph._indices, n, np.array([s])) for s in range(n)
+            )
             assert np.abs(direct / 2.0 - exact).max() < 1e-12
             reduced = betweenness_csr(graph._indptr, graph._indices, n)
             assert np.abs(reduced / 2.0 - exact).max() < 1e-12
+
+    def test_one_sweep_per_round_not_per_component(self, monkeypatch):
+        # 40 stars of 2 to 6 spokes need one source each and 30 paths of 3 to
+        # 8 nodes need 1 to 6: six rounds, the first searching all 70
+        # components at once.
+        edges, count = [], 0
+        for star in range(40):
+            hub, spokes = count, 2 + star % 5
+            edges += [(hub, hub + k) for k in range(1, spokes + 1)]
+            count += 1 + spokes
+        for length in range(30):
+            path = range(count, count + 3 + length % 6)
+            edges += list(zip(path, path[1:]))
+            count += len(path)
+        names = indexed_nodes(count)
+        random.Random(5).shuffle(names)
+        graph = graph_from_edges([(names[u], names[v]) for u, v in edges])
+        roots = []
+        sweep = _kernels._brandes_sweep
+
+        def counted(heads, tails, n, round_roots):
+            roots.append(round_roots.size)
+            return sweep(heads, tails, n, round_roots)
+
+        monkeypatch.setattr(_kernels, "_brandes_sweep", counted)
+        scores = betweenness_csr(graph._indptr, graph._indices, graph.node_count)
+        assert roots == [70, 25, 20, 15, 10, 5]
+        assert np.array_equal(
+            scores, oracle_betweenness_csr(graph._indptr, graph._indices, graph.node_count)
+        )
 
     def test_disconnected_components_scored_independently(self):
         graph = graph_from_edges(
@@ -418,21 +451,40 @@ def test_reduced_betweenness_matches_fraction_oracle(shape):
         assert abs(scores[node] - float(value)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(shattered_graph() | st.just(([], [])), min_size=1, max_size=5))
-def test_block_diagonal_union_scores_as_its_blocks(shapes):
-    # Window series are scored as one block-diagonal graph: exact only if
-    # every block scores bit for bit as it does alone.
-    blocks = [graph_from_edges(edges, extra_nodes=isolated) for edges, isolated in shapes]
+def block_diagonal(blocks):
+    """One CSR holding the blocks' graphs side by side, and its node count."""
     indptr, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     nodes = arcs = 0
     for block in blocks:
         indptr.append(block._indptr[1:] + arcs)
         indices.append(block._indices + nodes)
         nodes, arcs = nodes + block.node_count, arcs + len(block._indices)
-    union = betweenness_csr(np.concatenate(indptr), np.concatenate(indices), nodes)
+    return np.concatenate(indptr), np.concatenate(indices), nodes
+
+
+shattered_unions = st.lists(shattered_graph() | st.just(([], [])), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shattered_unions)
+def test_block_diagonal_union_scores_as_its_blocks(shapes):
+    # Window series are scored as one block-diagonal graph: exact only if
+    # every block scores bit for bit as it does alone.
+    blocks = [graph_from_edges(edges, extra_nodes=isolated) for edges, isolated in shapes]
+    union = betweenness_csr(*block_diagonal(blocks))
     apart = [betweenness_csr(b._indptr, b._indices, b.node_count) for b in blocks]
     assert np.array_equal(union, np.concatenate(apart))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shattered_unions)
+def test_rounds_match_component_loop(shapes):
+    # Round r searches the r-th source of every component in one sweep; the
+    # per-component loop it replaced must give the same bits.
+    csr = block_diagonal(
+        graph_from_edges(edges, extra_nodes=isolated) for edges, isolated in shapes
+    )
+    assert np.array_equal(betweenness_csr(*csr), oracle_betweenness_csr(*csr))
 
 
 EXPECTED_GRAPHML = """\

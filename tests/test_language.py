@@ -143,9 +143,10 @@ class TestReferenceDictionary:
 
     def test_from_file_rejects_bad_counts(self, tmp_path):
         path = tmp_path / "ref.json"
-        path.write_text('{"a": -1}')
-        with pytest.raises(ValueError):
-            ReferenceDictionary.from_file(str(path))
+        for count in ("-1", "true", "false", "1.5", '"3"', "null"):
+            path.write_text('{"a": 2, "b": %s}' % count)
+            with pytest.raises(ValueError, match="bad count"):
+                ReferenceDictionary.from_file(str(path))
 
 
 class TestComplexity:
