@@ -13,12 +13,14 @@ from .corpus import (
     Message,
     OrientationLexicon,
     ParseResult,
+    Partition,
     Partitioned,
-    TaggedMessage,
+    TokenTable,
     filter_and_partition,
     load_corpus,
     parse_corpus,
     parse_record,
+    token_table,
     tokenize,
 )
 from .dynamics import (

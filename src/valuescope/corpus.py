@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 ORIENTATIONS: tuple[str, ...] = (
     "Customers",
@@ -59,15 +61,6 @@ class Message:
     reply_to: str | None = None
     retweet_of: str | None = None
     mentions: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class TaggedMessage:
-    """A message, its orientations and its tokens (interned strings)."""
-
-    message: Message
-    orientations: frozenset[str]
-    tokens: tuple[str, ...]
 
 
 @dataclass
@@ -136,15 +129,8 @@ def parse_record(raw: object) -> Message | None:
             return None
         mentions.append(handle)
 
-    return Message(
-        id=msg_id,
-        author=author,
-        created_at=created_at,
-        text=text,
-        reply_to=refs[0],
-        retweet_of=refs[1],
-        mentions=tuple(mentions),
-    )
+    # Positional: keyword construction of the frozen slots class is slower.
+    return Message(msg_id, author, created_at, text, refs[0], refs[1], tuple(mentions))
 
 
 def parse_corpus(lines: Iterable[str]) -> ParseResult:
@@ -199,9 +185,6 @@ class OrientationLexicon:
                 f"missing={missing} unknown={extra}"
             )
         self.phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
-        # Index phrases by first token so tagging only inspects candidates
-        # that can possibly start at a given position.
-        self._by_first_token: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for orientation in ORIENTATIONS:
             if not is_string_list(phrases[orientation]):
                 raise ValueError(f"{orientation}: phrases must be a list of strings")
@@ -220,9 +203,6 @@ class OrientationLexicon:
                     )
                 seen.add(tokens)
                 tokenized.append(tokens)
-                self._by_first_token.setdefault(tokens[0], []).append(
-                    (orientation, tokens)
-                )
             self.phrases[orientation] = tuple(tokenized)
 
     @classmethod
@@ -242,23 +222,85 @@ class OrientationLexicon:
         )
         return cls(json.loads(data))
 
-    def match(self, tokens: Sequence[str]) -> frozenset[str]:
-        """Orientations whose phrases occur as contiguous subsequences."""
-        index = self._by_first_token
-        found: set[str] = set()
-        for start in [i for i, token in enumerate(tokens) if token in index]:
-            for orientation, phrase in index[tokens[start]]:
-                if orientation in found:
-                    continue
-                if tuple(tokens[start : start + len(phrase)]) == phrase:
-                    found.add(orientation)
-        return frozenset(found)
+
+class TokenTable(NamedTuple):
+    """Every message's tokens as ids into one vocabulary, messages back to back."""
+
+    ids: np.ndarray  # int32
+    bounds: np.ndarray  # int64; message r holds ids[bounds[r] : bounds[r + 1]]
+    vocabulary: dict[str, int]  # token -> id, ids in first-seen order
+
+
+def token_table(messages: Sequence[Message]) -> TokenTable:
+    """Tokenize each message once and number its tokens in first-seen order."""
+    vocabulary: defaultdict[str, int] = defaultdict()
+    # A token seen for the first time gets the next id: the size before insertion.
+    vocabulary.default_factory = vocabulary.__len__
+    number = vocabulary.__getitem__
+    ids = array("i")
+    bounds = array("q", [0])
+    for message in messages:
+        ids.extend(map(number, tokenize(message.text)))
+        bounds.append(len(ids))
+    return TokenTable(
+        np.frombuffer(ids, dtype=np.int32),
+        np.frombuffer(bounds, dtype=np.int64),
+        dict(vocabulary),
+    )
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Partition:
+    """One orientation's messages, sorted by (created_at, id), and their tokens."""
+
+    messages: list[Message]
+    rows: np.ndarray  # each message's row in ``tokens``
+    tokens: TokenTable  # the corpus-wide table, shared by every partition
+
+    def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The messages' token ids back to back, and each message's bounds in them."""
+        starts = self.tokens.bounds[self.rows]
+        lengths = self.tokens.bounds[self.rows + 1] - starts
+        bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        positions = np.repeat(starts - bounds[:-1], lengths)
+        positions += np.arange(bounds[-1])
+        return self.tokens.ids[positions], bounds
+
+
+def _tag(table: TokenTable, lexicon: OrientationLexicon) -> np.ndarray:
+    """(orientation, message) matrix: does one of its phrases occur in the message.
+
+    Candidates are the positions holding some phrase's first token; a phrase
+    matches at a candidate when it fits in the candidate's own message and
+    its remaining tokens follow, so no match spans two messages.
+    """
+    ids, bounds, vocabulary = table
+    phrases = [
+        (row, [vocabulary[token] for token in phrase])
+        for row, orientation in enumerate(ORIENTATIONS)
+        for phrase in lexicon.phrases[orientation]
+        if all(token in vocabulary for token in phrase)
+    ]
+    is_first = np.zeros(len(vocabulary), dtype=bool)
+    is_first[[phrase[0] for _, phrase in phrases]] = True
+    starts = np.flatnonzero(is_first[ids])
+    owner = np.searchsorted(bounds, starts, side="right") - 1
+    room = bounds[owner + 1] - starts  # tokens from the candidate to its message end
+    first = ids[starts]
+    tags = np.zeros((len(ORIENTATIONS), len(bounds) - 1), dtype=bool)
+    for row, phrase in phrases:
+        hits = np.flatnonzero((first == phrase[0]) & (room >= len(phrase)))
+        for offset, token in enumerate(phrase[1:], 1):
+            hits = hits[ids[starts[hits] + offset] == token]
+        tags[row, owner[hits]] = True
+    return tags
 
 
 class Partitioned(NamedTuple):
-    partitions: dict[str, list[TaggedMessage]]
+    partitions: dict[str, Partition]
     discarded: int
-    token_counts: Counter[str]  # over every message, untagged ones included
+    token_counts: dict[str, int]  # over every message, untagged ones included
 
 
 def filter_and_partition(
@@ -266,33 +308,30 @@ def filter_and_partition(
 ) -> Partitioned:
     """Tokenize and tag messages and split them into per-orientation partitions.
 
-    Each message is tokenized exactly once; its tokens ride along with it
-    and are counted corpus-wide, untagged messages included, for the
+    Each message is tokenized exactly once into the corpus-wide token
+    table; its tokens are counted, untagged messages included, for the
     reference dictionary.  A message matching several orientations lands in
     each of them; untagged messages are dropped and counted.  Partitions
     come back sorted by (created_at, id) so every downstream computation is
     independent of input order.
     """
-    partitions: dict[str, list[TaggedMessage]] = {o: [] for o in ORIENTATIONS}
-    carried: list[tuple[str, ...]] = []
-    discarded = 0
-    # Interning pools: all messages share one string object per distinct
-    # token and one frozenset per distinct combination of orientations.
-    canonical = {}.setdefault
-    shared_tags = {}.setdefault
-    for message in messages:
-        raw = tokenize(message.text)
-        tokens = tuple(map(canonical, raw, raw))
-        carried.append(tokens)
-        tags = lexicon.match(tokens)
-        if not tags:
-            discarded += 1
-            continue
-        tags = shared_tags(tags, tags)
-        tagged = TaggedMessage(message=message, orientations=tags, tokens=tokens)
-        for orientation in tags:
-            partitions[orientation].append(tagged)
-    for bucket in partitions.values():
-        bucket.sort(key=lambda t: (t.message.created_at, t.message.id))
-    counts = Counter(chain.from_iterable(carried))
-    return Partitioned(partitions, discarded, counts)
+    messages = list(messages)
+    table = token_table(messages)
+    tags = _tag(table, lexicon)
+    tagged = np.flatnonzero(tags.any(axis=0)).tolist()
+    # Two stable sorts order by (created_at, id), faster than one on tuples.
+    tagged.sort(key=lambda r: messages[r].id)
+    tagged.sort(key=lambda r: messages[r].created_at)
+    ordered = np.array(tagged, dtype=np.int64)
+    partitions = {}
+    for row, orientation in enumerate(ORIENTATIONS):
+        rows = ordered[tags[row, ordered]]
+        partitions[orientation] = Partition(
+            [messages[r] for r in rows.tolist()], rows, table
+        )
+    counts = np.bincount(table.ids, minlength=len(table.vocabulary))
+    return Partitioned(
+        partitions,
+        len(messages) - len(tagged),
+        dict(zip(table.vocabulary, counts.tolist())),
+    )

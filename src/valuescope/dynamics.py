@@ -54,7 +54,9 @@ def average_response_time(
             lags.append(lag)
     if not lags:
         return None
-    return sum(lags) / len(lags)
+    # Left to right, as ``cumsum`` adds: the builtin ``sum`` of floats is
+    # compensated since Python 3.12 and would change the last digits.
+    return float(np.cumsum(lags)[-1] / len(lags))
 
 
 def nudges(

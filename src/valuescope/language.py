@@ -2,9 +2,12 @@
 
 Sentiment scorers are pluggable: anything callable as ``scorer(text) -> float``
 with output in [0, 1] works, and any other output fails the run.  The
-built-in baseline counts polar lexicon tokens, reading the tokens each
-message already carries.  Complexity is the mean negative log probability
+built-in baseline counts polar lexicon tokens, reading the partition's ids
+in the corpus token table.  Complexity is the mean negative log probability
 (nats) of a partition's tokens under a smoothed corpus-wide unigram model.
+
+Every mean adds its terms left to right, so it has the same bits on every
+Python version (the builtin ``sum`` of floats is compensated since 3.12).
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .corpus import TaggedMessage, is_string_list, tokenize
+import numpy as np
+
+from .corpus import Partition, is_string_list, tokenize
 
 SentimentScorer = Callable[[str], float]
 
@@ -69,17 +73,14 @@ class PolarLexicon:
         return cls(raw["positive"], raw["negative"])
 
 
-def score_tokens(tokens: Sequence[str], lexicon: PolarLexicon) -> float:
+def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
     """0.5 + (p - q) / (2 (p + q)); 0.5 when no polar token occurs."""
+    tokens = tokenize(text)
     p = sum(map(lexicon.positive.__contains__, tokens))
     q = sum(map(lexicon._negative_only.__contains__, tokens))
     if p + q == 0:
         return NEUTRAL_SENTIMENT
     return 0.5 + (p - q) / (2.0 * (p + q))
-
-
-def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
-    return score_tokens(tokenize(text), lexicon)
 
 
 class LexiconSentimentScorer:
@@ -92,11 +93,16 @@ class LexiconSentimentScorer:
         return score_sentiment(text, self.lexicon)
 
 
+def _mean(values: np.ndarray) -> float:
+    """Mean with its terms added left to right (``cumsum``, not pairwise ``sum``)."""
+    return float(np.cumsum(values)[-1] / values.size)
+
+
 def emotionality(sentiments: Sequence[float]) -> float | None:
     """Mean absolute deviation from neutral; lives in [0, 0.5]."""
-    if not sentiments:
+    if not len(sentiments):
         return None
-    return sum(abs(s - NEUTRAL_SENTIMENT) for s in sentiments) / len(sentiments)
+    return _mean(np.abs(np.asarray(sentiments, dtype=np.float64) - NEUTRAL_SENTIMENT))
 
 
 class ReferenceDictionary:
@@ -167,7 +173,7 @@ def complexity(tokens: Sequence[str], reference: ReferenceDictionary) -> float |
     """Mean surprisal (nats) of ``tokens`` under ``reference``."""
     if not tokens:
         return None
-    return sum(map(reference.surprisals.__getitem__, tokens)) / len(tokens)
+    return _mean(np.fromiter(map(reference.surprisals.__getitem__, tokens), np.float64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,33 +183,62 @@ class LanguageScores:
     complexity: float | None
 
 
+def _lexicon_sentiments(
+    ids: np.ndarray, bounds: np.ndarray, vocabulary: Mapping[str, int], lexicon: PolarLexicon
+) -> np.ndarray:
+    """``score_sentiment`` of every message, from its ids and bounds."""
+    counts = []
+    for terms in (lexicon.positive, lexicon._negative_only):
+        polar = np.zeros(len(vocabulary), dtype=bool)
+        polar[[vocabulary[term] for term in terms if term in vocabulary]] = True
+        # Polar tokens per message as differences of a running count.
+        running = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(polar[ids], out=running[1:])
+        counts.append(running[bounds[1:]] - running[bounds[:-1]])
+    p, q = counts
+    sentiments = np.full(p.size, NEUTRAL_SENTIMENT)
+    some = p + q > 0
+    sentiments[some] = 0.5 + (p - q)[some] / (2.0 * (p + q)[some])
+    return sentiments
+
+
 def language_scores(
-    messages: Sequence[TaggedMessage],
+    partition: Partition,
     scorer: SentimentScorer,
     reference: ReferenceDictionary | None,
 ) -> LanguageScores:
     """Sentiment, emotionality and complexity of one partition.
 
-    The default lexicon scorer reads each message's carried tokens; any
-    other scorer is called with the message text.  A sentiment outside
-    [0, 1], NaN or not a number raises ValueError naming the message.
+    The default lexicon scorer reads the partition's token ids; any other
+    scorer is called with each message's text.  A sentiment outside [0, 1],
+    NaN or not a number raises ValueError naming the message.
     """
+    messages = partition.messages
     if not messages:
         return LanguageScores(None, None, None)
+    ids, bounds = partition.token_ids()
+    vocabulary = partition.tokens.vocabulary
     if type(scorer) is LexiconSentimentScorer:
-        lexicon = scorer.lexicon
-        sentiments = [score_tokens(t.tokens, lexicon) for t in messages]
+        sentiments = _lexicon_sentiments(ids, bounds, vocabulary, scorer.lexicon)
     else:
-        sentiments = [scorer(t.message.text) for t in messages]
-    for tagged, value in zip(messages, sentiments):
-        if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-            raise ValueError(
-                f"sentiment scorer returned {value!r} for message "
-                f"{tagged.message.id!r}; expected a finite number in [0, 1]"
-            )
-    tokens = list(chain.from_iterable(t.tokens for t in messages))
+        values = [scorer(message.text) for message in messages]
+        for message, value in zip(messages, values):
+            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"sentiment scorer returned {value!r} for message "
+                    f"{message.id!r}; expected a finite number in [0, 1]"
+                )
+        sentiments = np.array(values, dtype=np.float64)
+    mean_surprisal = None
+    if reference is not None and ids.size:
+        surprisals = np.fromiter(
+            map(reference.surprisals.__getitem__, vocabulary),
+            dtype=np.float64,
+            count=len(vocabulary),
+        )
+        mean_surprisal = _mean(surprisals[ids])
     return LanguageScores(
-        sentiment=sum(sentiments) / len(sentiments),
+        sentiment=_mean(sentiments),
         emotionality=emotionality(sentiments),
-        complexity=complexity(tokens, reference) if reference is not None else None,
+        complexity=mean_surprisal,
     )

@@ -197,12 +197,12 @@ def run_pipeline(
     windows: dict[str, list[WindowStat]] = {}
     dangling = 0
     for orientation in ORIENTATIONS:
-        tagged = partitions[orientation]
-        if not tagged:
+        partition = partitions[orientation]
+        if not partition.messages:
             vectors[orientation] = MetricVector()
             windows[orientation] = []
             continue
-        graph = build_graph(t.message for t in tagged)
+        graph = build_graph(partition.messages)
         if cfg.export_graphml or cfg.export_dot:
             graphs[orientation] = graph
         dangling += graph.dangling_refs
@@ -212,7 +212,7 @@ def run_pipeline(
         inter = interactivity_scores(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(tagged, scorer, reference)
+        lang = language_scores(partition, scorer, reference)
         # The three bundles hold exactly the metric vector's twelve fields.
         vectors[orientation] = MetricVector(**asdict(conn), **asdict(inter), **asdict(lang))
 

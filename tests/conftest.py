@@ -7,6 +7,10 @@ offset in hours from a fixed UTC base instant.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -14,13 +18,18 @@ from fractions import Fraction
 import numpy as np
 
 from valuescope import (
+    ORIENTATIONS,
     InteractionGraph,
+    LanguageScores,
+    LexiconSentimentScorer,
     Message,
-    TaggedMessage,
+    OrientationLexicon,
+    Partition,
     WindowStat,
     betweenness,
     build_graph,
     group_betweenness_centralization,
+    token_table,
     tokenize,
 )
 from valuescope._kernels import _component_labels
@@ -49,9 +58,10 @@ def msg(
     )
 
 
-def carrying_tokens(messages) -> list[TaggedMessage]:
-    """Messages as partitions hold them: each with its own tokens."""
-    return [TaggedMessage(m, frozenset(), tuple(tokenize(m.text))) for m in messages]
+def carrying_tokens(messages) -> Partition:
+    """The messages, in the given order, as a partition over their own token table."""
+    messages = list(messages)
+    return Partition(messages, np.arange(len(messages)), token_table(messages))
 
 
 def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
@@ -309,3 +319,84 @@ def _oracle_brandes(indptr, indices, n, sources, weights) -> np.ndarray:
             )
         bc += weight * delta
     return bc
+
+
+# ------------------------------------------------------------- text oracles
+#
+# The per-message text layer that the corpus token table replaced: every
+# message carries its own token tuple, the lexicon is matched by a
+# first-token index, partitions are sorted one by one and the language
+# scores walk those tuples.  Means add left to right, as the builtin ``sum``
+# did before Python 3.12, so the comparison holds on every version.
+
+
+def _left_to_right_sum(values) -> float:
+    return functools.reduce(operator.add, values, 0)
+
+
+def oracle_match(lexicon: OrientationLexicon, tokens) -> frozenset[str]:
+    """Orientations whose phrases occur as contiguous subsequences of ``tokens``."""
+    by_first_token: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for orientation, phrases in lexicon.phrases.items():
+        for phrase in phrases:
+            by_first_token.setdefault(phrase[0], []).append((orientation, phrase))
+    found: set[str] = set()
+    for start, token in enumerate(tokens):
+        for orientation, phrase in by_first_token.get(token, ()):
+            if tuple(tokens[start : start + len(phrase)]) == phrase:
+                found.add(orientation)
+    return frozenset(found)
+
+
+@dataclass(frozen=True)
+class OracleTagged:
+    message: Message
+    tokens: tuple[str, ...]
+
+
+def oracle_filter_and_partition(messages, lexicon: OrientationLexicon):
+    """(partitions of OracleTagged, discarded, Counter of every token)."""
+    partitions: dict[str, list[OracleTagged]] = {o: [] for o in ORIENTATIONS}
+    counts: Counter[str] = Counter()
+    discarded = 0
+    for message in messages:
+        tokens = tuple(tokenize(message.text))
+        counts.update(tokens)
+        tags = oracle_match(lexicon, tokens)
+        if not tags:
+            discarded += 1
+        for orientation in tags:
+            partitions[orientation].append(OracleTagged(message, tokens))
+    for bucket in partitions.values():
+        bucket.sort(key=lambda t: (t.message.created_at, t.message.id))
+    return partitions, discarded, counts
+
+
+def oracle_language_scores(tagged, scorer, reference) -> LanguageScores:
+    if not tagged:
+        return LanguageScores(None, None, None)
+    if type(scorer) is LexiconSentimentScorer:
+        lexicon = scorer.lexicon
+        sentiments = []
+        for t in tagged:
+            p = sum(token in lexicon.positive for token in t.tokens)
+            q = sum(
+                token in lexicon.negative and token not in lexicon.positive
+                for token in t.tokens
+            )
+            sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
+    else:
+        sentiments = [scorer(t.message.text) for t in tagged]
+    tokens = [token for t in tagged for token in t.tokens]
+    return LanguageScores(
+        sentiment=_left_to_right_sum(sentiments) / len(sentiments),
+        emotionality=_left_to_right_sum(abs(s - 0.5) for s in sentiments)
+        / len(sentiments),
+        complexity=_left_to_right_sum(
+            -math.log(reference.probabilities.get(token, reference.unseen))
+            for token in tokens
+        )
+        / len(tokens)
+        if reference is not None and tokens
+        else None,
+    )

@@ -38,6 +38,12 @@ def lines(*records):
     return [json.dumps(r) for r in records]
 
 
+def tags(lexicon, text) -> frozenset[str]:
+    """Orientations whose partitions hold a message of ``text``."""
+    partitions = filter_and_partition([msg("m1", "a", text=text)], lexicon).partitions
+    return frozenset(o for o, p in partitions.items() if p.messages)
+
+
 # Anything json.loads can return, and records that mix plausible field values
 # (handles, ids, RFC 3339 stamps at any offset) with arbitrary JSON.
 _json_values = st.recursive(
@@ -220,33 +226,31 @@ class TestLexicon:
     def test_same_phrase_allowed_across_orientations(self):
         phrases = {o: ["shared term"] for o in ORIENTATIONS}
         lexicon = OrientationLexicon(phrases)
-        assert lexicon.match(["shared", "term"]) == frozenset(ORIENTATIONS)
+        assert tags(lexicon, "shared term") == frozenset(ORIENTATIONS)
 
 
 class TestTagging:
     def test_multi_token_phrase_matches_through_punctuation(self, lexicon):
         text = "Our PASSION, for our customers always!"
-        assert lexicon.match(tokenize(text)) == frozenset({"Customers"})
+        assert tags(lexicon, text) == frozenset({"Customers"})
 
     def test_multiple_orientations(self, lexicon):
         text = "team spirit plus integrity every day"
-        assert lexicon.match(tokenize(text)) == frozenset(
-            {"Employees", "Citizenship"}
-        )
+        assert tags(lexicon, text) == frozenset({"Employees", "Citizenship"})
 
     def test_no_match(self, lexicon):
         text = "completely unrelated word salad"
-        assert lexicon.match(tokenize(text)) == frozenset()
+        assert tags(lexicon, text) == frozenset()
 
     def test_token_boundaries_respected(self, lexicon):
         # "quality" is a Customers keyword; it must not fire inside a larger
         # word, but must fire as a standalone token next to anything.
-        assert lexicon.match(tokenize("qualityx stuff")) == frozenset()
-        assert lexicon.match(tokenize("high quality stuff")) == frozenset({"Customers"})
+        assert tags(lexicon, "qualityx stuff") == frozenset()
+        assert tags(lexicon, "high quality stuff") == frozenset({"Customers"})
 
     def test_phrase_must_be_contiguous(self, lexicon):
         text = "team building with true spirit"
-        assert "Employees" not in lexicon.match(tokenize(text))
+        assert "Employees" not in tags(lexicon, text)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -257,12 +261,20 @@ class TestTagging:
         words = ["passion", "for", "our", "customers"]
         styled = [w.upper() if c else w for w, c in zip(words, caps)]
         text = styled[0] + "".join(s + w for s, w in zip(seps, styled[1:]))
-        lexicon = OrientationLexicon.default()
-        tags = lexicon.match(tokenize(text))
-        assert tags == frozenset({"Customers"})
+        assert tags(OrientationLexicon.default(), text) == frozenset({"Customers"})
 
 
 class TestPartition:
+    def test_phrase_split_across_two_messages_does_not_tag(self, lexicon):
+        # Back to back in the token table the two read "passion for our customers".
+        messages = [
+            msg("m1", "a", hours=1.0, text="we share a passion for"),
+            msg("m2", "b", hours=2.0, text="our customers know it"),
+        ]
+        partitions, discarded, _ = filter_and_partition(messages, lexicon)
+        assert partitions["Customers"].messages == []
+        assert discarded == 2
+
     def test_partition_counts_and_sorting(self, lexicon):
         messages = [
             msg("m2", "a", hours=2.0, text="quality again"),
@@ -272,19 +284,17 @@ class TestPartition:
         ]
         partitions, discarded, _ = filter_and_partition(messages, lexicon)
         assert discarded == 1
-        assert [t.message.id for t in partitions["Customers"]] == ["m1", "m2", "m4"]
-        assert [t.message.id for t in partitions["Employees"]] == ["m4"]
-        assert partitions["Citizenship"] == []
+        assert [m.id for m in partitions["Customers"].messages] == ["m1", "m2", "m4"]
+        assert [m.id for m in partitions["Employees"].messages] == ["m4"]
+        assert partitions["Citizenship"].messages == []
 
     def test_multi_tagged_message_lands_in_each_partition(self, lexicon):
         messages = [msg("m1", "a", text="quality with integrity")]
         partitions, discarded, _ = filter_and_partition(messages, lexicon)
         assert discarded == 0
-        assert len(partitions["Customers"]) == 1
-        assert len(partitions["Citizenship"]) == 1
-        assert partitions["Customers"][0].orientations == frozenset(
-            {"Customers", "Citizenship"}
-        )
+        holding = {o for o, p in partitions.items() if p.messages == messages}
+        assert holding == {"Customers", "Citizenship"}
+        assert all(not partitions[o].messages for o in set(ORIENTATIONS) - holding)
 
     def test_tie_broken_by_id(self, lexicon):
         messages = [
@@ -292,7 +302,7 @@ class TestPartition:
             msg("ma", "b", hours=1.0, text="quality"),
         ]
         partitions, _, _ = filter_and_partition(messages, lexicon)
-        assert [t.message.id for t in partitions["Customers"]] == ["ma", "mb"]
+        assert [m.id for m in partitions["Customers"].messages] == ["ma", "mb"]
 
     def test_input_order_does_not_matter(self, lexicon):
         messages = [
@@ -303,8 +313,8 @@ class TestPartition:
         random.Random(3).shuffle(shuffled)
         first, _, _ = filter_and_partition(messages, lexicon)
         second, _, _ = filter_and_partition(shuffled, lexicon)
-        assert [t.message.id for t in first["Customers"]] == [
-            t.message.id for t in second["Customers"]
+        assert [m.id for m in first["Customers"].messages] == [
+            m.id for m in second["Customers"].messages
         ]
 
     def test_distinct_ids_plus_discarded_equals_total(self, lexicon):
@@ -316,6 +326,6 @@ class TestPartition:
         ]
         partitions, discarded, _ = filter_and_partition(messages, lexicon)
         tagged_ids = {
-            t.message.id for bucket in partitions.values() for t in bucket
+            m.id for partition in partitions.values() for m in partition.messages
         }
         assert len(tagged_ids) + discarded == len(messages)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from datetime import timedelta
 
@@ -142,6 +144,16 @@ class TestAverageResponseTime:
         )
         assert average_response_time(build_graph(messages)) == pytest.approx(25.5)
         assert average_response_time(build_graph(messages), cutoff_hours=24.0) == pytest.approx(1.0)
+
+    def test_mean_adds_left_to_right(self):
+        # Ten 0.1 h lags: 0.09999999999999999 left to right, 0.1 compensated.
+        messages = [
+            m for k in range(10) for m in exchange(f"p{k}", f"a{k}", f"b{k}", 0.0, 0.1)
+        ]
+        lags = [0.1] * 10
+        assert average_response_time(build_graph(messages)) == (
+            functools.reduce(operator.add, lags) / len(lags)
+        )
 
     def test_order_independent(self):
         messages = (

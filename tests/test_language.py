@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import carrying_tokens, msg
+from conftest import (
+    carrying_tokens,
+    msg,
+    oracle_filter_and_partition,
+    oracle_language_scores,
+)
 from valuescope import (
     ORIENTATIONS,
     LanguageScores,
@@ -193,7 +200,7 @@ class TestLanguageScores:
         )
 
     def test_empty_messages(self, lexicon):
-        scores = language_scores([], LexiconSentimentScorer(lexicon), None)
+        scores = language_scores(carrying_tokens([]), LexiconSentimentScorer(lexicon), None)
         assert scores == pytest.approx((None, None, None)) or (
             scores.sentiment is None
             and scores.emotionality is None
@@ -207,6 +214,17 @@ class TestLanguageScores:
         )
         assert scores.sentiment == 1.0
         assert scores.complexity is None
+
+    def test_means_add_left_to_right(self, lexicon):
+        # 0.6 ten times: 0.5999999999999999 left to right, 0.6 compensated.
+        messages = [
+            msg(f"m{i}", "x", float(i), text="good good good bad bad") for i in range(10)
+        ]
+        sentiments = [0.6] * 10
+        expected = functools.reduce(operator.add, sentiments) / len(sentiments)
+        for scorer in (LexiconSentimentScorer(lexicon), lambda text: 0.6):
+            scores = language_scores(carrying_tokens(messages), scorer, None)
+            assert scores.sentiment == expected
 
     def test_custom_callable_scorer(self):
         messages = [msg("m1", "x", 0.0, text="whatever")]
@@ -235,10 +253,12 @@ def _text_based_scores(messages, lexicon, reference) -> LanguageScores:
                 q += 1
         sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
     tokens = [token for m in messages for token in tokenize(m.text)]
+    # Left to right, the order the builtin sum used before Python 3.12.
+    total = functools.partial(functools.reduce, operator.add)
     return LanguageScores(
-        sentiment=sum(sentiments) / len(sentiments),
-        emotionality=sum(abs(s - 0.5) for s in sentiments) / len(sentiments),
-        complexity=sum(
+        sentiment=total(sentiments) / len(sentiments),
+        emotionality=total(abs(s - 0.5) for s in sentiments) / len(sentiments),
+        complexity=total(
             -math.log(reference.probabilities.get(t, reference.unseen))
             for t in tokens
         )
@@ -286,9 +306,82 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
     scorer = LexiconSentimentScorer(polar)
     for reference in references:
         for orientation in ORIENTATIONS:
-            tagged = partitions[orientation]
-            if not tagged:
+            partition = partitions[orientation]
+            if not partition.messages:
                 continue
-            assert language_scores(tagged, scorer, reference) == _text_based_scores(
-                [t.message for t in tagged], polar, reference
+            assert language_scores(partition, scorer, reference) == _text_based_scores(
+                partition.messages, polar, reference
             )
+
+
+# The default tagging words plus a custom lexicon's words, empty and
+# punctuation-only texts, and polar words with "mixed" on both sides.
+_ORACLE_WORDS = _WORDS + (
+    "passion", "for", "our", "customers", "alpha", "beta", "gamma", "delta",
+    "epsilon", "", "!!", "-",
+)
+_CUSTOM_LEXICON = {
+    "Customers": ["alpha beta gamma delta epsilon", "quality", "passion for our customers"],
+    "Employees": ["alpha beta", "team spirit"],
+    "EconomicFinancialGrowth": ["beta beta", "zeta never seen"],
+    "Excellence": ["gamma", "alpha beta gamma delta epsilon"],
+    "Citizenship": ["integrity", "delta epsilon"],
+    "SocialResponsibility": ["absent phrase here", "epsilon alpha"],
+}
+
+
+def _custom_scorer(text: str) -> float:
+    return 1 if len(text) % 7 == 0 else (len(text) % 5) / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(_ORACLE_WORDS), max_size=9).map(" ".join),
+        max_size=25,
+    ),
+    hours=st.lists(st.integers(0, 3), min_size=25, max_size=25),
+    ids=st.permutations(range(25)),
+    custom=st.booleans(),
+)
+@example(texts=["", "!!", "- ..."], hours=[0] * 25, ids=list(range(25)), custom=False)
+@example(
+    texts=["passion for", "our customers", "alpha beta gamma", "delta epsilon"],
+    hours=[1] * 25,
+    ids=list(range(24, -1, -1)),
+    custom=True,
+)
+def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_reference):
+    lexicon = (
+        OrientationLexicon(_CUSTOM_LEXICON) if custom else OrientationLexicon.default()
+    )
+    messages = [
+        msg(f"m{ids[i]:02d}", "a", float(hours[i]), text=text)
+        for i, text in enumerate(texts)
+    ]
+    partitions, discarded, counts = filter_and_partition(messages, lexicon)
+    expected, expected_discarded, expected_counts = oracle_filter_and_partition(
+        messages, lexicon
+    )
+    assert discarded == expected_discarded
+    assert counts == expected_counts
+    assert list(counts) == list(expected_counts)
+    for orientation in ORIENTATIONS:
+        assert partitions[orientation].messages == [t.message for t in expected[orientation]]
+
+    references = [None, file_reference]
+    if counts:
+        reference = build_reference(counts)
+        expected_reference = ReferenceDictionary.from_counts(dict(expected_counts))
+        assert reference.probabilities == expected_reference.probabilities
+        assert reference.unseen == expected_reference.unseen
+        references.append(reference)
+    polar = PolarLexicon(
+        ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
+    )
+    for reference in references:
+        for scorer in (LexiconSentimentScorer(polar), _custom_scorer):
+            for orientation in ORIENTATIONS:
+                assert language_scores(
+                    partitions[orientation], scorer, reference
+                ) == oracle_language_scores(expected[orientation], scorer, reference)

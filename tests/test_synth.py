@@ -77,7 +77,7 @@ def demo_partitions(demo_records):
         parsed_messages(demo_records), OrientationLexicon.default()
     )
     assert discarded == 0
-    return partitions
+    return {o: partition.messages for o, partition in partitions.items()}
 
 
 class TestOscillationSeries:
@@ -325,7 +325,7 @@ class TestGeneratedCorpus:
         lexicon = OrientationLexicon.default()
         for name, group in demo_partitions.items():
             keyword = " ".join(lexicon.phrases[name][0])
-            assert all(t.message.text.startswith(keyword) for t in group)
+            assert all(m.text.startswith(keyword) for m in group)
 
     def test_actor_budgets(self, demo_records):
         spec = demo_spec()
@@ -433,13 +433,13 @@ class TestSentimentBias:
     def test_positive_bias_is_reached(self, demo_partitions):
         score = self.scorer()
         group = demo_partitions["Customers"]
-        mean = sum(score(t.message.text) for t in group) / len(group)
+        mean = sum(score(m.text) for m in group) / len(group)
         assert mean == pytest.approx(0.7, abs=0.06)
 
     def test_neutral_bias_is_exact(self, demo_partitions):
         score = self.scorer()
         group = demo_partitions["SocialResponsibility"]
-        assert all(score(t.message.text) == 0.5 for t in group)
+        assert all(score(m.text) == 0.5 for m in group)
 
     def test_negative_bias_is_reached(self):
         plant = OrientationPlant(
