@@ -11,6 +11,7 @@ from .corpus import (
     ORIENTATIONS,
     CorpusError,
     Message,
+    MessageTable,
     OrientationLexicon,
     ParseResult,
     Partition,
@@ -19,7 +20,6 @@ from .corpus import (
     filter_and_partition,
     load_corpus,
     parse_corpus,
-    parse_record,
     token_table,
     tokenize,
 )
@@ -38,7 +38,6 @@ from .dynamics import (
 from .graph import (
     ConnectivityScores,
     InteractionGraph,
-    betweenness,
     build_graph,
     connectivity_scores,
     density,
@@ -72,7 +71,6 @@ from .language import (
     ReferenceDictionary,
     SentimentScorer,
     build_reference,
-    complexity,
     emotionality,
     language_scores,
     score_sentiment,

@@ -66,21 +66,31 @@ def _brandes_sweep(
     return delta
 
 
-def _component_labels(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
-    """One node id per connected component, shared by all of its nodes.
+def _component_labels(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """One node id per connected component, shared by all of its nodes, and the rounds taken.
 
-    Min-label propagation with pointer jumping over the arcs ``heads[i] ->
-    tails[i]``: each round every node takes the smallest label among itself
-    and its neighbours, then the label of that label.  Labels only decrease,
-    so the loop ends, and at the fixed point neighbours agree.
+    Min-label propagation over the arcs ``heads[i] -> tails[i]``, with
+    Shiloach-Vishkin hooking: each round every node takes the smallest
+    label among itself and its neighbours, each label's root takes the
+    smallest label any of its members saw, and pointers are jumped until
+    every node points at a root.  A label never exceeds its node and only
+    decreases, so the loop ends, and at the fixed point neighbours agree;
+    a long path needs O(log n) rounds, not O(n).
     """
     label = np.arange(n, dtype=np.int64)
+    rounds = 0
     while True:
+        rounds += 1
         low = label.copy()
         np.minimum.at(low, heads, label[tails])
-        low = low[low]
+        np.minimum.at(low, label, low)
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
         if np.array_equal(low, label):
-            return label
+            return label, rounds
         label = low
 
 
@@ -96,7 +106,7 @@ def betweenness_csr(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarr
     k = degree.size
     heads = np.repeat(np.arange(k, dtype=np.int64), degree)
     tails = (np.cumsum(linked) - 1)[indices]
-    label = _component_labels(heads, tails, k)
+    label, _ = _component_labels(heads, tails, k)
     size = np.bincount(label, minlength=k)
     leaves = np.bincount(heads[degree[tails] == 1], minlength=k)
 

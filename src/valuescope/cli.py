@@ -171,7 +171,7 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
     lexicon, _ = _load_lexicons(RunConfig(orientation_lexicon=args.orientation_lexicon))
     parsed = load_corpus(args.corpus)
     partition = filter_and_partition(parsed.messages, lexicon).partitions[args.orientation]
-    graph = build_graph(partition.messages)
+    graph = build_graph(partition.corpus, partition.rows)
     if args.fmt == "graphml":
         write_graphml(graph, args.orientation, args.out)
     else:

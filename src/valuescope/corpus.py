@@ -2,7 +2,9 @@
 
 Input is newline-delimited JSON, one message per line, with fields
 ``id``, ``author``, ``created_at`` (RFC 3339, UTC), ``text``, ``reply_to``,
-``retweet_of`` and ``mentions``.  Messages are tagged against six core-value
+``retweet_of`` and ``mentions``.  Parsing fills one ``MessageTable`` of
+columns for the whole corpus; a partition is an array of its rows.
+Messages are tagged against six core-value
 orientations by matching lexicon phrases as contiguous token subsequences,
 insensitive to case and punctuation.
 """
@@ -14,9 +16,11 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import truediv
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,8 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class Message:
+    """One message as a record, the input of ``MessageTable.from_messages``."""
+
     id: str
     author: str
     created_at: datetime  # always timezone-aware UTC
@@ -63,23 +69,142 @@ class Message:
     mentions: tuple[str, ...] = ()
 
 
+# A reference column holds the referenced row, or one of these.
+ABSENT = -1  # the message names no message
+UNKNOWN = -2  # the message names an id that no message of the table has
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+@dataclass(eq=False)
+class MessageTable:
+    """The corpus as columns, one row per message, in input order.
+
+    ``handles`` is the sorted table of every author and mentioned handle;
+    ``authors`` and ``mentions`` are ids into it, row r's mentions being
+    ``mentions[mention_bounds[r] : mention_bounds[r + 1]]``.  ``micros``
+    are epoch microseconds, exact for ordering; ``seconds`` are the same
+    instants as ``datetime.timestamp()`` gives them.  ``reply_to`` and
+    ``retweet_of`` hold the referenced row, ``ABSENT`` or ``UNKNOWN``.
+    """
+
+    ids: list[str]
+    texts: list[str]
+    handles: tuple[str, ...]
+    authors: np.ndarray  # int64
+    mentions: np.ndarray  # int64
+    mention_bounds: np.ndarray  # int64
+    micros: np.ndarray  # int64
+    seconds: np.ndarray  # float64
+    reply_to: np.ndarray  # int64
+    retweet_of: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
+        """The table of ``messages``, in the given order; ids must be unique."""
+        return _message_table(
+            (m.id, m.author, (m.created_at - _EPOCH) // _MICROSECOND, m.text,
+             m.reply_to, m.retweet_of, m.mentions)
+            for m in messages
+        )
+
+    def order(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """``rows`` (default: every row) in ``(created_at, id)`` order."""
+        if rows is None:
+            rows = np.arange(len(self.ids))
+        # Ids sort as Python strings: a numpy string sort ignores trailing NULs.
+        by_id = np.array(sorted(rows.tolist(), key=self.ids.__getitem__), dtype=np.int64)
+        return by_id[np.argsort(self.micros[by_id], kind="stable")]
+
+    def created_at(self, row: int) -> datetime:
+        """The row's stamp as an aware UTC datetime."""
+        return _EPOCH + timedelta(microseconds=int(self.micros[row]))
+
+
+def _message_table(records: Iterable[tuple]) -> MessageTable:
+    """The table of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
+    row_of: dict[str | None, int] = {}
+    ids: list[str] = []
+    texts: list[str] = []
+    replies: list[str | None] = []
+    retweets: list[str | None] = []
+    micros = array("q")
+    # Handles are numbered in first-seen order until the table is sorted.
+    handles: defaultdict[str, int] = defaultdict()
+    handles.default_factory = handles.__len__
+    number = handles.__getitem__
+    authors = array("q")
+    mentions = array("q")
+    mention_bounds = array("q", [0])
+    for msg_id, author, stamp, text, reply_to, retweet_of, named in records:
+        if msg_id in row_of:
+            raise CorpusError(f"duplicate message id: {msg_id!r}")
+        row_of[msg_id] = len(ids)
+        ids.append(msg_id)
+        texts.append(text)
+        replies.append(reply_to)
+        retweets.append(retweet_of)
+        micros.append(stamp)
+        authors.append(number(author))
+        mentions.extend(map(number, named))
+        mention_bounds.append(len(mentions))
+
+    first_seen = list(handles)
+    by_handle = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    renumber = np.empty(len(first_seen), dtype=np.int64)
+    renumber[by_handle] = np.arange(len(first_seen))
+    row_of[None] = ABSENT  # so that one lookup resolves every reference
+    reply_to, retweet_of = (
+        np.fromiter(map(row_of.get, refs, repeat(UNKNOWN)), np.int64, len(refs))
+        for refs in (replies, retweets)
+    )
+    return MessageTable(
+        ids=ids,
+        texts=texts,
+        handles=tuple(first_seen[i] for i in by_handle),
+        authors=renumber[np.frombuffer(authors, dtype=np.int64)],
+        mentions=renumber[np.frombuffer(mentions, dtype=np.int64)],
+        mention_bounds=np.frombuffer(mention_bounds, dtype=np.int64),
+        micros=np.frombuffer(micros, dtype=np.int64),
+        # Python's int division is correctly rounded, as ``timestamp()`` is;
+        # numpy's ``micros / 1e6`` is not once micros pass 2**53.
+        seconds=np.fromiter(map(truediv, micros, repeat(1_000_000)), np.float64, len(micros)),
+        reply_to=reply_to,
+        retweet_of=retweet_of,
+    )
+
+
 @dataclass
 class ParseResult:
-    messages: list[Message]
+    messages: MessageTable  # the accepted records, in input order
     skipped: int
 
 
-def _parse_timestamp(raw: object) -> datetime | None:
+# The scanner that ``json.loads`` runs.  On a line stripped of JSON
+# whitespace it accepts exactly what ``json.loads`` accepts, when it stops at
+# the line's end; a leading BOM fails both.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
+def _parse_micros(raw: object) -> int | None:
+    """Epoch microseconds of an RFC 3339 stamp (UTC when it has no offset), or None."""
     if not isinstance(raw, str) or not raw:
         return None
     try:
         stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
         if stamp.tzinfo is None:
-            return stamp.replace(tzinfo=timezone.utc)
-        # Raises OverflowError when the offset moves the date past year 1 or 9999.
-        return stamp.astimezone(timezone.utc)
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        else:
+            # Raises OverflowError when the offset moves the date past year 1 or 9999.
+            stamp = stamp.astimezone(timezone.utc)
     except (ValueError, OverflowError):
         return None
+    return (stamp - _EPOCH) // _MICROSECOND
 
 
 def _clean_handle(raw: object) -> str | None:
@@ -89,8 +214,8 @@ def _clean_handle(raw: object) -> str | None:
     return handle or None
 
 
-def parse_record(raw: object) -> Message | None:
-    """Turn one decoded JSON record into a Message, or None if malformed."""
+def _record(raw: object) -> tuple | None:
+    """One decoded JSON record as the fields of a table row, or None if malformed."""
     if not isinstance(raw, dict):
         return None
     msg_id = raw.get("id")
@@ -99,68 +224,58 @@ def parse_record(raw: object) -> Message | None:
     author = _clean_handle(raw.get("author"))
     if author is None:
         return None
-    created_at = _parse_timestamp(raw.get("created_at"))
-    if created_at is None:
+    micros = _parse_micros(raw.get("created_at"))
+    if micros is None:
         return None
     text = raw.get("text")
     if not isinstance(text, str):
         return None
-
-    refs: list[str | None] = []
-    for key in ("reply_to", "retweet_of"):
-        ref = raw.get(key)
-        if ref is None:
-            refs.append(None)
-            continue
+    reply_to, retweet_of = raw.get("reply_to"), raw.get("retweet_of")
+    for ref in (reply_to, retweet_of):
         # A message referencing itself is nonsense; treat as malformed.
-        if not isinstance(ref, str) or not ref or ref == msg_id:
+        if ref is not None and (not isinstance(ref, str) or not ref or ref == msg_id):
             return None
-        refs.append(ref)
-
-    raw_mentions = raw.get("mentions", [])
-    if raw_mentions is None:
-        raw_mentions = []
-    if not isinstance(raw_mentions, list):
+    mentions = raw.get("mentions")
+    if mentions is None:
+        mentions = ()
+    elif isinstance(mentions, list):
+        mentions = tuple(map(_clean_handle, mentions))
+        if None in mentions:
+            return None
+    else:
         return None
-    mentions: list[str] = []
-    for entry in raw_mentions:
-        handle = _clean_handle(entry)
-        if handle is None:
-            return None
-        mentions.append(handle)
-
-    # Positional: keyword construction of the frozen slots class is slower.
-    return Message(msg_id, author, created_at, text, refs[0], refs[1], tuple(mentions))
+    return msg_id, author, micros, text, reply_to, retweet_of, mentions
 
 
 def parse_corpus(lines: Iterable[str]) -> ParseResult:
-    """Parse an NDJSON stream.
+    """Parse an NDJSON stream into a message table.
 
     Malformed records (bad JSON, missing fields, unparseable timestamps,
     self-references) are counted and skipped.  A duplicate message id is a
     hard error: silently keeping either copy would corrupt every downstream
     count.
     """
-    messages: list[Message] = []
     skipped = 0
-    seen: set[str] = set()
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        message = parse_record(raw)
-        if message is None:
-            skipped += 1
-            continue
-        if message.id in seen:
-            raise CorpusError(f"duplicate message id: {message.id!r}")
-        seen.add(message.id)
-        messages.append(message)
-    return ParseResult(messages=messages, skipped=skipped)
+
+    def records() -> Iterator[tuple]:
+        nonlocal skipped
+        for line in lines:
+            line = line.strip(_JSON_SPACE)
+            if not line or line.isspace():
+                continue  # blank
+            try:
+                raw, end = _scan_json(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                skipped += 1
+                continue
+            record = _record(raw) if end == len(line) else None
+            if record is None:
+                skipped += 1
+            else:
+                yield record
+
+    table = _message_table(records())
+    return ParseResult(table, skipped)
 
 
 def load_corpus(path: str) -> ParseResult:
@@ -231,16 +346,16 @@ class TokenTable(NamedTuple):
     vocabulary: dict[str, int]  # token -> id, ids in first-seen order
 
 
-def token_table(messages: Sequence[Message]) -> TokenTable:
-    """Tokenize each message once and number its tokens in first-seen order."""
+def token_table(texts: Iterable[str]) -> TokenTable:
+    """Tokenize each text once and number its tokens in first-seen order."""
     vocabulary: defaultdict[str, int] = defaultdict()
     # A token seen for the first time gets the next id: the size before insertion.
     vocabulary.default_factory = vocabulary.__len__
     number = vocabulary.__getitem__
     ids = array("i")
     bounds = array("q", [0])
-    for message in messages:
-        ids.extend(map(number, tokenize(message.text)))
+    for text in texts:
+        ids.extend(map(number, tokenize(text)))
         bounds.append(len(ids))
     return TokenTable(
         np.frombuffer(ids, dtype=np.int32),
@@ -249,22 +364,29 @@ def token_table(messages: Sequence[Message]) -> TokenTable:
     )
 
 
+def segments(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rows' segments ``bounds[r]:bounds[r + 1]`` lie, back to back,
+    and each row's bounds among those positions."""
+    starts = bounds[rows]
+    lengths = bounds[rows + 1] - starts
+    gathered = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=gathered[1:])
+    positions = np.repeat(starts - gathered[:-1], lengths)
+    positions += np.arange(gathered[-1])
+    return positions, gathered
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Partition:
-    """One orientation's messages, sorted by (created_at, id), and their tokens."""
+    """One orientation's rows, in (created_at, id) order, of the corpus tables."""
 
-    messages: list[Message]
-    rows: np.ndarray  # each message's row in ``tokens``
-    tokens: TokenTable  # the corpus-wide table, shared by every partition
+    corpus: MessageTable  # shared by every partition, as is ``tokens``
+    rows: np.ndarray  # int64; row r of ``corpus`` has row r of ``tokens``
+    tokens: TokenTable
 
     def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The messages' token ids back to back, and each message's bounds in them."""
-        starts = self.tokens.bounds[self.rows]
-        lengths = self.tokens.bounds[self.rows + 1] - starts
-        bounds = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        positions = np.repeat(starts - bounds[:-1], lengths)
-        positions += np.arange(bounds[-1])
+        positions, bounds = segments(self.tokens.bounds, self.rows)
         return self.tokens.ids[positions], bounds
 
 
@@ -303,9 +425,7 @@ class Partitioned(NamedTuple):
     token_counts: dict[str, int]  # over every message, untagged ones included
 
 
-def filter_and_partition(
-    messages: Iterable[Message], lexicon: OrientationLexicon
-) -> Partitioned:
+def filter_and_partition(corpus: MessageTable, lexicon: OrientationLexicon) -> Partitioned:
     """Tokenize and tag messages and split them into per-orientation partitions.
 
     Each message is tokenized exactly once into the corpus-wide token
@@ -315,23 +435,16 @@ def filter_and_partition(
     come back sorted by (created_at, id) so every downstream computation is
     independent of input order.
     """
-    messages = list(messages)
-    table = token_table(messages)
-    tags = _tag(table, lexicon)
-    tagged = np.flatnonzero(tags.any(axis=0)).tolist()
-    # Two stable sorts order by (created_at, id), faster than one on tuples.
-    tagged.sort(key=lambda r: messages[r].id)
-    tagged.sort(key=lambda r: messages[r].created_at)
-    ordered = np.array(tagged, dtype=np.int64)
-    partitions = {}
-    for row, orientation in enumerate(ORIENTATIONS):
-        rows = ordered[tags[row, ordered]]
-        partitions[orientation] = Partition(
-            [messages[r] for r in rows.tolist()], rows, table
-        )
-    counts = np.bincount(table.ids, minlength=len(table.vocabulary))
+    tokens = token_table(corpus.texts)
+    tags = _tag(tokens, lexicon)
+    ordered = corpus.order(np.flatnonzero(tags.any(axis=0)))
+    partitions = {
+        orientation: Partition(corpus, ordered[tags[row, ordered]], tokens)
+        for row, orientation in enumerate(ORIENTATIONS)
+    }
+    counts = np.bincount(tokens.ids, minlength=len(tokens.vocabulary))
     return Partitioned(
         partitions,
-        len(messages) - len(tagged),
-        dict(zip(table.vocabulary, counts.tolist())),
+        len(corpus) - ordered.size,
+        dict(zip(tokens.vocabulary, counts.tolist())),
     )

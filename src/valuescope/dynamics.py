@@ -27,7 +27,7 @@ MAX_WINDOWS = 100_000
 
 def activity(graph: InteractionGraph) -> int:
     """Messages plus every mention, reply reference and retweet reference."""
-    return len(graph.messages) + len(graph.arc_rows) + graph.dangling_refs
+    return graph.rows.size + graph.arc_rows.size + graph.dangling_refs
 
 
 def average_response_time(
@@ -116,7 +116,7 @@ def window_series(
     """
     if window_hours <= 0:
         raise ValueError("window_hours must be positive")
-    if not graph.messages:
+    if not graph.rows.size:
         return []
     width = window_hours * SECONDS_PER_HOUR
     buckets = graph.stamps // width  # rows are in time order, so ascending

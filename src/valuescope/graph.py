@@ -10,17 +10,16 @@ centralization follows Freeman's formulation.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
 from . import _kernels
-from .corpus import Message
+from .corpus import ABSENT, MessageTable, segments
 
 ARC_KINDS = ("mention", "reply", "retweet")
 MENTION, REPLY, RETWEET = range(len(ARC_KINDS))
@@ -49,40 +48,48 @@ class SimpleGraph:
 class InteractionGraph(SimpleGraph):
     """One partition's interaction table plus its simple projection.
 
-    ``messages`` are rows in ``(created_at, id)`` order, with ``authors``
-    (node ids) and ``stamps`` (epoch seconds).  Arcs are the columns of
-    ``table``, in row order and, within a row, mentions, then reply, then
-    retweet; its rows are ``arc_rows``, ``arc_targets`` (node ids),
-    ``arc_kinds`` (into ``ARC_KINDS``) and ``arc_refs`` (the referenced
-    row, -1 for a mention).  Nodes, the sorted handle table, are the
-    authors and every mentioned handle.  Reply and retweet ids resolve
-    against these messages only (ids are unique); an unresolved id adds no
-    arc and counts as dangling.
+    ``rows`` are the partition's rows of ``corpus``, in ``(created_at, id)``
+    order, with ``authors`` (node ids) and ``stamps`` (epoch seconds).
+    Arcs are the columns of ``table``, in row order and, within a row,
+    mentions, then reply, then retweet; its rows are ``arc_rows``,
+    ``arc_targets`` (node ids), ``arc_kinds`` (into ``ARC_KINDS``) and
+    ``arc_refs`` (the referenced row, -1 for a mention), rows counted
+    within the partition.  Nodes, the sorted handle table, are the authors
+    and every mentioned handle.  A reply or retweet resolves only when the
+    row it names is in the partition; otherwise it adds no arc and counts
+    as dangling.
     """
 
-    def __init__(self, messages: Iterable[Message]):
-        self.messages = ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
-        nodes = tuple(sorted({m.author for m in ordered}.union(*(m.mentions for m in ordered))))
-        index = {handle: i for i, handle in enumerate(nodes)}
-        row_of = {m.id: row for row, m in enumerate(ordered)}
-        authors = array("q", [index[m.author] for m in ordered])
-        arcs = array("q")  # (row, target, kind, ref) per arc, flat
+    def __init__(self, corpus: MessageTable, rows: np.ndarray):
+        self.corpus, self.rows = corpus, rows
+        count = rows.size
+        places, bounds = segments(corpus.mention_bounds, rows)
+        authors, mentioned = corpus.authors[rows], corpus.mentions[places]
+        handles = np.unique(np.concatenate((authors, mentioned)))
+        self.authors = np.searchsorted(handles, authors)
+        self.stamps = corpus.seconds[rows]
+        # Each row's mentions, then a reply slot and a retweet slot; the
+        # slots of unresolved references keep kind -1 and are dropped.
+        arcs = np.full((4, mentioned.size + 2 * count), -1, dtype=np.int64)
+        owner = np.repeat(np.arange(count), np.diff(bounds))
+        at = np.arange(mentioned.size) + 2 * owner
+        targets = np.searchsorted(handles, mentioned)
+        arcs[0, at], arcs[1, at], arcs[2, at] = owner, targets, MENTION
+        # Corpus row -> partition row; ABSENT and UNKNOWN index the two spare -1s.
+        position = np.full(len(corpus) + 2, -1, dtype=np.int64)
+        position[rows] = np.arange(count)
         self.dangling_refs = 0
-        for row, m in enumerate(ordered):
-            for handle in m.mentions:
-                arcs.extend((row, index[handle], MENTION, -1))
-            for ref, kind in ((m.reply_to, REPLY), (m.retweet_of, RETWEET)):
-                if ref is None:
-                    continue
-                ref_row = row_of.get(ref)
-                if ref_row is None:
-                    self.dangling_refs += 1
-                else:
-                    arcs.extend((row, authors[ref_row], kind, ref_row))
-        self.authors = np.frombuffer(authors, dtype=np.int64)
-        self.stamps = np.fromiter((m.created_at.timestamp() for m in ordered), np.float64, len(ordered))
-        self.table = np.frombuffer(arcs, dtype=np.int64).reshape(-1, 4).T.copy()
+        for kind, column in ((REPLY, corpus.reply_to), (RETWEET, corpus.retweet_of)):
+            named = column[rows]
+            refs = position[named]
+            resolved = np.flatnonzero(refs >= 0)
+            self.dangling_refs += int(np.count_nonzero(named != ABSENT)) - resolved.size
+            refs, targets = refs[resolved], self.authors[refs[resolved]]
+            at = bounds[1:][resolved] + 2 * resolved + (kind - REPLY)
+            arcs[0, at], arcs[1, at], arcs[2, at], arcs[3, at] = resolved, targets, kind, refs
+        self.table = arcs[:, arcs[2] >= 0]
         self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
+        nodes = tuple(map(corpus.handles.__getitem__, handles.tolist()))
         super().__init__(nodes, *_simple_csr(len(nodes), self.authors[self.arc_rows], self.arc_targets))
 
     def windows(self, labels: np.ndarray, count: int) -> tuple[SimpleGraph, list[int]]:
@@ -129,12 +136,17 @@ class InteractionGraph(SimpleGraph):
 
     def iter_arcs(self) -> Iterator[tuple[str, str, str, datetime]]:
         """``(source, target, kind, created_at)`` per arc, in table order."""
+        nodes, authors, rows = self.nodes, self.authors.tolist(), self.rows.tolist()
         for row, target, kind in self.table[:3].T.tolist():
-            message = self.messages[row]
-            yield message.author, self.nodes[target], ARC_KINDS[kind], message.created_at
+            yield (
+                nodes[authors[row]],
+                nodes[target],
+                ARC_KINDS[kind],
+                self.corpus.created_at(rows[row]),
+            )
 
 
-build_graph = InteractionGraph  # build_graph(messages), in any order
+build_graph = InteractionGraph  # build_graph(table, rows), rows in table.order()
 
 
 def density(graph: SimpleGraph) -> float:
@@ -147,11 +159,6 @@ def density(graph: SimpleGraph) -> float:
 def betweenness_array(graph: SimpleGraph) -> np.ndarray:
     """Exact betweenness in node order, unordered pairs counted once."""
     return _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count) / 2.0
-
-
-def betweenness(graph: SimpleGraph) -> dict[str, float]:
-    """``betweenness_array`` keyed by node handle."""
-    return dict(zip(graph.nodes, betweenness_array(graph).tolist()))
 
 
 def group_degree_centralization(graph: SimpleGraph) -> float:

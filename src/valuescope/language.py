@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -161,19 +160,8 @@ class _SurprisalTable(dict):
         return self.unseen
 
 
-def build_reference(tokens: Iterable[str] | Mapping[str, int]) -> ReferenceDictionary:
-    """Reference dictionary from a token stream or from token counts."""
-    counts = Counter(tokens)
-    if not counts:
-        raise ValueError("cannot build a reference dictionary from zero tokens")
-    return ReferenceDictionary.from_counts(counts)
-
-
-def complexity(tokens: Sequence[str], reference: ReferenceDictionary) -> float | None:
-    """Mean surprisal (nats) of ``tokens`` under ``reference``."""
-    if not tokens:
-        return None
-    return _mean(np.fromiter(map(reference.surprisals.__getitem__, tokens), np.float64))
+# The corpus reference: add-one smoothed probabilities of its token counts.
+build_reference = ReferenceDictionary.from_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,20 +201,20 @@ def language_scores(
     scorer is called with each message's text.  A sentiment outside [0, 1],
     NaN or not a number raises ValueError naming the message.
     """
-    messages = partition.messages
-    if not messages:
+    if not partition.rows.size:
         return LanguageScores(None, None, None)
     ids, bounds = partition.token_ids()
     vocabulary = partition.tokens.vocabulary
     if type(scorer) is LexiconSentimentScorer:
         sentiments = _lexicon_sentiments(ids, bounds, vocabulary, scorer.lexicon)
     else:
-        values = [scorer(message.text) for message in messages]
-        for message, value in zip(messages, values):
+        corpus, rows = partition.corpus, partition.rows.tolist()
+        values = [scorer(corpus.texts[row]) for row in rows]
+        for row, value in zip(rows, values):
             if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"sentiment scorer returned {value!r} for message "
-                    f"{message.id!r}; expected a finite number in [0, 1]"
+                    f"{corpus.ids[row]!r}; expected a finite number in [0, 1]"
                 )
         sentiments = np.array(values, dtype=np.float64)
     mean_surprisal = None

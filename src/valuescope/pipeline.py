@@ -198,11 +198,11 @@ def run_pipeline(
     dangling = 0
     for orientation in ORIENTATIONS:
         partition = partitions[orientation]
-        if not partition.messages:
+        if not partition.rows.size:
             vectors[orientation] = MetricVector()
             windows[orientation] = []
             continue
-        graph = build_graph(partition.messages)
+        graph = build_graph(partition.corpus, partition.rows)
         if cfg.export_graphml or cfg.export_dot:
             graphs[orientation] = graph
         dangling += graph.dangling_refs

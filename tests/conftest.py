@@ -8,6 +8,7 @@ offset in hours from a fixed UTC base instant.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 from collections import Counter
@@ -19,21 +20,23 @@ import numpy as np
 
 from valuescope import (
     ORIENTATIONS,
+    CorpusError,
     InteractionGraph,
     LanguageScores,
     LexiconSentimentScorer,
     Message,
+    MessageTable,
     OrientationLexicon,
     Partition,
+    ReferenceDictionary,
     WindowStat,
-    betweenness,
     build_graph,
     group_betweenness_centralization,
     token_table,
     tokenize,
 )
-from valuescope._kernels import _component_labels
-from valuescope.graph import SimpleGraph
+from valuescope.corpus import ABSENT, UNKNOWN
+from valuescope.graph import SimpleGraph, betweenness_array
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -58,10 +61,40 @@ def msg(
     )
 
 
+def graph_of(messages) -> InteractionGraph:
+    """The interaction graph of ``messages`` (Message objects in any order, or a table)."""
+    if not isinstance(messages, MessageTable):
+        messages = MessageTable.from_messages(messages)
+    return build_graph(messages, messages.order())
+
+
 def carrying_tokens(messages) -> Partition:
-    """The messages, in the given order, as a partition over their own token table."""
-    messages = list(messages)
-    return Partition(messages, np.arange(len(messages)), token_table(messages))
+    """The messages, in the given order, as a partition over their own tables."""
+    table = MessageTable.from_messages(messages)
+    return Partition(table, np.arange(len(table)), token_table(table.texts))
+
+
+def partition_ids(partition: Partition) -> list[str]:
+    """The ids of a partition's messages, in partition order."""
+    return [partition.corpus.ids[row] for row in partition.rows.tolist()]
+
+
+def betweenness(graph: SimpleGraph) -> dict[str, float]:
+    """``betweenness_array`` keyed by node handle."""
+    return dict(zip(graph.nodes, betweenness_array(graph).tolist()))
+
+
+def reference_from_tokens(tokens) -> ReferenceDictionary:
+    """Reference dictionary from a token stream."""
+    return ReferenceDictionary.from_counts(Counter(tokens))
+
+
+def complexity(tokens, reference: ReferenceDictionary) -> float | None:
+    """Mean surprisal (nats) of ``tokens`` under ``reference``, added left to right."""
+    if not tokens:
+        return None
+    surprisals = [reference.surprisals[token] for token in tokens]
+    return functools.reduce(operator.add, surprisals, 0) / len(surprisals)
 
 
 def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
@@ -76,7 +109,7 @@ def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
         messages.append(msg(f"e{i:04d}", u, hours=float(i), mentions=(v,)))
     for j, node in enumerate(extra_nodes):
         messages.append(msg(f"x{j:04d}", node, hours=1000.0 + j))
-    graph = build_graph(messages)
+    graph = graph_of(messages)
     assert graph.dangling_refs == 0
     return graph
 
@@ -148,29 +181,38 @@ class OracleGraph:
     arcs: list[tuple[str, str, str, datetime]]  # (source, target, kind, created_at)
     dangling_refs: int
     simple: SimpleGraph
+    authors: np.ndarray  # each message's author, as a node id
+    stamps: np.ndarray  # each message's timestamp()
+    table: np.ndarray  # (message, target node, kind, referenced message or -1) per arc
+
+
+_KINDS = ("mention", "reply", "retweet")
 
 
 def oracle_build_graph(messages) -> OracleGraph:
     """Arcs in the given message order; CSR built from Python sets."""
     msgs = list(messages)
-    author_of = {m.id: m.author for m in msgs}
+    row_of = {m.id: row for row, m in enumerate(msgs)}
     nodes: set[str] = set()
     arcs = []
+    places = []  # (message, referenced message or -1) per arc
     dangling = 0
-    for m in msgs:
+    for row, m in enumerate(msgs):
         nodes.add(m.author)
         for handle in m.mentions:
             nodes.add(handle)
             arcs.append((m.author, handle, "mention", m.created_at))
+            places.append((row, -1))
         for ref, kind in ((m.reply_to, "reply"), (m.retweet_of, "retweet")):
             if ref is None:
                 continue
-            target = author_of.get(ref)
-            if target is None:
+            if ref not in row_of:
                 dangling += 1
                 continue
+            target = msgs[row_of[ref]].author
             nodes.add(target)
             arcs.append((m.author, target, kind, m.created_at))
+            places.append((row, row_of[ref]))
     ordered = tuple(sorted(nodes))
     index = {handle: i for i, handle in enumerate(ordered)}
     adjacency: list[set[int]] = [set() for _ in ordered]
@@ -186,7 +228,24 @@ def oracle_build_graph(messages) -> OracleGraph:
     simple = SimpleGraph(
         ordered, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
     )
-    return OracleGraph(ordered, arcs, dangling, simple)
+    table = np.array(
+        [
+            [row for row, _ in places],
+            [index[target] for _, target, _, _ in arcs],
+            [_KINDS.index(kind) for _, _, kind, _ in arcs],
+            [ref for _, ref in places],
+        ],
+        dtype=np.int64,
+    ).reshape(4, -1)
+    return OracleGraph(
+        ordered,
+        arcs,
+        dangling,
+        simple,
+        np.array([index[m.author] for m in msgs], dtype=np.int64),
+        np.array([m.created_at.timestamp() for m in msgs], dtype=np.float64),
+        table,
+    )
 
 
 def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
@@ -260,7 +319,7 @@ def oracle_betweenness_csr(indptr, indices, n: int) -> np.ndarray:
     if not (degree > 1).any():
         return bc
     heads = np.repeat(np.arange(n, dtype=np.int64), degree)
-    label = _component_labels(heads, indices, n)
+    label = oracle_component_labels(heads, indices, n)
     leaves = np.bincount(heads[degree[indices] == 1], minlength=n)
     kept = np.flatnonzero(np.bincount(label, minlength=n)[label] > 2)
     perm = kept[np.argsort(label[kept], kind="stable")]
@@ -400,3 +459,222 @@ def oracle_language_scores(tagged, scorer, reference) -> LanguageScores:
         if reference is not None and tokens
         else None,
     )
+
+
+# ------------------------------------------------------------ kernel oracle
+
+
+def oracle_component_labels(heads, tails, n: int) -> np.ndarray:
+    """Min-label propagation with one pointer jump per round.
+
+    Each round every node takes the smallest label among itself and its
+    neighbours, then the label of that label.  Correct, but a long path
+    takes between n/3 and n/2 rounds.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, heads, label[tails])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+# ------------------------------------------------------------- parse oracle
+#
+# The record-at-a-time parser that the message table replaced: every line
+# goes through ``json.loads`` and becomes a ``Message``.
+
+
+def _oracle_timestamp(raw):
+    if not isinstance(raw, str) or not raw:
+        return None
+    try:
+        stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        if stamp.tzinfo is None:
+            return stamp.replace(tzinfo=timezone.utc)
+        # Raises OverflowError when the offset moves the date past year 1 or 9999.
+        return stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _oracle_handle(raw):
+    if not isinstance(raw, str):
+        return None
+    handle = raw.strip().lstrip("@").lower()
+    return handle or None
+
+
+def oracle_parse_record(raw) -> Message | None:
+    """Turn one decoded JSON record into a Message, or None if malformed."""
+    if not isinstance(raw, dict):
+        return None
+    msg_id = raw.get("id")
+    if not isinstance(msg_id, str) or not msg_id:
+        return None
+    author = _oracle_handle(raw.get("author"))
+    if author is None:
+        return None
+    created_at = _oracle_timestamp(raw.get("created_at"))
+    if created_at is None:
+        return None
+    text = raw.get("text")
+    if not isinstance(text, str):
+        return None
+    refs = []
+    for key in ("reply_to", "retweet_of"):
+        ref = raw.get(key)
+        if ref is None:
+            refs.append(None)
+            continue
+        if not isinstance(ref, str) or not ref or ref == msg_id:
+            return None
+        refs.append(ref)
+    raw_mentions = raw.get("mentions", [])
+    if raw_mentions is None:
+        raw_mentions = []
+    if not isinstance(raw_mentions, list):
+        return None
+    mentions = []
+    for entry in raw_mentions:
+        handle = _oracle_handle(entry)
+        if handle is None:
+            return None
+        mentions.append(handle)
+    return Message(msg_id, author, created_at, text, refs[0], refs[1], tuple(mentions))
+
+
+def oracle_parse_corpus(lines) -> tuple[list[Message], int]:
+    """(messages, skipped); a duplicate id raises CorpusError."""
+    messages = []
+    skipped = 0
+    seen = set()
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError:
+            skipped += 1
+            continue
+        message = oracle_parse_record(raw)
+        if message is None:
+            skipped += 1
+            continue
+        if message.id in seen:
+            raise CorpusError(f"duplicate message id: {message.id!r}")
+        seen.add(message.id)
+        messages.append(message)
+    return messages, skipped
+
+
+UNKNOWN_REF = "<unknown>"
+
+
+def table_rows(table: MessageTable) -> list[tuple]:
+    """Each row as ``Message`` fields; a reference names its row's id, or ``UNKNOWN_REF``."""
+
+    def ref(row: int) -> str | None:
+        if row == ABSENT:
+            return None
+        return UNKNOWN_REF if row == UNKNOWN else table.ids[row]
+
+    rows = []
+    for row in range(len(table)):
+        lo, hi = table.mention_bounds[row], table.mention_bounds[row + 1]
+        rows.append(
+            (
+                table.ids[row],
+                table.handles[table.authors[row]],
+                table.created_at(row),
+                table.texts[row],
+                ref(int(table.reply_to[row])),
+                ref(int(table.retweet_of[row])),
+                tuple(table.handles[h] for h in table.mentions[lo:hi].tolist()),
+            )
+        )
+    return rows
+
+
+def oracle_rows(messages) -> list[tuple]:
+    """``table_rows`` of the table that ``messages`` should fill."""
+    ids = {m.id for m in messages}
+
+    def ref(target: str | None) -> str | None:
+        return None if target is None else target if target in ids else UNKNOWN_REF
+
+    return [
+        (m.id, m.author, m.created_at, m.text, ref(m.reply_to), ref(m.retweet_of), m.mentions)
+        for m in messages
+    ]
+
+
+# --------------------------------------------------------- dynamics oracle
+#
+# Response time and nudges straight from the messages: every contact is
+# found by scanning all messages, and every answer by scanning them again.
+
+
+def _oracle_contacts(messages) -> list[tuple[str, str, float]]:
+    """(sender, target, stamp) per contact, in (created_at, id) order."""
+    ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
+    author_of = {m.id: m.author for m in ordered}
+    contacts = []
+    for m in ordered:
+        targets = set(m.mentions)
+        if m.reply_to in author_of:
+            targets.add(author_of[m.reply_to])
+        targets.discard(m.author)
+        for target in sorted(targets):
+            contacts.append((m.author, target, m.created_at.timestamp()))
+    return contacts
+
+
+def _by_pair(contacts) -> list[tuple[tuple[str, str], list[float], list[float]]]:
+    """Per ordered pair, sorted: its contact stamps and the reverse pair's."""
+    pairs = sorted({(a, b) for a, b, _ in contacts})
+    return [
+        (
+            (a, b),
+            [t for x, y, t in contacts if (x, y) == (a, b)],
+            [t for x, y, t in contacts if (x, y) == (b, a)],
+        )
+        for a, b in pairs
+    ]
+
+
+def oracle_response_time(messages, cutoff_hours=None) -> float | None:
+    """Mean hours from each contact to the target's first strictly later answer."""
+    lags = []
+    for _, sent, answers in _by_pair(_oracle_contacts(messages)):
+        for stamp in sent:
+            later = [t for t in answers if t > stamp]
+            if not later:
+                continue
+            lag = (min(later) - stamp) / 3600.0
+            if cutoff_hours is None or lag <= cutoff_hours:
+                lags.append(lag)
+    return _left_to_right_sum(lags) / len(lags) if lags else None
+
+
+def oracle_nudges(messages, cutoff_hours=None) -> float | None:
+    """Mean count of contacts waiting when an answer comes in time.
+
+    Each answer takes the contacts strictly before it that no earlier
+    counted answer took; it counts when its lag from the last of them is
+    within the cutoff, and otherwise leaves them waiting.
+    """
+    chains = []
+    for _, sent, answers in _by_pair(_oracle_contacts(messages)):
+        taken = 0
+        for answer in answers:
+            waiting = [t for t in sent[taken:] if t < answer]
+            if not waiting:
+                continue
+            if cutoff_hours is not None and (answer - waiting[-1]) / 3600.0 > cutoff_hours:
+                continue
+            chains.append(len(waiting))
+            taken += len(waiting)
+    return sum(chains) / len(chains) if chains else None

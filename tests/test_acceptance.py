@@ -19,10 +19,14 @@ from fractions import Fraction
 from math import log
 
 from conftest import (
+    betweenness,
     betweenness_exact,
+    complexity,
     graph_from_edges,
+    graph_of,
     indexed_nodes,
     random_edge_set,
+    reference_from_tokens,
 )
 from reference_case import (
     DIVERGENT,
@@ -49,11 +53,7 @@ from valuescope import (
     RunConfig,
     SynthSpec,
     average_activity,
-    betweenness,
-    build_graph,
-    build_reference,
     classify,
-    complexity,
     count_extrema,
     density,
     emotionality,
@@ -233,7 +233,7 @@ def test_leadership_oscillation():
         seed=5,
     )
     parsed = parse_corpus(json.dumps(r) for r in generate_corpus(spec))
-    windows = window_series(build_graph(parsed.messages), 24.0)
+    windows = window_series(graph_of(parsed.messages), 24.0)
     # Each window is a 4-spoke star plus k planted dyads, so the group
     # centralization is a strictly decreasing function of k and the planted
     # extremum count can be derived from the plan with exact arithmetic.
@@ -292,7 +292,7 @@ def test_language_properties():
     zipf_vocab = [f"z{i:05d}" for i in range(20000)]
     zipf_weights = [1.0 / k for k in range(1, 20001)]
     stream = random.Random(13).choices(zipf_vocab, weights=zipf_weights, k=60000)
-    zipf_value = complexity(stream, build_reference(stream))
+    zipf_value = complexity(stream, reference_from_tokens(stream))
     zipf_ok = 5.0 <= zipf_value <= 10.0
 
     ok = neutral_ok and swap_ok and uniform_dev <= 1e-9 and zipf_ok

@@ -10,15 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import msg
+from conftest import (
+    msg,
+    oracle_parse_corpus,
+    oracle_rows,
+    partition_ids,
+    table_rows,
+)
 from valuescope import (
     ORIENTATIONS,
     CorpusError,
     Message,
+    MessageTable,
     OrientationLexicon,
     filter_and_partition,
     parse_corpus,
-    parse_record,
     tokenize,
 )
 
@@ -38,10 +44,21 @@ def lines(*records):
     return [json.dumps(r) for r in records]
 
 
+def parse_one(raw) -> Message | None:
+    """The message that ``raw`` parses to alone, or None if it is skipped."""
+    result = parse_corpus([json.dumps(raw)])
+    assert len(result.messages) + result.skipped == 1
+    return Message(*table_rows(result.messages)[0]) if len(result.messages) else None
+
+
+def partition(messages, lexicon):
+    return filter_and_partition(MessageTable.from_messages(messages), lexicon)
+
+
 def tags(lexicon, text) -> frozenset[str]:
     """Orientations whose partitions hold a message of ``text``."""
-    partitions = filter_and_partition([msg("m1", "a", text=text)], lexicon).partitions
-    return frozenset(o for o, p in partitions.items() if p.messages)
+    partitions = partition([msg("m1", "a", text=text)], lexicon).partitions
+    return frozenset(o for o, p in partitions.items() if p.rows.size)
 
 
 # Anything json.loads can return, and records that mix plausible field values
@@ -57,6 +74,17 @@ _offsets = st.timedeltas(
     max_value=timedelta(hours=23, minutes=59),
 ).map(timezone)
 _stamps = st.one_of(
+    # Equal stamps, and offsets at and past the calendar edges.
+    st.sampled_from(
+        [
+            "2021-03-01T10:00:00Z",
+            "2021-03-01T11:00:00+01:00",
+            "0001-01-01T00:00:00+01:00",
+            "0001-01-01T01:00:00+01:00",
+            "9999-12-31T23:59:59-01:00",
+            "9999-12-31T23:59:59.999999+00:00",
+        ]
+    ),
     st.datetimes(timezones=st.none() | _offsets).map(datetime.isoformat),
     st.datetimes().map(lambda d: d.strftime("%Y-%m-%dT%H:%M:%SZ")),
     st.text(alphabet="0123456789-:TZ+. ", max_size=26),
@@ -65,7 +93,7 @@ _handles = st.text(alphabet="@ aZ_9", max_size=5)
 _records = st.fixed_dictionaries(
     {},
     optional={
-        "id": st.sampled_from(["m1", "m2", ""]) | _json_values,
+        "id": st.sampled_from(["m1", "m2", "m3", "m4", ""]) | _json_values,
         "author": _handles | _json_values,
         "created_at": _stamps | _json_values,
         "text": st.text(max_size=12) | _json_values,
@@ -73,6 +101,36 @@ _records = st.fixed_dictionaries(
         "retweet_of": st.sampled_from(["m1", "m2", ""]) | _json_values,
         "mentions": st.lists(_handles | _json_values, max_size=3) | _json_values,
     },
+)
+# Records that pass every check unless a reference names their own id.
+_valid_records = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["m1", "m2", "m3", "m4"]),
+        "author": st.sampled_from(["a", "@B ", "c"]),
+        "created_at": _stamps.filter(lambda raw: raw[:4] not in ("0001", "9999")),
+        "text": st.text(max_size=12),
+    },
+    optional={
+        "reply_to": st.none() | st.sampled_from(["m1", "m2", "m5"]),
+        "retweet_of": st.none() | st.sampled_from(["m1", "m3", "m6"]),
+        "mentions": st.none() | st.lists(st.sampled_from(["a", "@Bob", " c "]), max_size=3),
+    },
+)
+# NDJSON lines: records and other JSON, possibly with a BOM or whitespace in
+# front, trailing garbage or a second record behind; blank and
+# whitespace-only lines; NaN literals; and arbitrary text.
+_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\ufeff", "\u3000"]),
+        st.one_of(_valid_records, _records, _json_values).map(json.dumps),
+        st.sampled_from(["", "\n", " \r\n", "x", "}", " {}", "\u3000", "\x0b\n"]),
+    ).map("".join),
+    st.sampled_from(["", "\n", "  \t\r\n", "\u3000\n", "\x0b", "\ufeff", "NaN", "[NaN]"]),
+    st.sampled_from(['"text": NaN', '"created_at": NaN', '"mentions": [NaN]']).map(
+        lambda field: '{"id": "m9", "author": "a", "created_at": "2021-03-01T10:00:00Z", '
+        '"text": "t", ' + field + "}"
+    ),
+    st.text(max_size=20),
 )
 
 
@@ -99,7 +157,7 @@ class TestParse:
         ok2 = record("m2", author="bob")
         bad = {"id": "m3", "author": "carol", "text": "no timestamp"}
         result = parse_corpus(lines(ok1, ok2, bad))
-        assert [m.id for m in result.messages] == ["m1", "m2"]
+        assert result.messages.ids == ["m1", "m2"]
         assert result.skipped == 1
 
     def test_broken_json_is_skipped(self):
@@ -135,25 +193,25 @@ class TestParse:
         ],
     )
     def test_malformed_record_rejected(self, mutation):
-        assert parse_record(record(**mutation)) is None
+        assert parse_one(record(**mutation)) is None
 
     def test_self_reference_rejected(self):
-        assert parse_record(record("m1", reply_to="m1")) is None
-        assert parse_record(record("m1", retweet_of="m1")) is None
+        assert parse_one(record("m1", reply_to="m1")) is None
+        assert parse_one(record("m1", retweet_of="m1")) is None
 
     def test_non_dict_record_rejected(self):
-        assert parse_record(["not", "a", "dict"]) is None
+        assert parse_one(["not", "a", "dict"]) is None
 
     def test_mentions_normalized(self):
-        message = parse_record(record(mentions=["@Bob ", "CAROL"]))
+        message = parse_one(record(mentions=["@Bob ", "CAROL"]))
         assert message.mentions == ("bob", "carol")
 
     def test_author_handle_normalized(self):
-        message = parse_record(record(author="@Alice"))
+        message = parse_one(record(author="@Alice"))
         assert message.author == "alice"
 
     def test_naive_timestamp_becomes_utc(self):
-        message = parse_record(record(created_at="2021-03-01T10:00:00"))
+        message = parse_one(record(created_at="2021-03-01T10:00:00"))
         assert message.created_at.tzinfo == timezone.utc
         assert message.created_at.hour == 10
 
@@ -167,12 +225,12 @@ class TestParse:
         ],
     )
     def test_offset_timestamp_converted_to_utc(self, stamp):
-        message = parse_record(record(created_at=stamp))
+        message = parse_one(record(created_at=stamp))
         assert message.created_at.hour == 10
         assert message.created_at.tzinfo == timezone.utc
 
     def test_missing_mentions_defaults_empty(self):
-        message = parse_record(record())
+        message = parse_one(record())
         assert message.mentions == ()
         assert message.reply_to is None
         assert message.retweet_of is None
@@ -182,13 +240,42 @@ class TestParse:
     )
     def test_offset_past_the_calendar_edge_rejected(self, stamp):
         # Converting these to UTC leaves the years datetime can hold.
-        assert parse_record(record(created_at=stamp)) is None
+        assert parse_one(record(created_at=stamp)) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(raw=st.one_of(_json_values, _records))
-    def test_parse_record_never_raises(self, raw):
-        result = parse_record(raw)
-        assert result is None or isinstance(result, Message)
+    @given(lines=st.lists(_lines, max_size=6))
+    def test_parse_matches_record_oracle(self, lines):
+        try:
+            expected, expected_skipped = oracle_parse_corpus(lines)
+        except CorpusError as exc:
+            with pytest.raises(CorpusError) as caught:
+                parse_corpus(lines)
+            assert str(caught.value) == str(exc)
+            return
+        result = parse_corpus(lines)
+        table = result.messages
+        assert result.skipped == expected_skipped
+        assert table_rows(table) == oracle_rows(expected)
+        assert table.seconds.tolist() == [m.created_at.timestamp() for m in expected]
+        ordered = sorted(expected, key=lambda m: (m.created_at, m.id))
+        assert [table.ids[row] for row in table.order()] == [m.id for m in ordered]
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "0001-01-01T00:00:00Z",
+            "0001-01-01T00:00:00.000001Z",
+            "0001-01-01T01:00:00+01:00",
+            "9999-12-31T23:59:59.999999Z",
+            "9999-12-31T22:59:59.999999-01:00",
+            "2255-06-05T23:47:34.740993Z",  # about 2**53 microseconds from 1970
+        ],
+    )
+    def test_stamps_equal_timestamp_at_the_calendar_edges(self, stamp):
+        table = parse_corpus(lines(record(created_at=stamp))).messages
+        [expected], _ = oracle_parse_corpus(lines(record(created_at=stamp)))
+        assert table.seconds[0].hex() == expected.created_at.timestamp().hex()
+        assert table.created_at(0) == expected.created_at
 
 
 class TestLexicon:
@@ -271,8 +358,8 @@ class TestPartition:
             msg("m1", "a", hours=1.0, text="we share a passion for"),
             msg("m2", "b", hours=2.0, text="our customers know it"),
         ]
-        partitions, discarded, _ = filter_and_partition(messages, lexicon)
-        assert partitions["Customers"].messages == []
+        partitions, discarded, _ = partition(messages, lexicon)
+        assert partition_ids(partitions["Customers"]) == []
         assert discarded == 2
 
     def test_partition_counts_and_sorting(self, lexicon):
@@ -282,27 +369,27 @@ class TestPartition:
             msg("m3", "c", hours=3.0, text="nothing relevant"),
             msg("m4", "d", hours=4.0, text="team spirit and quality"),
         ]
-        partitions, discarded, _ = filter_and_partition(messages, lexicon)
+        partitions, discarded, _ = partition(messages, lexicon)
         assert discarded == 1
-        assert [m.id for m in partitions["Customers"].messages] == ["m1", "m2", "m4"]
-        assert [m.id for m in partitions["Employees"].messages] == ["m4"]
-        assert partitions["Citizenship"].messages == []
+        assert partition_ids(partitions["Customers"]) == ["m1", "m2", "m4"]
+        assert partition_ids(partitions["Employees"]) == ["m4"]
+        assert partition_ids(partitions["Citizenship"]) == []
 
     def test_multi_tagged_message_lands_in_each_partition(self, lexicon):
         messages = [msg("m1", "a", text="quality with integrity")]
-        partitions, discarded, _ = filter_and_partition(messages, lexicon)
+        partitions, discarded, _ = partition(messages, lexicon)
         assert discarded == 0
-        holding = {o for o, p in partitions.items() if p.messages == messages}
+        holding = {o for o, p in partitions.items() if partition_ids(p) == ["m1"]}
         assert holding == {"Customers", "Citizenship"}
-        assert all(not partitions[o].messages for o in set(ORIENTATIONS) - holding)
+        assert all(not partitions[o].rows.size for o in set(ORIENTATIONS) - holding)
 
     def test_tie_broken_by_id(self, lexicon):
         messages = [
             msg("mb", "a", hours=1.0, text="quality"),
             msg("ma", "b", hours=1.0, text="quality"),
         ]
-        partitions, _, _ = filter_and_partition(messages, lexicon)
-        assert [m.id for m in partitions["Customers"].messages] == ["ma", "mb"]
+        partitions, _, _ = partition(messages, lexicon)
+        assert partition_ids(partitions["Customers"]) == ["ma", "mb"]
 
     def test_input_order_does_not_matter(self, lexicon):
         messages = [
@@ -311,11 +398,9 @@ class TestPartition:
         ]
         shuffled = messages[:]
         random.Random(3).shuffle(shuffled)
-        first, _, _ = filter_and_partition(messages, lexicon)
-        second, _, _ = filter_and_partition(shuffled, lexicon)
-        assert [m.id for m in first["Customers"].messages] == [
-            m.id for m in second["Customers"].messages
-        ]
+        first, _, _ = partition(messages, lexicon)
+        second, _, _ = partition(shuffled, lexicon)
+        assert partition_ids(first["Customers"]) == partition_ids(second["Customers"])
 
     def test_distinct_ids_plus_discarded_equals_total(self, lexicon):
         messages = [
@@ -324,8 +409,6 @@ class TestPartition:
             msg("m3", "c", text="blah"),
             msg("m4", "d", text="team spirit"),
         ]
-        partitions, discarded, _ = filter_and_partition(messages, lexicon)
-        tagged_ids = {
-            m.id for partition in partitions.values() for m in partition.messages
-        }
+        partitions, discarded, _ = partition(messages, lexicon)
+        tagged_ids = {ident for p in partitions.values() for ident in partition_ids(p)}
         assert len(tagged_ids) + discarded == len(messages)

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, msg
+from conftest import BASE, graph_of, msg, oracle_nudges, oracle_response_time
 from valuescope import (
     ConfigError,
     WindowStat,
     activity,
     average_activity,
     average_response_time,
-    build_graph,
     count_extrema,
     interactivity_scores,
     nudges,
@@ -52,18 +51,18 @@ class TestActivity:
             msg("m2", "b", 1.0, reply_to="m1", retweet_of=None),
         ]
         # m1: 1 + 2 mentions = 3; m2: 1 + 1 reply = 2
-        assert activity(build_graph(messages)) == 5
+        assert activity(graph_of(messages)) == 5
 
     def test_plain_messages_count_once_each(self):
         messages = [msg(f"m{i}", "a", float(i)) for i in range(7)]
-        assert activity(build_graph(messages)) == 7
+        assert activity(graph_of(messages)) == 7
 
     def test_retweet_reference_counts(self):
         messages = [
             msg("m1", "a", 0.0),
             msg("m2", "b", 1.0, retweet_of="m1"),
         ]
-        assert activity(build_graph(messages)) == 3
+        assert activity(graph_of(messages)) == 3
 
     def test_average_activity(self):
         assert average_activity(14, 5) == pytest.approx(2.8)
@@ -76,7 +75,7 @@ class TestAverageResponseTime:
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 2.0, mentions=("a",)),
         ]
-        assert average_response_time(build_graph(messages)) == pytest.approx(2.0)
+        assert average_response_time(graph_of(messages)) == pytest.approx(2.0)
 
     def test_mean_over_three_pairs(self):
         messages = (
@@ -84,32 +83,32 @@ class TestAverageResponseTime:
             + exchange("q", "c", "d", 0.0, 3.0)
             + exchange("r", "e", "f", 0.0, 8.0)
         )
-        assert average_response_time(build_graph(messages)) == pytest.approx(4.0)
+        assert average_response_time(graph_of(messages)) == pytest.approx(4.0)
 
     def test_unanswered_contact_is_none(self):
         messages = [msg("m1", "a", 0.0, mentions=("b",))]
-        assert average_response_time(build_graph(messages)) is None
+        assert average_response_time(graph_of(messages)) is None
 
     def test_simultaneous_message_is_not_an_answer(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 0.0, mentions=("a",)),
         ]
-        assert average_response_time(build_graph(messages)) is None
+        assert average_response_time(graph_of(messages)) is None
 
     def test_reply_without_mention_answers(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.5, reply_to="m1"),
         ]
-        assert average_response_time(build_graph(messages)) == pytest.approx(1.5)
+        assert average_response_time(graph_of(messages)) == pytest.approx(1.5)
 
     def test_retweets_make_no_contact(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.0, retweet_of="m1"),
         ]
-        assert average_response_time(build_graph(messages)) is None
+        assert average_response_time(graph_of(messages)) is None
 
     def test_mention_and_reply_to_same_target_dedupe(self):
         # a pings b twice in one message (mention + reply); one contact only,
@@ -120,14 +119,14 @@ class TestAverageResponseTime:
             msg("m2", "b", 3.0, reply_to="m1"),
         ]
         # contacts: b->a at 0 (answered at 1.0), a->b at 1 (answered at 3.0)
-        assert average_response_time(build_graph(messages)) == pytest.approx(1.5)
+        assert average_response_time(graph_of(messages)) == pytest.approx(1.5)
 
     def test_self_mention_ignored(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("a",)),
             msg("m2", "a", 1.0, mentions=("a",)),
         ]
-        assert average_response_time(build_graph(messages)) is None
+        assert average_response_time(graph_of(messages)) is None
 
     def test_earliest_answer_wins(self):
         messages = [
@@ -135,15 +134,15 @@ class TestAverageResponseTime:
             msg("m2", "b", 1.0, mentions=("a",)),
             msg("m3", "b", 9.0, mentions=("a",)),
         ]
-        assert average_response_time(build_graph(messages)) == pytest.approx(1.0)
+        assert average_response_time(graph_of(messages)) == pytest.approx(1.0)
 
     def test_cutoff_drops_slow_answers(self):
         messages = (
             exchange("p", "a", "b", 0.0, 1.0)
             + exchange("q", "c", "d", 0.0, 50.0)
         )
-        assert average_response_time(build_graph(messages)) == pytest.approx(25.5)
-        assert average_response_time(build_graph(messages), cutoff_hours=24.0) == pytest.approx(1.0)
+        assert average_response_time(graph_of(messages)) == pytest.approx(25.5)
+        assert average_response_time(graph_of(messages), cutoff_hours=24.0) == pytest.approx(1.0)
 
     def test_mean_adds_left_to_right(self):
         # Ten 0.1 h lags: 0.09999999999999999 left to right, 0.1 compensated.
@@ -151,7 +150,7 @@ class TestAverageResponseTime:
             m for k in range(10) for m in exchange(f"p{k}", f"a{k}", f"b{k}", 0.0, 0.1)
         ]
         lags = [0.1] * 10
-        assert average_response_time(build_graph(messages)) == (
+        assert average_response_time(graph_of(messages)) == (
             functools.reduce(operator.add, lags) / len(lags)
         )
 
@@ -163,13 +162,13 @@ class TestAverageResponseTime:
         )
         shuffled = messages[:]
         random.Random(1).shuffle(shuffled)
-        assert average_response_time(build_graph(shuffled)) == average_response_time(build_graph(messages))
+        assert average_response_time(graph_of(shuffled)) == average_response_time(graph_of(messages))
 
 
 class TestNudges:
     def test_answer_after_three_pings(self):
         messages = exchange("p", "a", "b", 0.0, 1.0, pings=3)
-        assert nudges(build_graph(messages)) == pytest.approx(3.0)
+        assert nudges(graph_of(messages)) == pytest.approx(3.0)
 
     def test_mean_over_chains(self):
         messages = (
@@ -177,18 +176,18 @@ class TestNudges:
             + exchange("q", "c", "d", 0.0, 1.0, pings=1)
             + exchange("r", "e", "f", 0.0, 1.0, pings=2)
         )
-        assert nudges(build_graph(messages)) == pytest.approx(4 / 3)
+        assert nudges(graph_of(messages)) == pytest.approx(4 / 3)
 
     def test_unanswered_chain_dropped(self):
         messages = exchange("p", "a", "b", 0.0, 1.0) + [
             msg("x1", "c", 0.0, mentions=("d",)),
             msg("x2", "c", 1.0, mentions=("d",)),
         ]
-        assert nudges(build_graph(messages)) == pytest.approx(1.0)
+        assert nudges(graph_of(messages)) == pytest.approx(1.0)
 
     def test_no_answers_anywhere_is_none(self):
         messages = [msg("m1", "a", 0.0, mentions=("b",))]
-        assert nudges(build_graph(messages)) is None
+        assert nudges(graph_of(messages)) is None
 
     def test_chain_resets_after_answer(self):
         messages = [
@@ -201,7 +200,7 @@ class TestNudges:
         # a->b chains: pings {0,1} answered at 2 (length 2), ping {3}
         # answered at 4 (length 1).  b's answer at 2 is itself a contact
         # b->a, answered by a's ping at 3 (length 1).  Mean of {2,1,1}.
-        assert nudges(build_graph(messages)) == pytest.approx(4 / 3)
+        assert nudges(graph_of(messages)) == pytest.approx(4 / 3)
 
     def test_answer_with_no_prior_contact_ignored(self):
         messages = [
@@ -211,12 +210,47 @@ class TestNudges:
         ]
         # b's ping at 0 is answered by a at 1 (chain 1); a's ping answered
         # at 2 (chain 1).
-        assert nudges(build_graph(messages)) == pytest.approx(1.0)
+        assert nudges(graph_of(messages)) == pytest.approx(1.0)
 
     def test_cutoff_applies_to_latest_contact(self):
         messages = exchange("p", "a", "b", 0.0, 30.0, pings=2)
-        assert nudges(build_graph(messages)) == pytest.approx(2.0)
-        assert nudges(build_graph(messages), cutoff_hours=24.0) is None
+        assert nudges(graph_of(messages)) == pytest.approx(2.0)
+        assert nudges(graph_of(messages), cutoff_hours=24.0) is None
+
+
+@st.composite
+def conversations(draw):
+    """Messages among three actors, with equal stamps, self-contacts,
+    replies that also mention their target, and dangling replies.
+
+    Stamps are whole half hours, so every lag is exact and some lags equal
+    a cutoff of 0.5, 1 or 2 hours.
+    """
+    size = draw(st.integers(min_value=0, max_value=14))
+    ids = [f"m{i:02d}" for i in range(size)]
+    messages = []
+    for ident in ids:
+        author = draw(st.sampled_from("abc"))
+        messages.append(
+            msg(
+                ident,
+                author,
+                draw(st.integers(0, 8)) / 2,
+                mentions=tuple(draw(st.lists(st.sampled_from("abc"), max_size=2))),
+                reply_to=draw(st.none() | st.sampled_from([*ids, "gone"])),
+            )
+        )
+    return draw(st.permutations(messages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(conversations(), st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]))
+def test_response_time_and_nudges_match_per_contact_scan(messages, cutoff_hours):
+    graph = graph_of(messages)
+    assert average_response_time(graph, cutoff_hours) == oracle_response_time(
+        messages, cutoff_hours
+    )
+    assert nudges(graph, cutoff_hours) == oracle_nudges(messages, cutoff_hours)
 
 
 class TestCountExtrema:
@@ -257,7 +291,7 @@ class TestWindows:
             # nothing on day 2
             msg("m2", "c", 49.0, mentions=("d",)),
         ]
-        windows = window_series(build_graph(messages))
+        windows = window_series(graph_of(messages))
         assert len(windows) == 3
         assert windows[0].start == BASE
         assert all(w.start.hour == 0 for w in windows)
@@ -269,7 +303,7 @@ class TestWindows:
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "c", 24.0, mentions=("d",)),
         ]
-        windows = window_series(build_graph(messages))
+        windows = window_series(graph_of(messages))
         assert len(windows) == 2
         assert windows[1].node_count == 2
 
@@ -282,7 +316,7 @@ class TestWindows:
             msg("m1", "a", 1.0, mentions=("b",)),
             msg("m2", "b", 25.0, reply_to="m1"),
         ]
-        graph = build_graph(messages)
+        graph = graph_of(messages)
         assert graph.simple_edge_count == 1
         windows = window_series(graph)
         assert [(w.node_count, w.edge_count) for w in windows] == [(2, 1), (1, 0)]
@@ -295,12 +329,12 @@ class TestWindows:
             msg("m1", "a", 0.0),
             msg("m2", "a", 11.0),
         ]
-        assert len(window_series(build_graph(messages), window_hours=6.0)) == 2
+        assert len(window_series(graph_of(messages), window_hours=6.0)) == 2
 
     def test_empty_and_bad_width(self):
-        assert window_series(build_graph([])) == []
+        assert window_series(graph_of([])) == []
         with pytest.raises(ValueError):
-            window_series(build_graph([msg("m1", "a")]), window_hours=0.0)
+            window_series(graph_of([msg("m1", "a")]), window_hours=0.0)
 
     @pytest.mark.parametrize(
         ("span_hours", "window_hours"),
@@ -310,7 +344,7 @@ class TestWindows:
         # The second span is one window past the cap.
         messages = [msg("m1", "a", 0.0), msg("m2", "b", span_hours)]
         with pytest.raises(ConfigError, match="window_hours") as raised:
-            window_series(build_graph(messages), window_hours=window_hours)
+            window_series(graph_of(messages), window_hours=window_hours)
         count = int(span_hours / window_hours) + 1
         assert f" {count} windows" in str(raised.value)
 
@@ -327,7 +361,7 @@ class TestWindows:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "betweenness_csr", counted)
-        windows = window_series(build_graph(messages))
+        windows = window_series(graph_of(messages))
         assert [w.node_count for w in windows] == [4, 3, 0, 3]
         assert [w.betweenness for w in windows] == [{"h": 3.0}, {"y": 1.0}, {}, {"h": 1.0}]
         assert calls == [10]  # one call over the nodes of all four windows
@@ -349,7 +383,7 @@ class TestRotatingLeadership:
             msg("m1", "a", 1.0, mentions=("b",)),
             msg("m2", "b", 30.0, mentions=("a",)),
         ]
-        assert rotating_leadership(window_series(build_graph(messages))) == 0
+        assert rotating_leadership(window_series(graph_of(messages))) == 0
 
     def test_group_mode_counts_planted_alternation(self):
         # Alternate days between a 4-star (centralization 1) and a dyad
@@ -360,7 +394,7 @@ class TestRotatingLeadership:
                 messages += day_star(day, "hub", [f"s{day}a", f"s{day}b", f"s{day}c", f"s{day}d"])
             else:
                 messages.append(msg(f"d{day}", "u", 24.0 * day + 1.0, mentions=("v",)))
-        windows = window_series(build_graph(messages))
+        windows = window_series(graph_of(messages))
         assert [w.centralization for w in windows] == [1.0, 0.0, 1.0, 0.0, 1.0]
         assert rotating_leadership(windows, "group") == 3
 
@@ -373,7 +407,7 @@ class TestRotatingLeadership:
             msg("m2", "c", 25.5, mentions=("b",)),
             msg("m3", "a", 49.0, mentions=("b",)),
         ]
-        windows = window_series(build_graph(messages))
+        windows = window_series(graph_of(messages))
         assert rotating_leadership(windows, "actor") == 1
         assert rotating_leadership(windows, "group") == 1
 
@@ -410,7 +444,7 @@ class TestInteractivityScores:
             + exchange("r", "a", "d", 49.0, 2.0)
         )
         plain = [m.message if hasattr(m, "message") else m for m in messages]
-        graph = build_graph(plain)
+        graph = graph_of(plain)
         windows = window_series(graph)
         scores = interactivity_scores(graph, windows)
         assert scores.activity == activity(graph)

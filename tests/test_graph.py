@@ -9,6 +9,7 @@ shipped Brandes implementations must agree with it.
 
 from __future__ import annotations
 
+import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -22,21 +23,24 @@ from hypothesis import strategies as st
 
 from conftest import (
     BASE,
+    betweenness,
     betweenness_exact,
     graph_from_edges,
+    graph_of,
     indexed_nodes,
     msg,
     oracle_activity,
     oracle_betweenness_csr,
     oracle_build_graph,
+    oracle_component_labels,
     oracle_contact_streams,
     oracle_window_series,
     random_edge_set,
 )
 from valuescope import (
     Message,
+    MessageTable,
     activity,
-    betweenness,
     build_graph,
     connectivity_scores,
     density,
@@ -47,7 +51,7 @@ from valuescope import (
     write_graphml,
 )
 from valuescope import _kernels
-from valuescope._kernels import _brandes_sweep, betweenness_csr
+from valuescope._kernels import _brandes_sweep, _component_labels, betweenness_csr
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -133,7 +137,7 @@ class TestBuildGraph:
             msg("m5", "erin", 4.0, retweet_of="m3"),
             msg("m6", "alice", 5.0, retweet_of="missing2"),
         ]
-        graph = build_graph(messages)
+        graph = graph_of(messages)
         assert graph.dangling_refs == 2
         assert graph.nodes == ("alice", "bob", "carol", "dave", "erin")
         kinds = sorted((source, target, kind) for source, target, kind, _ in graph.iter_arcs())
@@ -147,11 +151,11 @@ class TestBuildGraph:
         assert graph.simple_edge_count == 4
 
     def test_mention_only_handle_becomes_node(self):
-        graph = build_graph([msg("m1", "alice", mentions=("ghost",))])
+        graph = graph_of([msg("m1", "alice", mentions=("ghost",))])
         assert "ghost" in graph.nodes
 
     def test_self_mention_excluded_from_edges(self):
-        graph = build_graph([msg("m1", "alice", mentions=("alice", "bob"))])
+        graph = graph_of([msg("m1", "alice", mentions=("alice", "bob"))])
         assert graph.simple_edge_count == 1
         assert graph.node_count == 2
 
@@ -161,12 +165,12 @@ class TestBuildGraph:
             msg("m2", "bob", 1.0, mentions=("alice",)),
             msg("m3", "alice", 2.0, mentions=("bob", "bob")),
         ]
-        graph = build_graph(messages)
+        graph = graph_of(messages)
         assert graph.simple_edge_count == 1
         assert len(graph.arc_rows) == 4
 
     def test_empty(self):
-        graph = build_graph([])
+        graph = graph_of([])
         assert graph.node_count == 0
         assert graph.simple_edge_count == 0
         assert graph.dangling_refs == 0
@@ -487,6 +491,47 @@ def test_rounds_match_component_loop(shapes):
     assert np.array_equal(betweenness_csr(*csr), oracle_betweenness_csr(*csr))
 
 
+def _both_ways(pairs):
+    heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.concatenate((heads, tails)), np.concatenate((tails, heads))
+
+
+def test_component_labels_take_logarithmic_rounds_on_a_long_path():
+    # Propagation with one pointer jump per round needs about n/3 rounds here.
+    n = 100_000
+    order = np.random.default_rng(0).permutation(n)
+    heads, tails = _both_ways(np.stack((order[:-1], order[1:]), axis=1))
+    labels, rounds = _component_labels(heads, tails, n)
+    assert (labels == 0).all()
+    assert rounds <= 2 * math.log2(n)
+
+
+@st.composite
+def paths_cycles_and_noise(draw):
+    """Node count and edges: shuffled paths and cycles on disjoint runs, plus noise."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    pairs = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        run = order[lo:hi]
+        pairs += zip(run, run[1:])
+        if len(run) > 2 and draw(st.booleans()):
+            pairs.append((run[-1], run[0]))
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=n // 4))
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths_cycles_and_noise())
+def test_component_labels_match_propagation_oracle(graph):
+    n, pairs = graph
+    heads, tails = _both_ways(pairs)
+    labels, _ = _component_labels(heads, tails, n)
+    assert np.array_equal(labels, oracle_component_labels(heads, tails, n))
+
+
 EXPECTED_GRAPHML = """\
 <?xml version="1.0" encoding="UTF-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -530,7 +575,7 @@ digraph "Customers" {
 class TestExports:
     @pytest.fixture()
     def graph(self):
-        return build_graph(
+        return graph_of(
             [
                 msg("m1", "alice", 0.0, mentions=("bob",)),
                 msg("m2", "bob", 1.0, reply_to="m1"),
@@ -567,7 +612,7 @@ class TestExports:
         # A duplicate mention, a self-mention, a reply, a retweet, a
         # dangling reply and a fractional-second timestamp, which the
         # timestamp text truncates.
-        graph = build_graph(
+        graph = graph_of(
             [
                 Message(
                     "m1", "alice", BASE + timedelta(microseconds=999_999), "",
@@ -605,8 +650,8 @@ def test_build_is_order_independent():
     ]
     shuffled = messages[:]
     rng.shuffle(shuffled)
-    g1 = build_graph(messages)
-    g2 = build_graph(shuffled)
+    g1 = graph_of(messages)
+    g2 = graph_of(shuffled)
     assert g1.dangling_refs == g2.dangling_refs
     assert g1.nodes == g2.nodes
     assert betweenness(g1) == betweenness(g2)
@@ -651,7 +696,7 @@ def corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(corpora(), st.sampled_from([0.37, 1.0, 6.0, 7.3, 24.0]))
 def test_interaction_table_matches_message_walking_oracles(messages, window_hours):
-    graph = build_graph(messages)
+    graph = graph_of(messages)
     oracle = oracle_build_graph(messages)
     assert graph.nodes == oracle.nodes
     assert np.array_equal(graph._indptr, oracle.simple._indptr)
@@ -659,7 +704,11 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
     assert graph.simple_edge_count == oracle.simple.simple_edge_count
     assert graph.dangling_refs == oracle.dangling_refs
     in_order = sorted(messages, key=lambda m: (m.created_at, m.id))
-    assert list(graph.iter_arcs()) == oracle_build_graph(in_order).arcs
+    in_order_oracle = oracle_build_graph(in_order)
+    assert list(graph.iter_arcs()) == in_order_oracle.arcs
+    assert np.array_equal(graph.authors, in_order_oracle.authors)
+    assert np.array_equal(graph.stamps, in_order_oracle.stamps)
+    assert np.array_equal(graph.table, in_order_oracle.table)
 
     windows = window_series(graph, window_hours)
     # The oracle's window scores are dense; window_series keeps the nonzero ones.
@@ -678,3 +727,25 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
     }
     assert streams == oracle_contact_streams(messages)
     assert activity(graph) == oracle_activity(messages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.lists(st.booleans(), min_size=16, max_size=16))
+def test_partition_graph_resolves_references_inside_the_partition(messages, keep):
+    # The table holds the whole corpus; the graph sees one partition's rows.
+    table = MessageTable.from_messages(messages)
+    rows = table.order(np.flatnonzero(keep[: len(messages)]))
+    graph = build_graph(table, rows)
+    inside = sorted(
+        (m for m, k in zip(messages, keep) if k), key=lambda m: (m.created_at, m.id)
+    )
+    assert [table.ids[row] for row in rows.tolist()] == [m.id for m in inside]
+    oracle = oracle_build_graph(inside)
+    assert graph.nodes == oracle.nodes
+    assert graph.dangling_refs == oracle.dangling_refs
+    assert np.array_equal(graph.authors, oracle.authors)
+    assert np.array_equal(graph.stamps, oracle.stamps)
+    assert np.array_equal(graph.table, oracle.table)
+    assert np.array_equal(graph._indptr, oracle.simple._indptr)
+    assert np.array_equal(graph._indices, oracle.simple._indices)
+    assert list(graph.iter_arcs()) == oracle.arcs

@@ -14,19 +14,22 @@ from hypothesis import strategies as st
 
 from conftest import (
     carrying_tokens,
+    complexity,
     msg,
     oracle_filter_and_partition,
     oracle_language_scores,
+    partition_ids,
+    reference_from_tokens,
 )
 from valuescope import (
     ORIENTATIONS,
     LanguageScores,
     LexiconSentimentScorer,
+    MessageTable,
     OrientationLexicon,
     PolarLexicon,
     ReferenceDictionary,
     build_reference,
-    complexity,
     emotionality,
     filter_and_partition,
     language_scores,
@@ -113,7 +116,7 @@ class TestEmotionality:
 
 class TestReferenceDictionary:
     def test_add_one_smoothing_worked_example(self):
-        ref = build_reference(["a", "a", "b"])
+        ref = reference_from_tokens(["a", "a", "b"])
         # N=3, V=2, denominator 6
         assert ref.probabilities["a"] == pytest.approx(3 / 6, abs=1e-15)
         assert ref.probabilities["b"] == pytest.approx(2 / 6, abs=1e-15)
@@ -121,12 +124,12 @@ class TestReferenceDictionary:
         assert ref.unseen == pytest.approx(1 / 6, abs=1e-15)
 
     def test_probability_mass_bounded(self):
-        ref = build_reference("the quick brown fox jumps".split() * 40)
+        ref = reference_from_tokens("the quick brown fox jumps".split() * 40)
         total = sum(ref.probabilities.values()) + ref.unseen
         assert total <= 1.0 + 1e-9
 
     def test_surprisal_is_cached_and_consistent(self):
-        ref = build_reference(["a", "b", "b"])
+        ref = reference_from_tokens(["a", "b", "b"])
         first = ref.surprisals["b"]
         assert first == pytest.approx(-math.log(ref.probabilities["b"]))
         assert ref.surprisals["b"] == first
@@ -134,7 +137,7 @@ class TestReferenceDictionary:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            build_reference([])
+            build_reference({})
         with pytest.raises(ValueError):
             ReferenceDictionary({"a": 0.0}, unseen=0.1)
         with pytest.raises(ValueError):
@@ -166,16 +169,16 @@ class TestComplexity:
         assert complexity(tokens, ref) == pytest.approx(math.log(v), abs=1e-9)
 
     def test_rare_tokens_raise_complexity(self):
-        ref = build_reference(["common"] * 99 + ["rare"])
+        ref = reference_from_tokens(["common"] * 99 + ["rare"])
         assert complexity(["rare"], ref) > complexity(["common"], ref)
         assert complexity(["never_seen"], ref) > complexity(["rare"], ref)
 
     def test_empty_tokens_is_none(self):
-        ref = build_reference(["a"])
+        ref = reference_from_tokens(["a"])
         assert complexity([], ref) is None
 
     def test_mean_over_tokens(self):
-        ref = build_reference(["a", "a", "b"])
+        ref = reference_from_tokens(["a", "a", "b"])
         solo_a = complexity(["a"], ref)
         solo_b = complexity(["b"], ref)
         assert complexity(["a", "b"], ref) == pytest.approx((solo_a + solo_b) / 2)
@@ -187,7 +190,7 @@ class TestLanguageScores:
             msg("m1", "x", 0.0, text="good good thing"),
             msg("m2", "y", 1.0, text="bad thing"),
         ]
-        ref = build_reference(
+        ref = reference_from_tokens(
             t for m in messages for t in ("good", "bad", "thing")
         )
         scores = language_scores(
@@ -241,18 +244,18 @@ _WORDS = (
 )
 
 
-def _text_based_scores(messages, lexicon, reference) -> LanguageScores:
+def _text_based_scores(texts, lexicon, reference) -> LanguageScores:
     """The computation before messages carried tokens: re-tokenize each text."""
     sentiments = []
-    for m in messages:
+    for text in texts:
         p = q = 0
-        for token in tokenize(m.text):
+        for token in tokenize(text):
             if token in lexicon.positive:
                 p += 1
             elif token in lexicon.negative:
                 q += 1
         sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
-    tokens = [token for m in messages for token in tokenize(m.text)]
+    tokens = [token for text in texts for token in tokenize(text)]
     # Left to right, the order the builtin sum used before Python 3.12.
     total = functools.partial(functools.reduce, operator.add)
     return LanguageScores(
@@ -290,7 +293,7 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
     )
     messages = [msg(f"m{i:02d}", "a", float(i), text=t) for i, t in enumerate(texts)]
     partitions, _, counts = filter_and_partition(
-        messages, OrientationLexicon.default()
+        MessageTable.from_messages(messages), OrientationLexicon.default()
     )
 
     text_counts = Counter(t for m in messages for t in tokenize(m.text))
@@ -307,10 +310,11 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
     for reference in references:
         for orientation in ORIENTATIONS:
             partition = partitions[orientation]
-            if not partition.messages:
+            if not partition.rows.size:
                 continue
+            texts = [partition.corpus.texts[row] for row in partition.rows.tolist()]
             assert language_scores(partition, scorer, reference) == _text_based_scores(
-                partition.messages, polar, reference
+                texts, polar, reference
             )
 
 
@@ -359,7 +363,9 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         msg(f"m{ids[i]:02d}", "a", float(hours[i]), text=text)
         for i, text in enumerate(texts)
     ]
-    partitions, discarded, counts = filter_and_partition(messages, lexicon)
+    partitions, discarded, counts = filter_and_partition(
+        MessageTable.from_messages(messages), lexicon
+    )
     expected, expected_discarded, expected_counts = oracle_filter_and_partition(
         messages, lexicon
     )
@@ -367,7 +373,9 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
     assert counts == expected_counts
     assert list(counts) == list(expected_counts)
     for orientation in ORIENTATIONS:
-        assert partitions[orientation].messages == [t.message for t in expected[orientation]]
+        assert partition_ids(partitions[orientation]) == [
+            t.message.id for t in expected[orientation]
+        ]
 
     references = [None, file_reference]
     if counts:

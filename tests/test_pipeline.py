@@ -383,6 +383,22 @@ class TestRunVariants:
         # orientations with no messages have no graph to export
         assert not (out / "graphs" / "Citizenship.graphml").exists()
 
+    def test_run_builds_no_message_objects(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Message was built")
+
+        monkeypatch.setattr(corpus_module.Message, "__init__", refuse)
+        corpus = tmp_path / "corpus.ndjson"
+        write_corpus_file(corpus)
+        cfg = RunConfig(
+            corpus=str(corpus),
+            output_dir=str(tmp_path / "out"),
+            window_csv=True,
+            export_graphml=True,
+            export_dot=True,
+        )
+        run_pipeline(cfg, scorer=lambda text: 0.5)
+
     def test_external_reference_dictionary_used(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
         write_corpus_file(corpus)

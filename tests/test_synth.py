@@ -11,12 +11,12 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from conftest import graph_of
 from valuescope import (
     LexiconSentimentScorer,
     OrientationPlant,
     SynthSpec,
     average_response_time,
-    build_graph,
     demo_spec,
     density,
     filter_and_partition,
@@ -77,7 +77,10 @@ def demo_partitions(demo_records):
         parsed_messages(demo_records), OrientationLexicon.default()
     )
     assert discarded == 0
-    return {o: partition.messages for o, partition in partitions.items()}
+    return {
+        o: [partition.corpus.texts[row] for row in partition.rows.tolist()]
+        for o, partition in partitions.items()
+    }
 
 
 class TestOscillationSeries:
@@ -325,7 +328,7 @@ class TestGeneratedCorpus:
         lexicon = OrientationLexicon.default()
         for name, group in demo_partitions.items():
             keyword = " ".join(lexicon.phrases[name][0])
-            assert all(m.text.startswith(keyword) for m in group)
+            assert all(text.startswith(keyword) for text in group)
 
     def test_actor_budgets(self, demo_records):
         spec = demo_spec()
@@ -359,21 +362,21 @@ def star_messages():
 
 class TestPlantedStar:
     def test_whole_run_graph_is_a_star(self, star_messages):
-        graph = build_graph(star_messages)
+        graph = graph_of(star_messages)
         assert len(graph.nodes) == 50
         assert group_degree_centralization(graph) == 1.0
         assert group_betweenness_centralization(graph) == 1.0
 
     def test_response_time_equals_the_lag(self, star_messages):
-        assert average_response_time(build_graph(star_messages)) == 2.0
+        assert average_response_time(graph_of(star_messages)) == 2.0
 
     def test_single_ping_exchanges(self, star_messages):
-        assert nudges(build_graph(star_messages)) == 1.0
+        assert nudges(graph_of(star_messages)) == 1.0
 
     def test_lag_is_configurable(self):
         plant = OrientationPlant(actors=50, messages=98, response_lag_hours=0.5)
         messages = parsed_messages(generate_corpus(single_plant_spec(plant)))
-        assert average_response_time(build_graph(messages)) == 0.5
+        assert average_response_time(graph_of(messages)) == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -384,22 +387,22 @@ def dyad_messages():
 
 class TestPlantedDyads:
     def test_graph_is_disjoint_pairs(self, dyad_messages):
-        graph = build_graph(dyad_messages)
+        graph = graph_of(dyad_messages)
         assert len(graph.nodes) == 40
         assert graph.simple_edge_count == 20
         assert all(d == 1 for d in graph.degrees)
 
     def test_density_is_tiny(self, dyad_messages):
-        graph = build_graph(dyad_messages)
+        graph = graph_of(dyad_messages)
         assert density(graph) == 20 / 780
         assert density(graph) < 0.05
 
     def test_nobody_brokers_anything(self, dyad_messages):
-        graph = build_graph(dyad_messages)
+        graph = graph_of(dyad_messages)
         assert group_betweenness_centralization(graph) == 0.0
 
     def test_response_time_equals_the_lag(self, dyad_messages):
-        assert average_response_time(build_graph(dyad_messages)) == 2.0
+        assert average_response_time(graph_of(dyad_messages)) == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -417,13 +420,13 @@ class TestPlantedDenseCore:
         # too and the core may answer those hours later, so the mean is only
         # bounded below by something positive.
         messages = parsed_messages(core_records)
-        art = average_response_time(build_graph(messages))
+        art = average_response_time(graph_of(messages))
         assert art is not None
         assert art > 0.0
 
     def test_core_is_denser_than_dyads(self, core_records, dyad_messages):
-        core_graph = build_graph(parsed_messages(core_records))
-        assert density(core_graph) > density(build_graph(dyad_messages))
+        core_graph = graph_of(parsed_messages(core_records))
+        assert density(core_graph) > density(graph_of(dyad_messages))
 
 
 class TestSentimentBias:
@@ -433,13 +436,13 @@ class TestSentimentBias:
     def test_positive_bias_is_reached(self, demo_partitions):
         score = self.scorer()
         group = demo_partitions["Customers"]
-        mean = sum(score(m.text) for m in group) / len(group)
+        mean = sum(score(text) for text in group) / len(group)
         assert mean == pytest.approx(0.7, abs=0.06)
 
     def test_neutral_bias_is_exact(self, demo_partitions):
         score = self.scorer()
         group = demo_partitions["SocialResponsibility"]
-        assert all(score(m.text) == 0.5 for m in group)
+        assert all(score(text) == 0.5 for text in group)
 
     def test_negative_bias_is_reached(self):
         plant = OrientationPlant(
@@ -447,7 +450,7 @@ class TestSentimentBias:
         )
         messages = parsed_messages(generate_corpus(single_plant_spec(plant)))
         score = self.scorer()
-        mean = sum(score(m.text) for m in messages) / len(messages)
+        mean = sum(score(text) for text in messages.texts) / len(messages)
         assert mean == pytest.approx(0.3, abs=0.06)
 
 
@@ -458,7 +461,7 @@ def oscillating_windows():
     )
     spec = single_plant_spec(plant, days=24, seed=5)
     messages = parsed_messages(generate_corpus(spec))
-    return plant, window_series(build_graph(messages), 24.0)
+    return plant, window_series(graph_of(messages), 24.0)
 
 
 class TestPlantedOscillation:
