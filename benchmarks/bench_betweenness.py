@@ -1,6 +1,6 @@
 """Benchmark exact Brandes betweenness, reduced and unreduced.
 
-Two graph shapes, both in CSR form and seeded:
+Three graph shapes, all in CSR form and seeded:
 
 * ``random``: connected-ish random graphs with no leaves, where the
   component split and leaf folding in ``betweenness_csr`` save nothing.
@@ -11,11 +11,14 @@ Two graph shapes, both in CSR form and seeded:
   (reduced, one sweep per round) is timed against one unweighted
   single-root sweep per node over the whole graph, and the row prints the
   largest score difference.
+* ``path``: one path with shuffled node ids, the worst case for the
+  level-by-level sweeps: its diameter is n - 1, so every sweep takes
+  about n BFS levels.  ``betweenness_csr`` is timed on it.
 
 Run it as
 
     python3 benchmarks/bench_betweenness.py
-    python3 benchmarks/bench_betweenness.py --nodes 300 1000 --forest-nodes 9000
+    python3 benchmarks/bench_betweenness.py --nodes 300 1000 --forest-nodes 9000 --path-nodes 800
 """
 
 import argparse
@@ -82,6 +85,13 @@ def forest_csr(n: int, rng: random.Random):
     return (*to_csr(total, pairs), total, len(pairs))
 
 
+def path_csr(n: int, rng: random.Random):
+    """A path through n nodes in shuffled id order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return to_csr(n, zip(order, order[1:]))
+
+
 def all_sources(indptr, indices, n):
     """Unreduced Brandes: one single-root sweep per node, summed."""
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -132,17 +142,31 @@ def bench_forest(args, rng) -> None:
         )
 
 
+def bench_path(args, rng) -> None:
+    print()
+    print("path with shuffled node ids")
+    header = f"{'n':>6} {'time (s)':>10}"
+    print(header)
+    print("-" * len(header))
+    for n in args.path_nodes:
+        indptr, indices = path_csr(n, rng)
+        elapsed, _ = timed(betweenness_csr, indptr, indices, n, args.repeats)
+        print(f"{n:>6} {elapsed:>10.3f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, nargs="+", default=[200, 500, 1000, 2000])
     parser.add_argument("--edges-per-node", type=int, default=6)
     parser.add_argument("--forest-nodes", type=int, nargs="+", default=[1000, 9000])
+    parser.add_argument("--path-nodes", type=int, nargs="+", default=[100, 200, 400])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
     rng = random.Random(args.seed)
     bench_random(args, rng)
     bench_forest(args, rng)
+    bench_path(args, rng)
 
 
 if __name__ == "__main__":

@@ -250,8 +250,9 @@ def _record(raw: object) -> tuple | None:
 def parse_corpus(lines: Iterable[str]) -> ParseResult:
     """Parse an NDJSON stream into a message table.
 
-    Malformed records (bad JSON, missing fields, unparseable timestamps,
-    self-references) are counted and skipped.  A duplicate message id is a
+    Malformed records (bad JSON, including JSON nested too deeply to decode,
+    missing fields, unparseable timestamps, self-references) are counted and
+    skipped.  A duplicate message id is a
     hard error: silently keeping either copy would corrupt every downstream
     count.
     """
@@ -265,7 +266,7 @@ def parse_corpus(lines: Iterable[str]) -> ParseResult:
                 continue  # blank
             try:
                 raw, end = _scan_json(line, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, json.JSONDecodeError, RecursionError):
                 skipped += 1
                 continue
             record = _record(raw) if end == len(line) else None
@@ -282,7 +283,7 @@ def load_corpus(path: str) -> ParseResult:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_corpus(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus {path!r}: {exc}") from exc
 
 

@@ -9,7 +9,6 @@ later message that mentions or replies to A.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ConfigError
-from .graph import InteractionGraph, betweenness_array, centralization
+from .graph import RETWEET, InteractionGraph, betweenness_array, centralization
 
 SECONDS_PER_HOUR = 3600.0
 # Every window, empty or not, is a block of its series' graph and a WindowStat.
@@ -30,6 +29,40 @@ def activity(graph: InteractionGraph) -> int:
     return graph.rows.size + graph.arc_rows.size + graph.dangling_refs
 
 
+def _contacts(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every contact, sorted by pair, then row: pair keys, stamps and answers.
+
+    Pair keys are ``sender * n + target`` node ids.  ``answer[i]`` indexes
+    contact i's answer, the reverse pair's first strictly later contact, or
+    is -1.
+    """
+    n, rows, targets = graph.node_count, graph.arc_rows, graph.arc_targets
+    senders = graph.authors[rows]
+    contact = (graph.arc_kinds != RETWEET) & (senders != targets)
+    rows, senders, targets = rows[contact], senders[contact], targets[contact]
+    # One contact per (row, target).  unique orders them by row, and the
+    # stable sort by pair keeps each pair's contacts in row order.
+    _, once = np.unique(rows * n + targets, return_index=True)
+    pairs = (senders * n + targets)[once]
+    order = np.argsort(pairs, kind="stable")
+    pairs, stamps = pairs[order], graph.stamps[rows[once][order]]
+    # Search by (pair rank, stamp rank): both ranks are dense, so for C
+    # contacts every key is below C * (C + 1).  The keys ascend because
+    # rows, and so stamps, ascend within a pair.
+    distinct, pair_rank = np.unique(pairs, return_inverse=True)
+    _, stamp_rank = np.unique(stamps, return_inverse=True)
+    reverse = pairs % n * n + pairs // n
+    width = pairs.size
+    found = np.searchsorted(
+        pair_rank * width + stamp_rank,
+        np.searchsorted(distinct, reverse) * width + stamp_rank,
+        side="right",
+    )
+    # A search past the reverse pair's block lands in another pair or the end.
+    answer = np.where(np.append(pairs, -1)[found] == reverse, found, -1)
+    return pairs, stamps, answer
+
+
 def average_response_time(
     graph: InteractionGraph, cutoff_hours: float | None = None
 ) -> float | None:
@@ -38,25 +71,17 @@ def average_response_time(
     Contacts that are never answered (or answered past ``cutoff_hours``, when
     given) carry no lag.  Returns None when nothing was answered.
     """
-    streams = graph.contact_streams
-    lags: list[float] = []
-    for pair in sorted(streams):
-        replies = streams.get((pair[1], pair[0]))
-        if not replies:
-            continue
-        for stamp in streams[pair]:
-            pos = bisect_right(replies, stamp)
-            if pos == len(replies):
-                continue
-            lag = (replies[pos] - stamp) / SECONDS_PER_HOUR
-            if cutoff_hours is not None and lag > cutoff_hours:
-                continue
-            lags.append(lag)
-    if not lags:
+    _, stamps, answer = _contacts(graph)
+    answered = answer >= 0
+    lags = (stamps[answer[answered]] - stamps[answered]) / SECONDS_PER_HOUR
+    if cutoff_hours is not None:
+        lags = lags[lags <= cutoff_hours]
+    if not lags.size:
         return None
-    # Left to right, as ``cumsum`` adds: the builtin ``sum`` of floats is
-    # compensated since Python 3.12 and would change the last digits.
-    return float(np.cumsum(lags)[-1] / len(lags))
+    # Left to right in pair, then row order, as ``cumsum`` adds: the builtin
+    # ``sum`` of floats is compensated since Python 3.12 and would change the
+    # last digits.
+    return float(np.cumsum(lags)[-1] / lags.size)
 
 
 def nudges(
@@ -66,33 +91,23 @@ def nudges(
 
     Every answer closes one chain: the consecutive A->B contacts since B's
     previous answer.  Chains that never get an answer are dropped, so the
-    metric is only defined over answered chains and is always >= 1.
+    metric is only defined over answered chains and is always >= 1.  An
+    answer past ``cutoff_hours`` from the chain's last contact closes
+    nothing, and the chain runs on to the next answer.
     """
-    streams = graph.contact_streams
-    chains: list[int] = []
-    for pair in sorted(streams):
-        contacts = streams[pair]
-        replies = streams.get((pair[1], pair[0]), [])
-        ci = 0
-        pending = 0
-        for reply_stamp in replies:
-            fresh = 0
-            while ci < len(contacts) and contacts[ci] < reply_stamp:
-                fresh += 1
-                ci += 1
-            pending += fresh
-            if pending == 0:
-                continue
-            if (
-                cutoff_hours is not None
-                and (reply_stamp - contacts[ci - 1]) / SECONDS_PER_HOUR > cutoff_hours
-            ):
-                continue
-            chains.append(pending)
-            pending = 0
-    if not chains:
+    pairs, stamps, answer = _contacts(graph)
+    answered = np.flatnonzero(answer >= 0)
+    pairs, answer = pairs[answered], answer[answered]
+    # Positions in ``answered`` of each chain's last contact.
+    ends = np.flatnonzero(np.diff(answer, append=-1))
+    if cutoff_hours is not None:
+        lags = (stamps[answer[ends]] - stamps[answered[ends]]) / SECONDS_PER_HOUR
+        ends = ends[lags <= cutoff_hours]
+    if not ends.size:
         return None
-    return sum(chains) / len(chains)
+    # A chain starts after the previous counted chain, or at its pair's first contact.
+    starts = np.maximum(np.append(0, ends[:-1] + 1), np.searchsorted(pairs, pairs[ends]))
+    return int(np.sum(ends + 1 - starts)) / ends.size
 
 
 @dataclass(frozen=True, slots=True)

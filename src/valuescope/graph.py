@@ -2,7 +2,8 @@
 
 ``build_graph`` resolves one partition's mentions, replies and retweets
 once, into an integer interaction table.  The whole graph, its window
-graphs, the contact streams, activity and the exports all read that table.
+graphs, the contacts of the dynamics metrics, activity and the exports all
+read that table.
 Metrics run on the simple undirected projection (distinct unordered pairs,
 self-pairs dropped).  Betweenness is exact Brandes, never sampled; group
 centralization follows Freeman's formulation.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
 from typing import Iterator
 from xml.sax.saxutils import escape, quoteattr
 
@@ -110,29 +110,6 @@ class InteractionGraph(SimpleGraph):
             *_simple_csr(keys.size, np.searchsorted(keys, heads), np.searchsorted(keys, tails)),
         )
         return block, np.searchsorted(keys, np.arange(count + 1) * n).tolist()
-
-    @cached_property
-    def contact_streams(self) -> dict[tuple[int, int], list[float]]:
-        """Chronological contact stamps per ordered ``(sender, target)`` node-id pair.
-
-        A contact is a mention or a reply (resolved over all rows) of another
-        actor, counted once per message and target.
-        """
-        n = self.node_count
-        heads = self.authors[self.arc_rows]
-        contact = (self.arc_kinds != RETWEET) & (heads != self.arc_targets)
-        rows, heads, tails = self.arc_rows[contact], heads[contact], self.arc_targets[contact]
-        # One contact per (row, target).  unique orders them by row, and the
-        # stable sort by pair keeps each pair's contacts in row order.
-        _, once = np.unique(rows * n + tails, return_index=True)
-        pairs = (heads * n + tails)[once]
-        order = np.argsort(pairs, kind="stable")
-        pairs, stamps = pairs[order], self.stamps[rows[once][order]].tolist()
-        starts = np.flatnonzero(np.diff(pairs, prepend=-1)).tolist()
-        return {
-            divmod(pair, n): stamps[lo:hi]
-            for pair, lo, hi in zip(pairs[starts].tolist(), starts, [*starts[1:], len(stamps)])
-        }
 
     def iter_arcs(self) -> Iterator[tuple[str, str, str, datetime]]:
         """``(source, target, kind, created_at)`` per arc, in table order."""

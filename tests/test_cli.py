@@ -48,6 +48,15 @@ class TestRunVerb:
         )
         assert code == 1
 
+    def test_corpus_that_is_not_utf8_is_input_error(self, tmp_path, capsys, caplog):
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_bytes(b"\xff\n")
+        code, _ = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert "fatal input error" in caplog.text
+
     def test_bad_window_hours_is_config_error(self, corpus, tmp_path, capsys):
         code, _ = run_cli(
             capsys, "run", "--corpus", str(corpus),

@@ -165,6 +165,11 @@ class TestParse:
         assert result.skipped == 1
         assert len(result.messages) == 1
 
+    def test_too_deeply_nested_json_is_skipped(self):
+        result = parse_corpus(["[" * 100_000, json.dumps(record("m1"))])
+        assert result.skipped == 1
+        assert len(result.messages) == 1
+
     def test_blank_lines_are_ignored_not_counted(self):
         result = parse_corpus(["", "   ", json.dumps(record("m1")), "\n"])
         assert result.skipped == 0

@@ -220,23 +220,24 @@ class TestNudges:
 
 @st.composite
 def conversations(draw):
-    """Messages among three actors, with equal stamps, self-contacts,
+    """Messages among four actors, with equal stamps, self-contacts,
     replies that also mention their target, and dangling replies.
 
     Stamps are whole half hours, so every lag is exact and some lags equal
-    a cutoff of 0.5, 1 or 2 hours.
+    a cutoff of 0.5, 1 or 2 hours.  Four actors give adjacent pair blocks,
+    some without their reverse pair, where an answer search can overrun.
     """
-    size = draw(st.integers(min_value=0, max_value=14))
+    size = draw(st.integers(min_value=0, max_value=24))
     ids = [f"m{i:02d}" for i in range(size)]
     messages = []
     for ident in ids:
-        author = draw(st.sampled_from("abc"))
+        author = draw(st.sampled_from("abcd"))
         messages.append(
             msg(
                 ident,
                 author,
                 draw(st.integers(0, 8)) / 2,
-                mentions=tuple(draw(st.lists(st.sampled_from("abc"), max_size=2))),
+                mentions=tuple(draw(st.lists(st.sampled_from("abcd"), max_size=2))),
                 reply_to=draw(st.none() | st.sampled_from([*ids, "gone"])),
             )
         )
@@ -310,7 +311,7 @@ class TestWindows:
     def test_reply_across_a_boundary_resolves_only_for_contacts(self):
         # b's reply on day 2 points at a's day-1 message.  The day-2 window
         # resolves references inside itself only: no arc, and a is no node
-        # there.  The contact streams resolve against the whole partition,
+        # there.  Contacts resolve against the whole partition,
         # so the reply still answers a's mention, 24 hours later.
         messages = [
             msg("m1", "a", 1.0, mentions=("b",)),

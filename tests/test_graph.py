@@ -52,6 +52,7 @@ from valuescope import (
 )
 from valuescope import _kernels
 from valuescope._kernels import _brandes_sweep, _component_labels, betweenness_csr
+from valuescope.dynamics import _contacts
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -397,11 +398,15 @@ def shattered_graph(draw):
     Returns the edge list and the isolated handles.  Components are isolated
     nodes, dyads, stars, pendant chains and random connected cores with
     leaves and pendant chains hung on them: every case the component split
-    and leaf folding in betweenness_csr treat specially.
+    and leaf folding in betweenness_csr treat specially.  Long paths,
+    caterpillars and cycles add components of high diameter, which take
+    many BFS levels per sweep.
     """
     kinds = draw(
         st.lists(
-            st.sampled_from(("isolated", "dyad", "star", "chain", "core")),
+            st.sampled_from(
+                ("isolated", "dyad", "star", "chain", "core", "long-path", "caterpillar", "cycle")
+            ),
             min_size=1,
             max_size=6,
         )
@@ -424,9 +429,17 @@ def shattered_graph(draw):
         elif kind == "star":
             hub, *spokes = fresh(rng.randint(3, 7))
             edges += [(hub, spoke) for spoke in spokes]
-        elif kind == "chain":
-            chain = fresh(rng.randint(3, 6))
+        elif kind in ("chain", "long-path"):
+            chain = fresh(rng.randint(3, 6) if kind == "chain" else rng.randint(20, 40))
             edges += list(zip(chain, chain[1:]))
+        elif kind == "caterpillar":
+            spine = fresh(rng.randint(8, 20))
+            edges += list(zip(spine, spine[1:]))
+            for node in spine:
+                edges += [(node, leaf) for leaf in fresh(rng.randint(0, 2))]
+        elif kind == "cycle":
+            cycle = fresh(rng.randint(10, 30))
+            edges += list(zip(cycle, cycle[1:] + cycle[:1]))
         else:
             core = fresh(rng.randint(3, 7))
             edges += list(zip(core, core[1:]))  # a spanning path keeps it connected
@@ -721,10 +734,11 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
         list(w.betweenness.items()) for w in expected
     ]
 
-    streams = {
-        (graph.nodes[a], graph.nodes[b]): stamps
-        for (a, b), stamps in graph.contact_streams.items()
-    }
+    streams: dict[tuple[str, str], list[float]] = {}
+    pairs, stamps, _ = _contacts(graph)
+    for pair, stamp in zip(pairs.tolist(), stamps.tolist()):
+        sender, target = divmod(pair, graph.node_count)
+        streams.setdefault((graph.nodes[sender], graph.nodes[target]), []).append(stamp)
     assert streams == oracle_contact_streams(messages)
     assert activity(graph) == oracle_activity(messages)
 
