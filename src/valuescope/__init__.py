@@ -20,7 +20,6 @@ from .corpus import (
     filter_and_partition,
     load_corpus,
     parse_corpus,
-    token_table,
     tokenize,
 )
 from .dynamics import (

@@ -3,24 +3,29 @@
 Input is newline-delimited JSON, one message per line, with fields
 ``id``, ``author``, ``created_at`` (RFC 3339, UTC), ``text``, ``reply_to``,
 ``retweet_of`` and ``mentions``.  Parsing fills one ``MessageTable`` of
-columns for the whole corpus; a partition is an array of its rows.
-Messages are tagged against six core-value
+columns for the whole corpus, each text's tokens included; a partition is
+an array of its rows.  Messages are tagged against six core-value
 orientations by matching lexicon phrases as contiguous token subsequences,
 insensitive to case and punctuation.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import pickle
 import re
+import signal
+import stat
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
-from itertools import repeat
-from operator import truediv
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, islice, repeat
+from operator import is_, truediv
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +44,11 @@ _TOKEN_RE = re.compile(r"[@#]?\w+")
 
 _MAX_PHRASE_TOKENS = 5
 
+# A corpus file is split into byte ranges of at least this size, one per
+# usable CPU, so a small file is read in one range with no worker process.
+_MIN_RANGE_BYTES = 1 << 20
+_RENUMBER_SLICE = 1 << 15  # token ids renumbered per numpy call
+
 
 class CorpusError(ValueError):
     """Fatal corpus defect, e.g. a duplicate message id or unreadable input."""
@@ -52,8 +62,17 @@ def is_string_list(value: object) -> bool:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase ``text`` and split it on runs of non-alphanumerics."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase ``text`` and split it on runs of non-alphanumerics.
+
+    No token holds whitespace, and ``\\w`` is exactly ``isalnum()`` or
+    ``_``, so when every whitespace-separated word is alphanumeric the words
+    are the tokens; only other text goes through the regex.
+    """
+    text = text.lower()
+    words = text.split()
+    if all(map(str.isalnum, words)):
+        return words
+    return _TOKEN_RE.findall(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +96,14 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
+class TokenTable(NamedTuple):
+    """Every message's tokens as ids into one vocabulary, messages back to back."""
+
+    ids: np.ndarray  # int32
+    bounds: np.ndarray  # int64; message r holds ids[bounds[r] : bounds[r + 1]]
+    vocabulary: dict[str, int]  # token -> id, ids in first-seen order
+
+
 @dataclass(eq=False)
 class MessageTable:
     """The corpus as columns, one row per message, in input order.
@@ -87,6 +114,7 @@ class MessageTable:
     are epoch microseconds, exact for ordering; ``seconds`` are the same
     instants as ``datetime.timestamp()`` gives them.  ``reply_to`` and
     ``retweet_of`` hold the referenced row, ``ABSENT`` or ``UNKNOWN``.
+    ``tokens`` holds each text's tokens, row r's at ``tokens.bounds[r]``.
     """
 
     ids: list[str]
@@ -99,6 +127,7 @@ class MessageTable:
     seconds: np.ndarray  # float64
     reply_to: np.ndarray  # int64
     retweet_of: np.ndarray  # int64
+    tokens: TokenTable
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -106,11 +135,11 @@ class MessageTable:
     @classmethod
     def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
         """The table of ``messages``, in the given order; ids must be unique."""
-        return _message_table(
+        return _table([_rows(
             (m.id, m.author, (m.created_at - _EPOCH) // _MICROSECOND, m.text,
              m.reply_to, m.retweet_of, m.mentions)
             for m in messages
-        )
+        )])
 
     def order(self, rows: np.ndarray | None = None) -> np.ndarray:
         """``rows`` (default: every row) in ``(created_at, id)`` order."""
@@ -125,57 +154,147 @@ class MessageTable:
         return _EPOCH + timedelta(microseconds=int(self.micros[row]))
 
 
-def _message_table(records: Iterable[tuple]) -> MessageTable:
-    """The table of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
-    row_of: dict[str | None, int] = {}
-    ids: list[str] = []
-    texts: list[str] = []
-    replies: list[str | None] = []
-    retweets: list[str | None] = []
-    micros = array("q")
-    # Handles are numbered in first-seen order until the table is sorted.
+class _Rows(NamedTuple):
+    """One byte range's accepted records as columns of plain ``array``s and
+    lists, so a worker process builds and pickles them without numpy.
+    Handles are numbered in first-seen order; references are still ids."""
+
+    ids: list[str]
+    texts: list[str]
+    replies: list[str | None]
+    retweets: list[str | None]
+    micros: array  # "q"
+    handles: list[str]
+    authors: array  # "q"
+    mentions: array  # "q"
+    mention_bounds: array  # "q"
+    skipped: int = 0
+
+
+def _rows(records: Iterable[tuple]) -> _Rows:
+    """The rows of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
+    rows = _Rows([], [], [], [], array("q"), [], array("q"), array("q"), array("q", [0]))
     handles: defaultdict[str, int] = defaultdict()
     handles.default_factory = handles.__len__
     number = handles.__getitem__
-    authors = array("q")
-    mentions = array("q")
-    mention_bounds = array("q", [0])
+    mentions = rows.mentions
     for msg_id, author, stamp, text, reply_to, retweet_of, named in records:
-        if msg_id in row_of:
-            raise CorpusError(f"duplicate message id: {msg_id!r}")
-        row_of[msg_id] = len(ids)
-        ids.append(msg_id)
-        texts.append(text)
-        replies.append(reply_to)
-        retweets.append(retweet_of)
-        micros.append(stamp)
-        authors.append(number(author))
+        rows.ids.append(msg_id)
+        rows.texts.append(text)
+        rows.replies.append(reply_to)
+        rows.retweets.append(retweet_of)
+        rows.micros.append(stamp)
+        rows.authors.append(number(author))
         mentions.extend(map(number, named))
-        mention_bounds.append(len(mentions))
+        rows.mention_bounds.append(len(mentions))
+    rows.handles.extend(handles)
+    return rows
 
-    first_seen = list(handles)
-    by_handle = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    renumber = np.empty(len(first_seen), dtype=np.int64)
-    renumber[by_handle] = np.arange(len(first_seen))
-    row_of[None] = ABSENT  # so that one lookup resolves every reference
-    reply_to, retweet_of = (
-        np.fromiter(map(row_of.get, refs, repeat(UNKNOWN)), np.int64, len(refs))
-        for refs in (replies, retweets)
-    )
+
+def _tokens(texts: Iterable[str]) -> tuple[array, array, list[str]]:
+    """Each text's tokens as ``"i"`` ids into the texts' own vocabulary, the
+    texts' ``"q"`` bounds in them, and that vocabulary in first-seen order."""
+    vocabulary: defaultdict[str, int] = defaultdict()
+    # A token seen for the first time gets the next id: the size before insertion.
+    vocabulary.default_factory = vocabulary.__len__
+    number = vocabulary.__getitem__
+    ids = array("i")
+    bounds = array("q", [0])
+    for text in texts:
+        ids.extend(map(number, tokenize(text)))
+        bounds.append(len(ids))
+    return ids, bounds, list(vocabulary)
+
+
+def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTable:
+    """The table of the ranges' rows, back to back in range order; empties ``parts``.
+
+    The ranges' own columns and the id index are freed before range 0 is
+    tokenized and ``later_tokens`` yields the other ranges' tokens, so the
+    tokens never share memory with them.
+    """
+    ids = [msg_id for part in parts for msg_id in part.ids]
+    texts = [text for part in parts for text in part.texts]
+    reply_to, retweet_of = _references(ids, parts)
+    handles = sorted(set().union(*(part.handles for part in parts)))
+    handle_id = dict(zip(handles, range(len(handles))))
+    authors, mentions, bounds = [], [], [np.zeros(1, np.int64)]
+    micros = array("q")
+    for part in parts:
+        renumber = np.fromiter(map(handle_id.__getitem__, part.handles), np.int64,
+                               len(part.handles))
+        authors.append(renumber[np.frombuffer(part.authors, dtype=np.int64)])
+        bounds.append(np.frombuffer(part.mention_bounds, dtype=np.int64)[1:]
+                      + sum(map(len, mentions)))
+        mentions.append(renumber[np.frombuffer(part.mentions, dtype=np.int64)])
+        micros.extend(part.micros)
+    authors, mentions, bounds = map(np.concatenate, (authors, mentions, bounds))
+    first = len(parts[0].ids)
+    parts.clear()
     return MessageTable(
         ids=ids,
         texts=texts,
-        handles=tuple(first_seen[i] for i in by_handle),
-        authors=renumber[np.frombuffer(authors, dtype=np.int64)],
-        mentions=renumber[np.frombuffer(mentions, dtype=np.int64)],
-        mention_bounds=np.frombuffer(mention_bounds, dtype=np.int64),
+        handles=tuple(handles),
+        authors=authors,
+        mentions=mentions,
+        mention_bounds=bounds,
         micros=np.frombuffer(micros, dtype=np.int64),
         # Python's int division is correctly rounded, as ``timestamp()`` is;
         # numpy's ``micros / 1e6`` is not once micros pass 2**53.
         seconds=np.fromiter(map(truediv, micros, repeat(1_000_000)), np.float64, len(micros)),
         reply_to=reply_to,
         retweet_of=retweet_of,
+        tokens=_merge_tokens([_tokens(islice(texts, first)), *later_tokens]),
     )
+
+
+def _references(ids: list[str], parts: list[_Rows]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``reply_to`` and ``retweet_of`` rows of the ranges' rows, whose
+    ids are ``ids``; a duplicate id raises for its first repeat in input order."""
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) < len(ids):
+        seen: set[str] = set()
+        for msg_id in ids:
+            if msg_id in seen:
+                raise CorpusError(f"duplicate message id: {msg_id!r}")
+            seen.add(msg_id)
+
+    # None, no reference, is found apart: a None key would double the
+    # size of a dict whose keys are all strings.
+    def resolve(columns: list[list[str | None]]) -> np.ndarray:
+        rows = np.fromiter(map(row_of.get, chain.from_iterable(columns), repeat(UNKNOWN)),
+                           np.int64, len(ids))
+        rows[np.fromiter(map(is_, chain.from_iterable(columns), repeat(None)),
+                         bool, len(ids))] = ABSENT
+        return rows
+
+    return (resolve([part.replies for part in parts]),
+            resolve([part.retweets for part in parts]))
+
+
+def _merge_tokens(parts: list[tuple[array, array, list[str]]]) -> TokenTable:
+    """One token table of the ranges' tokens, back to back in range order.
+
+    Each range's vocabulary is in its own first-seen order, so numbering its
+    tokens in range order, skipping those already numbered, is the
+    first-seen order of the whole corpus.  Range 0's numbers are already
+    those; its arrays grow in place by each later range, renumbered.
+    """
+    (ids, bounds, words), *later = parts
+    vocabulary: defaultdict[str, int] = defaultdict(None, zip(words, range(len(words))))
+    vocabulary.default_factory = vocabulary.__len__
+    number = vocabulary.__getitem__
+    for local_ids, local_bounds, words in later:
+        renumber = np.fromiter(map(number, words), np.int32, len(words))
+        local = np.frombuffer(local_ids, dtype=np.int32)
+        offset = len(ids)
+        # Slice by slice, so that no temporary is large: freed large blocks
+        # stay in the allocator's heap and raise the run's peak RSS.
+        for start in range(0, local.size, _RENUMBER_SLICE):
+            ids.frombytes(renumber.take(local[start : start + _RENUMBER_SLICE]).tobytes())
+        bounds.frombytes((np.frombuffer(local_bounds, dtype=np.int64)[1:] + offset).tobytes())
+    return TokenTable(np.frombuffer(ids, dtype=np.int32), np.frombuffer(bounds, dtype=np.int64),
+                      dict(vocabulary))
 
 
 @dataclass
@@ -247,15 +366,8 @@ def _record(raw: object) -> tuple | None:
     return msg_id, author, micros, text, reply_to, retweet_of, mentions
 
 
-def parse_corpus(lines: Iterable[str]) -> ParseResult:
-    """Parse an NDJSON stream into a message table.
-
-    Malformed records (bad JSON, including JSON nested too deeply to decode,
-    missing fields, unparseable timestamps, self-references) are counted and
-    skipped.  A duplicate message id is a
-    hard error: silently keeping either copy would corrupt every downstream
-    count.
-    """
+def _parse_lines(lines: Iterable[str]) -> _Rows:
+    """The rows of the records of an NDJSON stream, with the skipped count."""
     skipped = 0
 
     def records() -> Iterator[tuple]:
@@ -275,16 +387,152 @@ def parse_corpus(lines: Iterable[str]) -> ParseResult:
             else:
                 yield record
 
-    table = _message_table(records())
-    return ParseResult(table, skipped)
+    rows = _rows(records())
+    return rows._replace(skipped=skipped)
+
+
+def parse_corpus(lines: Iterable[str]) -> ParseResult:
+    """Parse an NDJSON stream into a message table.
+
+    Malformed records (bad JSON, including JSON nested too deeply to decode,
+    missing fields, unparseable timestamps, self-references) are counted and
+    skipped.  A duplicate message id is a hard error: silently keeping either
+    copy would corrupt every downstream count.  A corpus file that is not
+    UTF-8 fails as a whole in ``load_corpus``, before duplicate ids are
+    checked.
+    """
+    rows = _parse_lines(lines)
+    return ParseResult(_table([rows]), rows.skipped)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start:end`` of a binary file, read forward once; ``end`` None
+    reads to the end without seeking, so pipes work.  ``position`` is the
+    file offset reached."""
+
+    def __init__(self, file: BinaryIO, start: int, end: int | None):
+        if end is not None:
+            file.seek(start)
+        self.file, self.position, self.end = file, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.end is not None:
+            buffer = memoryview(buffer)[: self.end - self.position]
+        count = self.file.readinto(buffer)
+        self.position += count
+        return count
+
+
+def _read_range(file: BinaryIO, start: int, end: int | None) -> _Rows:
+    """Parse bytes ``start:end`` of ``file``, decoded as ``open()`` decodes
+    text: UTF-8 with universal newlines."""
+    chunk = _ByteRange(file, start, end)
+    try:
+        return _parse_lines(io.TextIOWrapper(chunk, encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        # The error's position is in the decoder's buffer, which ends where
+        # the reads have reached.
+        offset = chunk.position - len(exc.object) + exc.start
+        raise CorpusError(
+            f"cannot read corpus {file.name!r}: {exc.encoding!r} codec can't decode "
+            f"byte {exc.object[exc.start]:#04x} in position {offset}: {exc.reason}"
+        ) from exc
+
+
+def _cuts(file: BinaryIO) -> list[int | None]:
+    """The offsets that split ``file`` into byte ranges, each ending after a
+    newline: one range per usable CPU, each at least ``_MIN_RANGE_BYTES``.
+    ``[0, None]`` is one range read to the end, as for a pipe or a platform
+    without ``fork``."""
+    info = os.fstat(file.fileno())
+    count = 1
+    if stat.S_ISREG(info.st_mode) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        count = min(len(os.sched_getaffinity(0)), info.st_size // _MIN_RANGE_BYTES)
+    if count <= 1:
+        return [0, None]
+    cuts = {0, info.st_size}
+    for part in range(1, count):
+        file.seek(info.st_size * part // count)
+        file.readline()
+        cuts.add(file.tell())
+    return sorted(cuts)
+
+
+def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
+    """Start a worker on bytes ``start:end`` of ``path``; return its pid and pipe.
+
+    The worker pickles into the pipe its range's rows, or the error that
+    stopped them, and then the rows' tokens.  It runs plain Python only, no
+    numpy, whose threads the fork did not copy, and it leaves through
+    ``os._exit``, so it never returns into the caller.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    with open(path, "rb") as file:
+                        rows = _read_range(file, start, end)
+                except (OSError, CorpusError) as exc:
+                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+                else:
+                    pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+                    pickle.dump(_tokens(rows.texts), pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _receive(worker: tuple[int, BinaryIO]):
+    """The worker's next result; raises the error it sent, or if it died."""
+    pid, pipe = worker
+    try:
+        result = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise CorpusError(f"corpus worker {pid} ended without a result") from exc
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def load_corpus(path: str) -> ParseResult:
+    """Parse the NDJSON file at ``path``, one byte range per usable CPU.
+
+    Range 0 is read here and every other range by a forked worker; the
+    ranges' rows and tokens are joined in file order into exactly the
+    tables that one range gives.  Bad UTF-8 is reported at its byte offset
+    in the file, for the earliest range that holds some.  Every worker is
+    killed and reaped before this returns or raises.
+    """
+    workers: list[tuple[int, BinaryIO]] = []
     try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_corpus(handle)
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as file:
+            cuts = _cuts(file)
+            for start, end in zip(cuts[1:-1], cuts[2:]):
+                workers.append(_fork(path, start, end))
+            parts = [_read_range(file, cuts[0], cuts[1])]
+        parts += map(_receive, workers)
+        skipped = sum(part.skipped for part in parts)
+        return ParseResult(_table(parts, map(_receive, workers)), skipped)
+    except OSError as exc:
         raise CorpusError(f"cannot read corpus {path!r}: {exc}") from exc
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 class OrientationLexicon:
@@ -339,32 +587,6 @@ class OrientationLexicon:
         return cls(json.loads(data))
 
 
-class TokenTable(NamedTuple):
-    """Every message's tokens as ids into one vocabulary, messages back to back."""
-
-    ids: np.ndarray  # int32
-    bounds: np.ndarray  # int64; message r holds ids[bounds[r] : bounds[r + 1]]
-    vocabulary: dict[str, int]  # token -> id, ids in first-seen order
-
-
-def token_table(texts: Iterable[str]) -> TokenTable:
-    """Tokenize each text once and number its tokens in first-seen order."""
-    vocabulary: defaultdict[str, int] = defaultdict()
-    # A token seen for the first time gets the next id: the size before insertion.
-    vocabulary.default_factory = vocabulary.__len__
-    number = vocabulary.__getitem__
-    ids = array("i")
-    bounds = array("q", [0])
-    for text in texts:
-        ids.extend(map(number, tokenize(text)))
-        bounds.append(len(ids))
-    return TokenTable(
-        np.frombuffer(ids, dtype=np.int32),
-        np.frombuffer(bounds, dtype=np.int64),
-        dict(vocabulary),
-    )
-
-
 def segments(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the rows' segments ``bounds[r]:bounds[r + 1]`` lie, back to back,
     and each row's bounds among those positions."""
@@ -381,9 +603,12 @@ def segments(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class Partition:
     """One orientation's rows, in (created_at, id) order, of the corpus tables."""
 
-    corpus: MessageTable  # shared by every partition, as is ``tokens``
-    rows: np.ndarray  # int64; row r of ``corpus`` has row r of ``tokens``
-    tokens: TokenTable
+    corpus: MessageTable  # shared by every partition
+    rows: np.ndarray  # int64
+
+    @property
+    def tokens(self) -> TokenTable:
+        return self.corpus.tokens
 
     def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The messages' token ids back to back, and each message's bounds in them."""
@@ -427,20 +652,20 @@ class Partitioned(NamedTuple):
 
 
 def filter_and_partition(corpus: MessageTable, lexicon: OrientationLexicon) -> Partitioned:
-    """Tokenize and tag messages and split them into per-orientation partitions.
+    """Tag messages and split them into per-orientation partitions.
 
-    Each message is tokenized exactly once into the corpus-wide token
-    table; its tokens are counted, untagged messages included, for the
-    reference dictionary.  A message matching several orientations lands in
+    Tagging reads the corpus token table, where parsing put each message's
+    tokens; they are counted, untagged messages included, for the reference
+    dictionary.  A message matching several orientations lands in
     each of them; untagged messages are dropped and counted.  Partitions
     come back sorted by (created_at, id) so every downstream computation is
     independent of input order.
     """
-    tokens = token_table(corpus.texts)
+    tokens = corpus.tokens
     tags = _tag(tokens, lexicon)
     ordered = corpus.order(np.flatnonzero(tags.any(axis=0)))
     partitions = {
-        orientation: Partition(corpus, ordered[tags[row, ordered]], tokens)
+        orientation: Partition(corpus, ordered[tags[row, ordered]])
         for row, orientation in enumerate(ORIENTATIONS)
     }
     counts = np.bincount(tokens.ids, minlength=len(tokens.vocabulary))

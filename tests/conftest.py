@@ -32,7 +32,6 @@ from valuescope import (
     WindowStat,
     build_graph,
     group_betweenness_centralization,
-    token_table,
     tokenize,
 )
 from valuescope.corpus import ABSENT, UNKNOWN
@@ -71,7 +70,7 @@ def graph_of(messages) -> InteractionGraph:
 def carrying_tokens(messages) -> Partition:
     """The messages, in the given order, as a partition over their own tables."""
     table = MessageTable.from_messages(messages)
-    return Partition(table, np.arange(len(table)), token_table(table.texts))
+    return Partition(table, np.arange(len(table)))
 
 
 def partition_ids(partition: Partition) -> list[str]:

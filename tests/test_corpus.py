@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,6 +20,7 @@ from conftest import (
     partition_ids,
     table_rows,
 )
+from valuescope import corpus as corpus_module
 from valuescope import (
     ORIENTATIONS,
     CorpusError,
@@ -24,6 +28,7 @@ from valuescope import (
     MessageTable,
     OrientationLexicon,
     filter_and_partition,
+    load_corpus,
     parse_corpus,
     tokenize,
 )
@@ -149,6 +154,20 @@ class TestTokenize:
     def test_empty_text(self):
         assert tokenize("") == []
         assert tokenize("!!! ...") == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text(max_size=40)
+        | st.lists(
+            st.sampled_from(["a", "Z", "_", "9", "@", "#", "é", "ǅ", "²", "٣", "\u0345",
+                             " ", "\t", "\n", "\x1c", "\u3000", "\u1680", "\u200b",
+                             ",", "!", "İ", "ß"]),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_matches_the_regex_on_any_text(self, text):
+        # The split-first fast path must give exactly what the regex alone gives.
+        assert tokenize(text) == corpus_module._TOKEN_RE.findall(text.lower())
 
 
 class TestParse:
@@ -417,3 +436,191 @@ class TestPartition:
         partitions, discarded, _ = partition(messages, lexicon)
         tagged_ids = {ident for p in partitions.values() for ident in partition_ids(p)}
         assert len(tagged_ids) + discarded == len(messages)
+
+
+def table_columns(result) -> dict:
+    """Every column of a parse, tokens and skipped count included, as plain values."""
+    table = result.messages
+    columns = {
+        name: getattr(table, name).tolist()
+        for name in ("authors", "mentions", "mention_bounds", "micros", "seconds",
+                     "reply_to", "retweet_of")
+    }
+    tokens = table.tokens
+    return {
+        **columns,
+        "ids": table.ids,
+        "texts": table.texts,
+        "handles": table.handles,
+        "token_ids": tokens.ids.tolist(),
+        "token_bounds": tokens.bounds.tolist(),
+        "vocabulary": list(tokens.vocabulary.items()),
+        "skipped": result.skipped,
+    }
+
+
+def ndjson_bytes(seed: int, newline: str = "\n", count: int = 120) -> bytes:
+    """A corpus of valid, malformed and blank lines whose replies, retweets
+    and mentions point all over the file, with non-ASCII text throughout."""
+    rng = random.Random(seed)
+    words = ["quality", "Team", "naïve", "漢字", "😀x", "@Bob", "#goal", "don't", "a_b", "ǅ"]
+    lines = []
+    for i in range(count):
+        raw = record(
+            f"m{i}", author=rng.choice(["alice", "Bob", "çelik", "@dana"]),
+            created_at=f"2021-03-{1 + i % 28:02d}T{i % 24:02d}:00:00Z",
+            text=" ".join(rng.choices(words, k=rng.randrange(0, 8))),
+            mentions=rng.sample(["bob", "Çelik", "eve", "@zoë"], k=rng.randrange(0, 3)),
+        )
+        reply, retweet = rng.randrange(count + 10), rng.randrange(count)  # some name no record
+        if rng.random() < 0.5 and reply != i:
+            raw["reply_to"] = f"m{reply}"
+        if rng.random() < 0.3 and retweet != i:
+            raw["retweet_of"] = f"m{retweet}"
+        lines.append(json.dumps(raw, ensure_ascii=rng.random() < 0.5))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "{not json", "[" * 5000, '{"id": "x"}']))
+    return newline.join(lines).encode("utf-8")
+
+
+class TestByteRanges:
+    """``load_corpus`` on K byte ranges gives exactly what one range gives."""
+
+    @staticmethod
+    def load(path, monkeypatch, ranges: int):
+        """Parse ``path`` with ``ranges`` CPUs and ranges as small as it takes."""
+        size = os.path.getsize(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
+            patch.setattr(corpus_module, "_MIN_RANGE_BYTES", max(1, size // ranges))
+            if ranges > 1:
+                with open(path, "rb") as file:
+                    assert len(corpus_module._cuts(file)) - 1 == ranges
+            return load_corpus(str(path))
+
+    @staticmethod
+    def outcome(load):
+        try:
+            return table_columns(load())
+        except CorpusError as exc:
+            return f"CorpusError: {exc}"
+
+    def assert_same_for_every_split(self, path, monkeypatch):
+        expected = self.outcome(lambda: self.load(path, monkeypatch, 1))
+        for ranges in (2, 3, 4):
+            assert self.outcome(lambda: self.load(path, monkeypatch, ranges)) == expected
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+        return expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "mixed"])
+    def test_every_split_gives_the_one_range_tables(self, tmp_path, monkeypatch, seed, newline):
+        data = ndjson_bytes(seed, "\n" if newline == "mixed" else newline)
+        if newline == "mixed":  # lone \r line ends, as open() reads them, among \n
+            data = data.replace(b"}\n", b"}\r", 20)
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(data + (b"\n" if seed else b""))  # seed 0 ends without one
+        expected = self.assert_same_for_every_split(path, monkeypatch)
+        assert isinstance(expected, dict) and expected["ids"] and expected["skipped"]
+
+    def test_byte_order_mark_and_blank_lines_at_the_cuts(self, tmp_path, monkeypatch):
+        lines = ndjson_bytes(3).split(b"\n")
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(b"\xef\xbb\xbf" + b"\n\n  \n".join(lines) + b"\n\n")
+        expected = self.assert_same_for_every_split(path, monkeypatch)
+        assert expected["ids"][0] != "m0"  # the BOM spoils the first line, as json.loads says
+
+    def test_duplicate_across_ranges_names_the_first_repeat(self, tmp_path, monkeypatch):
+        lines = ndjson_bytes(4).split(b"\n")
+        first_repeat = json.dumps(record("m1", author="copy")).encode()
+        later_repeat = json.dumps(record("m0", author="copy")).encode()
+        lines[len(lines) // 2 : len(lines) // 2] = [first_repeat]
+        lines.append(later_repeat)
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(b"\n".join(lines))
+        assert self.assert_same_for_every_split(path, monkeypatch) == (
+            "CorpusError: duplicate message id: 'm1'"
+        )
+
+    def test_bad_utf8_is_reported_at_its_file_offset(self, tmp_path, monkeypatch):
+        data = bytearray(ndjson_bytes(5, count=200))
+        last_text = data.rindex(b'"text": "') + len(b'"text": "')
+        data[last_text] = 0xFF  # in the last range for every split
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(bytes(data))
+        for ranges in (1, 2, 3, 4):
+            with pytest.raises(CorpusError, match=f"byte 0xff in position {last_text}:"):
+                self.load(path, monkeypatch, ranges)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_earliest_bad_range_wins_over_a_duplicate_id(self, tmp_path, monkeypatch):
+        lines = ndjson_bytes(6, count=200).split(b"\n")
+        lines.insert(1, lines[0])  # a duplicate id before any bad byte
+        data = bytearray(b"\n".join(lines))
+        middle = data.index(b'"text": "', len(data) // 2) + len(b'"text": "')
+        end = data.rindex(b'"text": "') + len(b'"text": "')
+        data[middle] = data[end] = 0xC3  # not followed by a continuation byte
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(bytes(data))
+        for ranges in (1, 2, 4):
+            with pytest.raises(CorpusError, match=f"byte 0xc3 in position {middle}:"):
+                self.load(path, monkeypatch, ranges)
+
+    def test_worker_that_dies_is_an_error_and_reaped(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(ndjson_bytes(7))
+        read_range = corpus_module._read_range
+
+        def dying(file, start, end):
+            if start:  # a worker's range
+                os._exit(3)
+            return read_range(file, start, end)
+
+        monkeypatch.setattr(corpus_module, "_read_range", dying)
+        with pytest.raises(CorpusError, match="without a result"):
+            self.load(path, monkeypatch, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_kills_and_reaps_the_workers(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(ndjson_bytes(8))
+        read_range = corpus_module._read_range
+
+        def interrupted(file, start, end):
+            if not start:  # the range this process reads
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still busy: it must be killed, not awaited
+            return read_range(file, start, end)
+
+        monkeypatch.setattr(corpus_module, "_read_range", interrupted)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.load(path, monkeypatch, 4)
+        assert time.monotonic() - began < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_read_as_one_range(self, tmp_path, monkeypatch):
+        data = ndjson_bytes(9)
+        regular = tmp_path / "corpus.ndjson"
+        regular.write_bytes(data)
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+
+        def write() -> None:
+            with open(fifo, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_MIN_RANGE_BYTES", 1)
+            patch.setattr(corpus_module, "_fork", None)  # any worker would fail the parse
+            result = load_corpus(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert table_columns(result) == self.outcome(lambda: self.load(regular, monkeypatch, 1))
