@@ -47,7 +47,9 @@ _MAX_PHRASE_TOKENS = 5
 # A corpus file is split into byte ranges of at least this size, one per
 # usable CPU, so a small file is read in one range with no worker process.
 _MIN_RANGE_BYTES = 1 << 20
-_RENUMBER_SLICE = 1 << 15  # token ids renumbered per numpy call
+# Token ids renumbered or counted per numpy call, so that no temporary is
+# large: freed large blocks stay in the allocator's heap and raise peak RSS.
+ID_SLICE = 1 << 15
 
 
 class CorpusError(ValueError):
@@ -288,10 +290,8 @@ def _merge_tokens(parts: list[tuple[array, array, list[str]]]) -> TokenTable:
         renumber = np.fromiter(map(number, words), np.int32, len(words))
         local = np.frombuffer(local_ids, dtype=np.int32)
         offset = len(ids)
-        # Slice by slice, so that no temporary is large: freed large blocks
-        # stay in the allocator's heap and raise the run's peak RSS.
-        for start in range(0, local.size, _RENUMBER_SLICE):
-            ids.frombytes(renumber.take(local[start : start + _RENUMBER_SLICE]).tobytes())
+        for start in range(0, local.size, ID_SLICE):
+            ids.frombytes(renumber.take(local[start : start + ID_SLICE]).tobytes())
         bounds.frombytes((np.frombuffer(local_bounds, dtype=np.int64)[1:] + offset).tobytes())
     return TokenTable(np.frombuffer(ids, dtype=np.int32), np.frombuffer(bounds, dtype=np.int64),
                       dict(vocabulary))
@@ -648,29 +648,21 @@ def _tag(table: TokenTable, lexicon: OrientationLexicon) -> np.ndarray:
 class Partitioned(NamedTuple):
     partitions: dict[str, Partition]
     discarded: int
-    token_counts: dict[str, int]  # over every message, untagged ones included
 
 
 def filter_and_partition(corpus: MessageTable, lexicon: OrientationLexicon) -> Partitioned:
     """Tag messages and split them into per-orientation partitions.
 
     Tagging reads the corpus token table, where parsing put each message's
-    tokens; they are counted, untagged messages included, for the reference
-    dictionary.  A message matching several orientations lands in
-    each of them; untagged messages are dropped and counted.  Partitions
-    come back sorted by (created_at, id) so every downstream computation is
+    tokens.  A message matching several orientations lands in each of
+    them; untagged messages are dropped and counted.  Partitions come back
+    sorted by (created_at, id) so every downstream computation is
     independent of input order.
     """
-    tokens = corpus.tokens
-    tags = _tag(tokens, lexicon)
+    tags = _tag(corpus.tokens, lexicon)
     ordered = corpus.order(np.flatnonzero(tags.any(axis=0)))
     partitions = {
         orientation: Partition(corpus, ordered[tags[row, ordered]])
         for row, orientation in enumerate(ORIENTATIONS)
     }
-    counts = np.bincount(tokens.ids, minlength=len(tokens.vocabulary))
-    return Partitioned(
-        partitions,
-        len(corpus) - ordered.size,
-        dict(zip(tokens.vocabulary, counts.tolist())),
-    )
+    return Partitioned(partitions, len(corpus) - ordered.size)

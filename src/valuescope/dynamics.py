@@ -22,6 +22,7 @@ SECONDS_PER_HOUR = 3600.0
 # Every window, empty or not, is a block of its series' graph and a WindowStat.
 # The full-scale preset has 60 windows per series and four weeks hourly have 672.
 MAX_WINDOWS = 100_000
+_Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _contacts
 
 
 def activity(graph: InteractionGraph) -> int:
@@ -29,7 +30,7 @@ def activity(graph: InteractionGraph) -> int:
     return graph.rows.size + graph.arc_rows.size + graph.dangling_refs
 
 
-def _contacts(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _contacts(graph: InteractionGraph) -> _Contacts:
     """Every contact, sorted by pair, then row: pair keys, stamps and answers.
 
     Pair keys are ``sender * n + target`` node ids.  ``answer[i]`` indexes
@@ -71,7 +72,11 @@ def average_response_time(
     Contacts that are never answered (or answered past ``cutoff_hours``, when
     given) carry no lag.  Returns None when nothing was answered.
     """
-    _, stamps, answer = _contacts(graph)
+    return _average_response_time(_contacts(graph), cutoff_hours)
+
+
+def _average_response_time(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
+    _, stamps, answer = contacts
     answered = answer >= 0
     lags = (stamps[answer[answered]] - stamps[answered]) / SECONDS_PER_HOUR
     if cutoff_hours is not None:
@@ -95,7 +100,11 @@ def nudges(
     answer past ``cutoff_hours`` from the chain's last contact closes
     nothing, and the chain runs on to the next answer.
     """
-    pairs, stamps, answer = _contacts(graph)
+    return _nudges(_contacts(graph), cutoff_hours)
+
+
+def _nudges(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
+    pairs, stamps, answer = contacts
     answered = np.flatnonzero(answer >= 0)
     pairs, answer = pairs[answered], answer[answered]
     # Positions in ``answered`` of each chain's last contact.
@@ -217,11 +226,12 @@ def interactivity_scores(
 ) -> InteractivityScores:
     volume = activity(graph)
     actors = graph.node_count
+    contacts = _contacts(graph)
     return InteractivityScores(
         activity=volume,
         actor_count=actors,
         avg_activity_per_actor=average_activity(volume, actors),
-        art_hours=average_response_time(graph, cutoff_hours),
-        nudges=nudges(graph, cutoff_hours),
+        art_hours=_average_response_time(contacts, cutoff_hours),
+        nudges=_nudges(contacts, cutoff_hours),
         rotating_leadership=rotating_leadership(windows, mode),
     )

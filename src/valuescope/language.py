@@ -3,8 +3,10 @@
 Sentiment scorers are pluggable: anything callable as ``scorer(text) -> float``
 with output in [0, 1] works, and any other output fails the run.  The
 built-in baseline counts polar lexicon tokens, reading the partition's ids
-in the corpus token table.  Complexity is the mean negative log probability
-(nats) of a partition's tokens under a smoothed corpus-wide unigram model.
+in the corpus token table.  Complexity is the mean surprisal (nats) of a
+partition's tokens: ``build_reference`` gives each vocabulary entry its
+surprisal once per run, under the corpus's smoothed unigram model or an
+external reference dictionary, and every partition indexes that array.
 
 Every mean adds its terms left to right, so it has the same bits on every
 Python version (the builtin ``sum`` of floats is compensated since 3.12).
@@ -20,7 +22,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Partition, is_string_list, tokenize
+from .corpus import ID_SLICE, Partition, TokenTable, is_string_list, tokenize
 
 SentimentScorer = Callable[[str], float]
 
@@ -108,30 +110,25 @@ class ReferenceDictionary:
     """Unigram probabilities with a shared mass for unseen tokens."""
 
     def __init__(self, probabilities: dict[str, float], unseen: float):
-        if unseen <= 0.0:
-            raise ValueError("unseen probability must be positive")
+        # Written so that NaN fails too: it compares false with everything.
+        if not 0.0 < unseen <= 1.0:
+            raise ValueError(f"unseen probability must be in (0, 1]: {unseen!r}")
         total = unseen
         for token, prob in probabilities.items():
-            if prob <= 0.0:
-                raise ValueError(f"probability for {token!r} must be positive")
+            if not 0.0 < prob <= 1.0:
+                raise ValueError(f"probability for {token!r} must be in (0, 1]: {prob!r}")
             total += prob
         if total > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {total}, above 1")
         self.probabilities = dict(probabilities)
         self.unseen = unseen
-        self.surprisals = _SurprisalTable(
-            {token: -math.log(prob) for token, prob in self.probabilities.items()},
-            -math.log(unseen),
-        )
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "ReferenceDictionary":
         """Add-one smoothing: p(w) = (count + 1) / (N + V + 1)."""
         if not counts:
             raise ValueError("reference dictionary needs at least one token")
-        n = sum(counts.values())
-        v = len(counts)
-        denom = n + v + 1
+        denom = sum(counts.values()) + len(counts) + 1
         probabilities = {token: (c + 1) / denom for token, c in counts.items()}
         return cls(probabilities, 1.0 / denom)
 
@@ -149,19 +146,27 @@ class ReferenceDictionary:
         return cls.from_counts(counts)
 
 
-class _SurprisalTable(dict):
-    """token -> -log p(token); tokens outside the table get the unseen value."""
+def build_reference(
+    tokens: TokenTable, reference: ReferenceDictionary | None = None
+) -> np.ndarray:
+    """Surprisal -log p(w) in nats of every vocabulary entry, by token id.
 
-    def __init__(self, surprisals: dict[str, float], unseen: float):
-        super().__init__(surprisals)
-        self.unseen = unseen
-
-    def __missing__(self, token: str) -> float:
-        return self.unseen
-
-
-# The corpus reference: add-one smoothed probabilities of its token counts.
-build_reference = ReferenceDictionary.from_counts
+    Without ``reference`` p is ``ReferenceDictionary.from_counts`` of the
+    corpus counts; with one, a token it lacks gets its unseen probability.
+    """
+    ids, vocabulary = tokens.ids, tokens.vocabulary
+    if reference is None:
+        # Slice by slice, since bincount copies its input to int64.
+        counts = np.zeros(len(vocabulary), dtype=np.int64)
+        for start in range(0, ids.size, ID_SLICE):
+            counts += np.bincount(ids[start : start + ID_SLICE], minlength=counts.size)
+        denom = ids.size + counts.size + 1
+        probabilities = [(c + 1) / denom for c in counts.tolist()]
+    else:
+        lookup, unseen = reference.probabilities.get, reference.unseen
+        probabilities = [lookup(token, unseen) for token in vocabulary]
+    # math.log per entry, so the bits match a per-token computation.
+    return np.array([-math.log(p) for p in probabilities], dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,13 +198,14 @@ def _lexicon_sentiments(
 def language_scores(
     partition: Partition,
     scorer: SentimentScorer,
-    reference: ReferenceDictionary | None,
+    surprisal: np.ndarray | None,
 ) -> LanguageScores:
     """Sentiment, emotionality and complexity of one partition.
 
     The default lexicon scorer reads the partition's token ids; any other
     scorer is called with each message's text.  A sentiment outside [0, 1],
-    NaN or not a number raises ValueError naming the message.
+    NaN or not a number raises ValueError naming the message.  Complexity
+    reads ``surprisal``, the corpus's ``build_reference`` array, if given.
     """
     if not partition.rows.size:
         return LanguageScores(None, None, None)
@@ -217,16 +223,8 @@ def language_scores(
                     f"{corpus.ids[row]!r}; expected a finite number in [0, 1]"
                 )
         sentiments = np.array(values, dtype=np.float64)
-    mean_surprisal = None
-    if reference is not None and ids.size:
-        surprisals = np.fromiter(
-            map(reference.surprisals.__getitem__, vocabulary),
-            dtype=np.float64,
-            count=len(vocabulary),
-        )
-        mean_surprisal = _mean(surprisals[ids])
     return LanguageScores(
         sentiment=_mean(sentiments),
         emotionality=emotionality(sentiments),
-        complexity=mean_surprisal,
+        complexity=_mean(surprisal[ids]) if surprisal is not None and ids.size else None,
     )

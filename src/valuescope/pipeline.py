@@ -180,17 +180,15 @@ def run_pipeline(
         scorer = LexiconSentimentScorer(polar)
 
     parsed = load_corpus(cfg.corpus)
-    partitions, discarded, token_counts = filter_and_partition(
-        parsed.messages, lexicon
-    )
+    partitions, discarded = filter_and_partition(parsed.messages, lexicon)
 
+    reference = None
     if cfg.reference_dictionary:
         try:
             reference = ReferenceDictionary.from_file(cfg.reference_dictionary)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"bad reference dictionary: {exc}") from exc
-    else:
-        reference = build_reference(token_counts) if token_counts else None
+    surprisal = build_reference(parsed.messages.tokens, reference)
 
     vectors: dict[str, MetricVector] = {}
     graphs: dict[str, InteractionGraph] = {}
@@ -212,7 +210,7 @@ def run_pipeline(
         inter = interactivity_scores(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(partition, scorer, reference)
+        lang = language_scores(partition, scorer, surprisal)
         # The three bundles hold exactly the metric vector's twelve fields.
         vectors[orientation] = MetricVector(**asdict(conn), **asdict(inter), **asdict(lang))
 

@@ -92,7 +92,9 @@ def complexity(tokens, reference: ReferenceDictionary) -> float | None:
     """Mean surprisal (nats) of ``tokens`` under ``reference``, added left to right."""
     if not tokens:
         return None
-    surprisals = [reference.surprisals[token] for token in tokens]
+    surprisals = [
+        -math.log(reference.probabilities.get(token, reference.unseen)) for token in tokens
+    ]
     return functools.reduce(operator.add, surprisals, 0) / len(surprisals)
 
 

@@ -382,7 +382,7 @@ class TestPartition:
             msg("m1", "a", hours=1.0, text="we share a passion for"),
             msg("m2", "b", hours=2.0, text="our customers know it"),
         ]
-        partitions, discarded, _ = partition(messages, lexicon)
+        partitions, discarded = partition(messages, lexicon)
         assert partition_ids(partitions["Customers"]) == []
         assert discarded == 2
 
@@ -393,7 +393,7 @@ class TestPartition:
             msg("m3", "c", hours=3.0, text="nothing relevant"),
             msg("m4", "d", hours=4.0, text="team spirit and quality"),
         ]
-        partitions, discarded, _ = partition(messages, lexicon)
+        partitions, discarded = partition(messages, lexicon)
         assert discarded == 1
         assert partition_ids(partitions["Customers"]) == ["m1", "m2", "m4"]
         assert partition_ids(partitions["Employees"]) == ["m4"]
@@ -401,7 +401,7 @@ class TestPartition:
 
     def test_multi_tagged_message_lands_in_each_partition(self, lexicon):
         messages = [msg("m1", "a", text="quality with integrity")]
-        partitions, discarded, _ = partition(messages, lexicon)
+        partitions, discarded = partition(messages, lexicon)
         assert discarded == 0
         holding = {o for o, p in partitions.items() if partition_ids(p) == ["m1"]}
         assert holding == {"Customers", "Citizenship"}
@@ -412,7 +412,7 @@ class TestPartition:
             msg("mb", "a", hours=1.0, text="quality"),
             msg("ma", "b", hours=1.0, text="quality"),
         ]
-        partitions, _, _ = partition(messages, lexicon)
+        partitions, _ = partition(messages, lexicon)
         assert partition_ids(partitions["Customers"]) == ["ma", "mb"]
 
     def test_input_order_does_not_matter(self, lexicon):
@@ -422,8 +422,8 @@ class TestPartition:
         ]
         shuffled = messages[:]
         random.Random(3).shuffle(shuffled)
-        first, _, _ = partition(messages, lexicon)
-        second, _, _ = partition(shuffled, lexicon)
+        first, _ = partition(messages, lexicon)
+        second, _ = partition(shuffled, lexicon)
         assert partition_ids(first["Customers"]) == partition_ids(second["Customers"])
 
     def test_distinct_ids_plus_discarded_equals_total(self, lexicon):
@@ -433,7 +433,7 @@ class TestPartition:
             msg("m3", "c", text="blah"),
             msg("m4", "d", text="team spirit"),
         ]
-        partitions, discarded, _ = partition(messages, lexicon)
+        partitions, discarded = partition(messages, lexicon)
         tagged_ids = {ident for p in partitions.values() for ident in partition_ids(p)}
         assert len(tagged_ids) + discarded == len(messages)
 

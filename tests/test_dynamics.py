@@ -248,10 +248,14 @@ def conversations(draw):
 @given(conversations(), st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]))
 def test_response_time_and_nudges_match_per_contact_scan(messages, cutoff_hours):
     graph = graph_of(messages)
-    assert average_response_time(graph, cutoff_hours) == oracle_response_time(
-        messages, cutoff_hours
-    )
-    assert nudges(graph, cutoff_hours) == oracle_nudges(messages, cutoff_hours)
+    expected_art = oracle_response_time(messages, cutoff_hours)
+    expected_nudges = oracle_nudges(messages, cutoff_hours)
+    assert average_response_time(graph, cutoff_hours) == expected_art
+    assert nudges(graph, cutoff_hours) == expected_nudges
+    # The bundle shares one contact scan between both metrics.
+    scores = interactivity_scores(graph, [], cutoff_hours=cutoff_hours)
+    assert scores.art_hours == expected_art
+    assert scores.nudges == expected_nudges
 
 
 class TestCountExtrema:

@@ -6,8 +6,10 @@ import functools
 import json
 import math
 import operator
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,22 +130,46 @@ class TestReferenceDictionary:
         total = sum(ref.probabilities.values()) + ref.unseen
         assert total <= 1.0 + 1e-9
 
-    def test_surprisal_is_cached_and_consistent(self):
-        ref = reference_from_tokens(["a", "b", "b"])
-        first = ref.surprisals["b"]
-        assert first == pytest.approx(-math.log(ref.probabilities["b"]))
-        assert ref.surprisals["b"] == first
-        assert ref.surprisals["zzz"] == pytest.approx(-math.log(ref.unseen))
+    def test_surprisal_array_is_exact(self):
+        # Over two counting slices, with a Zipf-like spread of counts.
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(400)]
+        texts = [
+            " ".join(rng.choices(words, weights=[1 / (k + 1) for k in range(400)], k=100))
+            for _ in range(700)
+        ]
+        messages = [msg(f"m{i:03d}", "a", float(i), text=t) for i, t in enumerate(texts)]
+        tokens = MessageTable.from_messages(messages).tokens
+        assert tokens.ids.size == 70_000
+        corpus = reference_from_tokens(t for text in texts for t in text.split())
+        surprisal = build_reference(tokens)
+        assert surprisal.dtype == np.float64
+        assert surprisal.tolist() == [
+            -math.log(corpus.probabilities[w]) for w in tokens.vocabulary
+        ]
+        # Holds a token the corpus lacks and lacks every corpus token but two.
+        external = ReferenceDictionary.from_counts({"w0": 9, "w7": 2, "absent": 4})
+        surprisal = build_reference(tokens, external)
+        assert surprisal.tolist() == [
+            -math.log(external.probabilities.get(w, external.unseen))
+            for w in tokens.vocabulary
+        ]
+        assert surprisal[tokens.vocabulary["w3"]] == -math.log(external.unseen)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            build_reference({})
+            ReferenceDictionary.from_counts({})
         with pytest.raises(ValueError):
             ReferenceDictionary({"a": 0.0}, unseen=0.1)
         with pytest.raises(ValueError):
             ReferenceDictionary({"a": 0.9, "b": 0.2}, unseen=0.1)
         with pytest.raises(ValueError):
             ReferenceDictionary({"a": 0.5}, unseen=0.0)
+        # NaN compares false with everything, so a plain "<= 0" lets it through.
+        with pytest.raises(ValueError):
+            ReferenceDictionary({"a": float("nan")}, unseen=0.1)
+        with pytest.raises(ValueError):
+            ReferenceDictionary({"a": 0.2}, unseen=float("nan"))
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "ref.json"
@@ -193,8 +219,9 @@ class TestLanguageScores:
         ref = reference_from_tokens(
             t for m in messages for t in ("good", "bad", "thing")
         )
+        partition = carrying_tokens(messages)
         scores = language_scores(
-            carrying_tokens(messages), LexiconSentimentScorer(lexicon), ref
+            partition, LexiconSentimentScorer(lexicon), build_reference(partition.tokens, ref)
         )
         assert scores.sentiment == pytest.approx((1.0 + 0.0) / 2)
         assert scores.emotionality == pytest.approx(0.5)
@@ -292,28 +319,31 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
         ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
     )
     messages = [msg(f"m{i:02d}", "a", float(i), text=t) for i, t in enumerate(texts)]
-    partitions, _, counts = filter_and_partition(
-        MessageTable.from_messages(messages), OrientationLexicon.default()
-    )
+    table = MessageTable.from_messages(messages)
+    partitions, _ = filter_and_partition(table, OrientationLexicon.default())
+    tokens = table.tokens
 
+    # (surprisal array, the reference it must agree with)
+    references = [(build_reference(tokens, file_reference), file_reference)]
     text_counts = Counter(t for m in messages for t in tokenize(m.text))
-    assert counts == text_counts
-    references = [file_reference]
+    assert set(tokens.vocabulary) == set(text_counts)
     if text_counts:
-        corpus_reference = build_reference(counts)
+        # The counts agree if the surprisals of their smoothed model do.
         text_reference = ReferenceDictionary.from_counts(dict(text_counts))
-        assert corpus_reference.probabilities == text_reference.probabilities
-        assert corpus_reference.unseen == text_reference.unseen
-        references.append(corpus_reference)
+        surprisal = build_reference(tokens)
+        assert surprisal.tolist() == [
+            -math.log(text_reference.probabilities[w]) for w in tokens.vocabulary
+        ]
+        references.append((surprisal, text_reference))
 
     scorer = LexiconSentimentScorer(polar)
-    for reference in references:
+    for surprisal, reference in references:
         for orientation in ORIENTATIONS:
             partition = partitions[orientation]
             if not partition.rows.size:
                 continue
             texts = [partition.corpus.texts[row] for row in partition.rows.tolist()]
-            assert language_scores(partition, scorer, reference) == _text_based_scores(
+            assert language_scores(partition, scorer, surprisal) == _text_based_scores(
                 texts, polar, reference
             )
 
@@ -363,33 +393,35 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         msg(f"m{ids[i]:02d}", "a", float(hours[i]), text=text)
         for i, text in enumerate(texts)
     ]
-    partitions, discarded, counts = filter_and_partition(
-        MessageTable.from_messages(messages), lexicon
-    )
+    table = MessageTable.from_messages(messages)
+    partitions, discarded = filter_and_partition(table, lexicon)
     expected, expected_discarded, expected_counts = oracle_filter_and_partition(
         messages, lexicon
     )
     assert discarded == expected_discarded
-    assert counts == expected_counts
-    assert list(counts) == list(expected_counts)
+    tokens = table.tokens
+    assert list(tokens.vocabulary) == list(expected_counts)
     for orientation in ORIENTATIONS:
         assert partition_ids(partitions[orientation]) == [
             t.message.id for t in expected[orientation]
         ]
 
-    references = [None, file_reference]
-    if counts:
-        reference = build_reference(counts)
+    # (surprisal array, the reference it must agree with)
+    references = [(None, None), (build_reference(tokens, file_reference), file_reference)]
+    if expected_counts:
+        # The counts agree if the surprisals of their smoothed model do.
         expected_reference = ReferenceDictionary.from_counts(dict(expected_counts))
-        assert reference.probabilities == expected_reference.probabilities
-        assert reference.unseen == expected_reference.unseen
-        references.append(reference)
+        surprisal = build_reference(tokens)
+        assert surprisal.tolist() == [
+            -math.log(expected_reference.probabilities[w]) for w in tokens.vocabulary
+        ]
+        references.append((surprisal, expected_reference))
     polar = PolarLexicon(
         ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
     )
-    for reference in references:
+    for surprisal, reference in references:
         for scorer in (LexiconSentimentScorer(polar), _custom_scorer):
             for orientation in ORIENTATIONS:
                 assert language_scores(
-                    partitions[orientation], scorer, reference
+                    partitions[orientation], scorer, surprisal
                 ) == oracle_language_scores(expected[orientation], scorer, reference)

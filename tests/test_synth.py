@@ -73,7 +73,7 @@ def demo_records():
 
 @pytest.fixture(scope="module")
 def demo_partitions(demo_records):
-    partitions, discarded, _ = filter_and_partition(
+    partitions, discarded = filter_and_partition(
         parsed_messages(demo_records), OrientationLexicon.default()
     )
     assert discarded == 0
