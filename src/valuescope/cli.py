@@ -6,8 +6,9 @@ Verbs:
   synth         generate a seeded synthetic corpus
   export-graph  write one orientation's interaction graph (GraphML/DOT)
 
-Exit codes: 0 on success, 1 on fatal input problems, 2 on invalid
-configuration.
+Exit codes: 0 on success; 1 for a bad ``--corpus`` or ``replay --metrics``
+file or an unwritable output; 2 for a bad flag value or configuration file
+(``--config``, both lexicons, ``--reference-dictionary``, ``synth --spec``).
 """
 
 from __future__ import annotations
@@ -130,14 +131,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    raw = load_replay_file(args.metrics)
     try:
-        raw = load_replay_file(args.metrics)
         report = replay_metrics(raw, cfg)
-    except OSError as exc:
-        raise CorpusError(f"cannot read metrics file: {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:  # cfg is valid: the scores are at fault
         raise CorpusError(str(exc)) from exc
     sys.stdout.write(dump_report(report))
     return 0
@@ -160,8 +157,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad synth spec: {exc}") from exc
-    except OSError as exc:
-        raise CorpusError(f"cannot read synth spec: {exc}") from exc
     write_corpus(records, args.out)
     logger.info("wrote %d records to %s", len(records), args.out)
     return 0

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, JSON config files, validation."""
+"""Run configuration: defaults, validation, and the reader of every JSON input file."""
 
 from __future__ import annotations
 
@@ -10,6 +10,51 @@ from .hierarchy import CONNECTIVITY_METRICS, INTERACTIVITY_METRICS, is_finite_nu
 
 class ConfigError(ValueError):
     """Invalid configuration value or config file."""
+
+
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not a finite number")
+
+
+def read_json_object(
+    path: str, what: str, error: type[ValueError] = ConfigError
+) -> dict:
+    """The JSON object in the UTF-8 file at ``path``, ``what`` the file is.
+
+    Raises ``error`` naming the file if it cannot be opened, is not UTF-8,
+    is not JSON (``NaN`` and ``Infinity`` included), nests too deeply to
+    decode or holds something other than an object.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path!r}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"cannot decode {what} {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path!r} must hold a JSON object")
+    return raw
+
+
+_KINDS = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("a finite integer", lambda v: is_finite_number(v) and isinstance(v, int)),
+    "float": ("a finite number", is_finite_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(obj, prefix: str = "") -> None:
+    """ConfigError for the first field of dataclass ``obj`` that is not of its
+    annotated bool, int, float or str kind (``None`` where allowed)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.split(" |")[0]  # annotations are strings, e.g. "float | None"
+        if kind in _KINDS and not (value is None and f.type.endswith("| None")):
+            expected, accepts = _KINDS[kind]
+            if not accepts(value):
+                raise ConfigError(f"{prefix}{f.name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -44,17 +89,7 @@ class RunConfig:
     window_csv: bool = False
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = f.type.split(" |")[0]  # annotations are strings, e.g. "float | None"
-            if value is None and f.type.endswith("| None"):
-                continue
-            if kind == "bool" and not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-            if kind == "float" and not is_finite_number(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-            if kind == "str" and not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string, got {value!r}")
+        check_field_types(self)
         for low_name, high_name in (
             ("interactivity_low", "interactivity_high"),
             ("connectivity_low", "connectivity_high"),
@@ -95,17 +130,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        raw = read_json_object(path, "config")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)

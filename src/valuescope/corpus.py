@@ -29,6 +29,8 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .config import ConfigError, read_json_object
+
 ORIENTATIONS: tuple[str, ...] = (
     "Customers",
     "Employees",
@@ -544,25 +546,25 @@ class OrientationLexicon:
         if given != expected:
             missing = sorted(expected - given)
             extra = sorted(given - expected)
-            raise ValueError(
+            raise ConfigError(
                 f"lexicon must define exactly the six orientations; "
                 f"missing={missing} unknown={extra}"
             )
         self.phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for orientation in ORIENTATIONS:
             if not is_string_list(phrases[orientation]):
-                raise ValueError(f"{orientation}: phrases must be a list of strings")
+                raise ConfigError(f"{orientation}: phrases must be a list of strings")
             seen: set[tuple[str, ...]] = set()
             tokenized: list[tuple[str, ...]] = []
             for phrase in phrases[orientation]:
                 tokens = tuple(tokenize(phrase))
                 if not tokens or len(tokens) > _MAX_PHRASE_TOKENS:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{orientation}: phrase {phrase!r} must have 1 to "
                         f"{_MAX_PHRASE_TOKENS} tokens"
                     )
                 if tokens in seen:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{orientation}: duplicate phrase {phrase!r}"
                     )
                 seen.add(tokens)
@@ -571,20 +573,13 @@ class OrientationLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "OrientationLexicon":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError("orientation lexicon must be a JSON object")
-        return cls(raw)
+        return cls(read_json_object(path, "orientation lexicon"))
 
     @classmethod
     def default(cls) -> "OrientationLexicon":
-        data = (
-            resources.files("valuescope.data")
-            .joinpath("orientation_lexicon.json")
-            .read_text(encoding="utf-8")
-        )
-        return cls(json.loads(data))
+        packaged = resources.files("valuescope.data") / "orientation_lexicon.json"
+        with resources.as_file(packaged) as path:
+            return cls.from_file(str(path))
 
 
 def segments(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ Python version (the builtin ``sum`` of floats is compensated since 3.12).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -22,7 +21,9 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
+from .config import ConfigError, read_json_object
 from .corpus import ID_SLICE, Partition, TokenTable, is_string_list, tokenize
+from .hierarchy import is_finite_number
 
 SentimentScorer = Callable[[str], float]
 
@@ -41,12 +42,12 @@ class PolarLexicon:
     @staticmethod
     def _normalize(terms: Collection[str], side: str) -> frozenset[str]:
         if not is_string_list(terms):
-            raise ValueError(f"{side} sentiment terms must be a list of strings")
+            raise ConfigError(f"{side} sentiment terms must be a list of strings")
         cleaned: set[str] = set()
         for term in terms:
             tokens = tokenize(term)
             if len(tokens) != 1:
-                raise ValueError(
+                raise ConfigError(
                     f"{side} sentiment term {term!r} must be a single token"
                 )
             cleaned.add(tokens[0])
@@ -54,24 +55,19 @@ class PolarLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "PolarLexicon":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict) or set(raw) != {"positive", "negative"}:
-            raise ValueError(
-                "sentiment lexicon must be a JSON object with exactly "
+        raw = read_json_object(path, "sentiment lexicon")
+        if set(raw) != {"positive", "negative"}:
+            raise ConfigError(
+                f"sentiment lexicon {path!r} must hold exactly "
                 "'positive' and 'negative' arrays"
             )
         return cls(raw["positive"], raw["negative"])
 
     @classmethod
     def default(cls) -> "PolarLexicon":
-        data = (
-            resources.files("valuescope.data")
-            .joinpath("sentiment_lexicon.json")
-            .read_text(encoding="utf-8")
-        )
-        raw = json.loads(data)
-        return cls(raw["positive"], raw["negative"])
+        packaged = resources.files("valuescope.data") / "sentiment_lexicon.json"
+        with resources.as_file(packaged) as path:
+            return cls.from_file(str(path))
 
 
 def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
@@ -112,14 +108,14 @@ class ReferenceDictionary:
     def __init__(self, probabilities: dict[str, float], unseen: float):
         # Written so that NaN fails too: it compares false with everything.
         if not 0.0 < unseen <= 1.0:
-            raise ValueError(f"unseen probability must be in (0, 1]: {unseen!r}")
+            raise ConfigError(f"unseen probability must be in (0, 1]: {unseen!r}")
         total = unseen
         for token, prob in probabilities.items():
             if not 0.0 < prob <= 1.0:
-                raise ValueError(f"probability for {token!r} must be in (0, 1]: {prob!r}")
+                raise ConfigError(f"probability for {token!r} must be in (0, 1]: {prob!r}")
             total += prob
         if total > 1.0 + 1e-9:
-            raise ValueError(f"probabilities sum to {total}, above 1")
+            raise ConfigError(f"probabilities sum to {total}, above 1")
         self.probabilities = dict(probabilities)
         self.unseen = unseen
 
@@ -127,22 +123,17 @@ class ReferenceDictionary:
     def from_counts(cls, counts: dict[str, int]) -> "ReferenceDictionary":
         """Add-one smoothing: p(w) = (count + 1) / (N + V + 1)."""
         if not counts:
-            raise ValueError("reference dictionary needs at least one token")
+            raise ConfigError("reference dictionary needs at least one token")
         denom = sum(counts.values()) + len(counts) + 1
         probabilities = {token: (c + 1) / denom for token, c in counts.items()}
         return cls(probabilities, 1.0 / denom)
 
     @classmethod
     def from_file(cls, path: str) -> "ReferenceDictionary":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError("reference dictionary must be a JSON object")
-        counts: dict[str, int] = {}
-        for token, count in raw.items():
+        counts = read_json_object(path, "reference dictionary")
+        for token, count in counts.items():
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ValueError(f"bad count for token {token!r}: {count!r}")
-            counts[str(token)] = count
+                raise ConfigError(f"bad count for token {token!r} in {path!r}: {count!r}")
         return cls.from_counts(counts)
 
 
@@ -217,7 +208,7 @@ def language_scores(
         corpus, rows = partition.corpus, partition.rows.tolist()
         values = [scorer(corpus.texts[row]) for row in rows]
         for row, value in zip(rows, values):
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+            if not is_finite_number(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"sentiment scorer returned {value!r} for message "
                     f"{corpus.ids[row]!r}; expected a finite number in [0, 1]"

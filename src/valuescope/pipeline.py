@@ -13,9 +13,10 @@ import os
 from dataclasses import asdict
 from typing import Mapping
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_json_object
 from .corpus import (
     ORIENTATIONS,
+    CorpusError,
     OrientationLexicon,
     filter_and_partition,
     load_corpus,
@@ -150,19 +151,16 @@ def evaluate_hierarchy(
 
 
 def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
-    try:
-        orientation_lexicon = (
-            OrientationLexicon.from_file(cfg.orientation_lexicon)
-            if cfg.orientation_lexicon
-            else OrientationLexicon.default()
-        )
-        polar = (
-            PolarLexicon.from_file(cfg.sentiment_lexicon)
-            if cfg.sentiment_lexicon
-            else PolarLexicon.default()
-        )
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad lexicon: {exc}") from exc
+    orientation_lexicon = (
+        OrientationLexicon.from_file(cfg.orientation_lexicon)
+        if cfg.orientation_lexicon
+        else OrientationLexicon.default()
+    )
+    polar = (
+        PolarLexicon.from_file(cfg.sentiment_lexicon)
+        if cfg.sentiment_lexicon
+        else PolarLexicon.default()
+    )
     return orientation_lexicon, polar
 
 
@@ -184,10 +182,7 @@ def run_pipeline(
 
     reference = None
     if cfg.reference_dictionary:
-        try:
-            reference = ReferenceDictionary.from_file(cfg.reference_dictionary)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"bad reference dictionary: {exc}") from exc
+        reference = ReferenceDictionary.from_file(cfg.reference_dictionary)
     surprisal = build_reference(parsed.messages.tokens, reference)
 
     vectors: dict[str, MetricVector] = {}
@@ -257,17 +252,11 @@ def replay_metrics(
     }
 
 
-def _reject_constant(token: str) -> float:
-    raise ValueError(f"replay file holds a non-finite value: {token}")
-
-
 def load_replay_file(path: str) -> dict[str, dict[str, float | None]]:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle, parse_constant=_reject_constant)
-    if not isinstance(raw, dict) or not all(
-        isinstance(v, dict) for v in raw.values()
-    ):
-        raise ValueError("replay file must map orientation -> {metric: value}")
+    """The raw scores of a replay metrics file; CorpusError if it is unusable."""
+    raw = read_json_object(path, "metrics file", CorpusError)
+    if not all(isinstance(v, dict) for v in raw.values()):
+        raise CorpusError(f"metrics file {path!r} must map orientation -> {{metric: value}}")
     return raw
 
 

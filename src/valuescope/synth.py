@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
+from .config import check_field_types, read_json_object
 from .corpus import ORIENTATIONS, OrientationLexicon
 from .language import PolarLexicon
 
@@ -66,6 +67,7 @@ class SynthSpec:
         return n
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.days < 1:
             raise ValueError("days must be at least 1")
         if self.window_hours <= 0:
@@ -79,6 +81,7 @@ class SynthSpec:
         if not self.orientations:
             raise ValueError("spec plants no orientation")
         for name, plant in self.orientations.items():
+            check_field_types(plant, f"{name}: ")
             if plant.shape not in SHAPES:
                 raise ValueError(f"{name}: unknown shape {plant.shape!r}")
             if plant.actors < 2:
@@ -101,10 +104,7 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SynthSpec":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError("synth spec must be a JSON object")
+        raw = read_json_object(path, "synth spec")
         plants_raw = raw.get("orientations")
         if not isinstance(plants_raw, dict):
             raise ValueError("synth spec needs an 'orientations' object")
@@ -120,9 +120,9 @@ class SynthSpec:
         spec = cls(
             orientations=plants,
             start=start,
-            days=int(raw.get("days", 7)),
-            window_hours=float(raw.get("window_hours", 24.0)),
-            seed=int(raw.get("seed", 0)),
+            days=raw.get("days", 7),
+            window_hours=raw.get("window_hours", 24.0),
+            seed=raw.get("seed", 0),
         )
         spec.validate()
         return spec

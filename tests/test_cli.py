@@ -312,6 +312,41 @@ class TestSynthVerb:
         code, _ = run_cli(capsys, "synth", "--out", str(tmp_path / "x.ndjson"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("where", "key", "value"),
+        [
+            ("spec", "days", 6.9),
+            ("spec", "days", True),
+            ("spec", "days", "6"),
+            pytest.param("spec", "days", 10**400, id="spec-days-int-past-float"),
+            ("spec", "seed", 1.5),
+            ("spec", "seed", False),
+            ("spec", "window_hours", "24"),
+            ("spec", "window_hours", True),
+            ("plant", "actors", 30.0),
+            ("plant", "messages", True),
+            ("plant", "shape", 5),
+            ("plant", "response_lag_hours", "2"),
+            ("plant", "sentiment_bias", True),
+            ("plant", "vocab_size", 800.5),
+            ("plant", "oscillation_period", 2.5),
+            ("plant", "oscillation_period", "3"),
+        ],
+    )
+    def test_spec_value_of_wrong_type_is_config_error(
+        self, tmp_path, capsys, where, key, value
+    ):
+        plant = {"actors": 30, "messages": 90, "shape": "star"}
+        spec = {"orientations": {"Customers": plant}, "days": 3}
+        (spec if where == "spec" else plant)[key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "x.ndjson"
+        code, stdout = run_cli(capsys, "synth", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+
     def test_infeasible_spec_is_config_error(self, tmp_path, capsys):
         spec = {
             "orientations": {
@@ -413,6 +448,46 @@ class TestLexiconFiles:
         )
         assert code == 2
         assert stdout == ""
+        assert not out.exists()
+
+
+# How each JSON input file reaches the CLI, and the exit code a bad one gives.
+INPUT_FILES = {
+    "config": (("run", "--config"), 2),
+    "orientation-lexicon": (("run", "--orientation-lexicon"), 2),
+    "sentiment-lexicon": (("run", "--sentiment-lexicon"), 2),
+    "reference-dictionary": (("run", "--reference-dictionary"), 2),
+    "replay-metrics": (("replay", "--metrics"), 1),
+    "synth-spec": (("synth", "--spec"), 2),
+}
+BAD_FILES = {
+    "missing": None,
+    "not-utf8": b'{"quality": "\xff"}\n',
+    "invalid-json": b"{nope",
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "top-level-array": b"[1, 2]",
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("kind", BAD_FILES)
+    @pytest.mark.parametrize("name", INPUT_FILES)
+    def test_fails_with_one_error_line(self, corpus, tmp_path, capsys, caplog, name, kind):
+        (verb, flag), expected = INPUT_FILES[name]
+        path = tmp_path / f"{name}.json"
+        if BAD_FILES[kind] is not None:
+            path.write_bytes(BAD_FILES[kind])
+        out = tmp_path / "out"
+        argv = [verb, flag, str(path), "--out", str(out)]
+        if verb == "run":
+            argv += ["--corpus", str(corpus)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert "Traceback" not in caplog.text + captured.err
         assert not out.exists()
 
 

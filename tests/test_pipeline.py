@@ -349,6 +349,8 @@ class TestRunVariants:
             (float("inf"), 0.5),
             ("0.5", 0.5),
             (None, 0.5),
+            (True, 0.5),
+            (False, 1.0),
         ],
     )
     def test_scorer_output_is_checked_per_message(self, tmp_path, first, second):
