@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .dynamics import (
     InteractivityScores,
-    WindowStat,
+    WindowSeries,
     activity,
     average_activity,
     average_response_time,

@@ -18,13 +18,12 @@ import dataclasses
 import logging
 import sys
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_json_object
 from .corpus import ORIENTATIONS, CorpusError, filter_and_partition, load_corpus
 from .graph import build_graph, write_dot, write_graphml
 from .pipeline import (
     _load_lexicons,
     dump_report,
-    load_replay_file,
     replay_metrics,
     run_pipeline,
 )
@@ -131,31 +130,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    raw = load_replay_file(args.metrics)
-    try:
+    # cfg is valid, so whatever replay_metrics refuses is the file's fault.
+    with read_json_object(args.metrics, "metrics file", CorpusError) as raw:
         report = replay_metrics(raw, cfg)
-    except ValueError as exc:  # cfg is valid: the scores are at fault
-        raise CorpusError(str(exc)) from exc
     sys.stdout.write(dump_report(report))
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.spec:
+        spec = SynthSpec.from_file(args.spec)
+    elif args.preset == "full-scale":
+        spec = full_scale_spec()
+    elif args.preset == "demo":
+        spec = demo_spec()
+    else:
+        raise ConfigError("synth needs --spec or --preset")
+    if args.seed is not None:
+        spec.seed = args.seed
     try:
-        if args.spec:
-            spec = SynthSpec.from_file(args.spec)
-        elif args.preset == "full-scale":
-            spec = full_scale_spec()
-        elif args.preset == "demo":
-            spec = demo_spec()
-        else:
-            raise ConfigError("synth needs --spec or --preset")
-        if args.seed is not None:
-            spec.seed = args.seed
         records = generate_corpus(spec)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:  # a plan the spec's actors or messages cannot fill
         raise ConfigError(f"bad synth spec: {exc}") from exc
     write_corpus(records, args.out)
     logger.info("wrote %d records to %s", len(records), args.out)

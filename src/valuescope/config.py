@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from typing import Iterator
 
 from .hierarchy import CONNECTIVITY_METRICS, INTERACTIVITY_METRICS, is_finite_number
 
@@ -16,14 +18,16 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"{token} is not a finite number")
 
 
+@contextmanager
 def read_json_object(
     path: str, what: str, error: type[ValueError] = ConfigError
-) -> dict:
+) -> Iterator[dict]:
     """The JSON object in the UTF-8 file at ``path``, ``what`` the file is.
 
     Raises ``error`` naming the file if it cannot be opened, is not UTF-8,
     is not JSON (``NaN`` and ``Infinity`` included), nests too deeply to
-    decode or holds something other than an object.
+    decode or holds something other than an object, and if the ``with``
+    body refuses the object's shape with a ValueError or TypeError.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -34,7 +38,10 @@ def read_json_object(
         raise error(f"cannot decode {what} {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{what} {path!r} must hold a JSON object")
-    return raw
+    try:
+        yield raw
+    except (ValueError, TypeError) as exc:
+        raise error(f"{what} {path!r}: {exc}") from exc
 
 
 _KINDS = {
@@ -130,13 +137,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        raw = read_json_object(path, "config")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        with read_json_object(path, "config") as raw:
+            unknown = set(raw) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            cfg = cls(**raw)
+            cfg.validate()
+            return cfg
 
     def as_dict(self) -> dict:
         return asdict(self)

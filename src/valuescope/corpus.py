@@ -573,7 +573,8 @@ class OrientationLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "OrientationLexicon":
-        return cls(read_json_object(path, "orientation lexicon"))
+        with read_json_object(path, "orientation lexicon") as raw:
+            return cls(raw)
 
     @classmethod
     def default(cls) -> "OrientationLexicon":

@@ -10,19 +10,28 @@ later message that mentions or replies to A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .config import ConfigError
-from .graph import RETWEET, InteractionGraph, betweenness_array, centralization
+from .graph import RETWEET, InteractionGraph, _simple_csr, centralization
 
 SECONDS_PER_HOUR = 3600.0
-# Every window, empty or not, is a block of its series' graph and a WindowStat.
+# Every window, empty or not, is a block of its series' graph and a row of its columns.
 # The full-scale preset has 60 windows per series and four weeks hourly have 672.
 MAX_WINDOWS = 100_000
 _Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _contacts
+
+
+def check_window_count(count: int, window_hours: float) -> None:
+    """ConfigError when ``window_hours`` gives more than ``MAX_WINDOWS`` windows."""
+    if count > MAX_WINDOWS:
+        raise ConfigError(
+            f"window_hours={window_hours} gives {count} windows, "
+            f"more than the {MAX_WINDOWS} allowed"
+        )
 
 
 def activity(graph: InteractionGraph) -> int:
@@ -119,68 +128,83 @@ def _nudges(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
     return int(np.sum(ends + 1 - starts)) / ends.size
 
 
-@dataclass(frozen=True, slots=True)
-class WindowStat:
-    start: datetime
-    node_count: int
-    edge_count: int
-    betweenness: dict[str, float]  # nonzero scores only, in node order
-    centralization: float
+@dataclass(frozen=True, slots=True, eq=False)
+class WindowSeries:
+    """Tumbling windows as columns; window k starts ``(first + k) * width`` epoch seconds.
+
+    ``scores`` holds the nonzero betweenness scores in window then node order,
+    each with its window and its node id in the partition graph."""
+
+    first: int
+    width: float
+    node_counts: np.ndarray
+    edge_counts: np.ndarray
+    centralization: np.ndarray
+    score_windows: np.ndarray
+    score_nodes: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return self.node_counts.size
 
 
-def window_series(
-    graph: InteractionGraph, window_hours: float = 24.0
-) -> list[WindowStat]:
+_EMPTY = np.zeros(0, dtype=np.int64)
+NO_WINDOWS = WindowSeries(0, 1.0, _EMPTY, _EMPTY, np.zeros(0), _EMPTY, _EMPTY, np.zeros(0))
+
+
+def window_series(graph: InteractionGraph, window_hours: float = 24.0) -> WindowSeries:
     """Tumbling, epoch-aligned windows covering the full message span.
 
     Windows with no messages still appear (empty graph, centralization 0) so
     the series is contiguous.  With 24-hour windows the boundaries are exact
-    UTC days.  Windows are disjoint blocks of one graph, and Brandes scores
-    each component on its own, so one call per series is exact.
+    UTC days.  A window holds its rows' authors and arcs; a reply or retweet
+    of a row in another window adds nothing.  Windows are disjoint blocks of
+    one graph, and Brandes scores each component on its own, so one call per
+    series is exact.
     """
     if window_hours <= 0:
         raise ValueError("window_hours must be positive")
     if not graph.rows.size:
-        return []
+        return NO_WINDOWS
     width = window_hours * SECONDS_PER_HOUR
     buckets = graph.stamps // width  # rows are in time order, so ascending
     first, last = int(buckets[0]), int(buckets[-1])
-    if last - first + 1 > MAX_WINDOWS:
-        raise ConfigError(
-            f"window_hours={window_hours} gives {last - first + 1} windows, "
-            f"more than the {MAX_WINDOWS} allowed"
-        )
+    count = last - first + 1
+    check_window_count(count, window_hours)
     labels = (buckets - first).astype(np.int64)  # small exact integers
-    block, bounds = graph.windows(labels, last - first + 1)
-    scores = betweenness_array(block)
-    values, arcs = scores.tolist(), block._indptr[bounds].tolist()
-    return [
-        WindowStat(
-            start=datetime.fromtimestamp((first + k) * width, tz=timezone.utc),
-            node_count=hi - lo,
-            edge_count=(arcs[k + 1] - arcs[k]) // 2,
-            betweenness={block.nodes[i]: values[i] for i in range(lo, hi) if values[i]},
-            centralization=centralization(scores[lo:hi]),
-        )
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    # The block-diagonal graph of all windows, on (window, node id) keys.
+    n, rows, refs = graph.node_count, graph.arc_rows, graph.arc_refs
+    arc_labels = labels[rows]
+    inside = (refs < 0) | (labels[refs] == arc_labels)
+    heads = arc_labels[inside] * n + graph.authors[rows[inside]]
+    tails = arc_labels[inside] * n + graph.arc_targets[inside]
+    keys = np.unique(np.concatenate((labels * n + graph.authors, tails)))
+    indptr, indices = _simple_csr(keys.size, *np.searchsorted(keys, (heads, tails)))
+    bounds = np.searchsorted(keys, np.arange(count + 1) * n)
+    scores = _kernels.betweenness_csr(indptr, indices, keys.size) / 2.0
+    scored = np.flatnonzero(scores)
+    # A window without a nonzero score has centralization exactly 0.
+    central = np.zeros(count)
+    for k in np.unique(keys[scored] // n).tolist():
+        central[k] = centralization(scores[bounds[k] : bounds[k + 1]])
+    return WindowSeries(
+        first, width, np.diff(bounds), np.diff(indptr[bounds]) // 2, central,
+        keys[scored] // n, keys[scored] % n, scores[scored],
+    )
 
 
 def count_extrema(series: Sequence[float]) -> int:
-    """Strict interior extrema after collapsing equal-value plateaus."""
-    collapsed: list[float] = []
-    for value in series:
-        if not collapsed or value != collapsed[-1]:
-            collapsed.append(value)
-    count = 0
-    for i in range(1, len(collapsed) - 1):
-        left, mid, right = collapsed[i - 1], collapsed[i], collapsed[i + 1]
-        if (mid > left and mid > right) or (mid < left and mid < right):
-            count += 1
-    return count
+    """Strict interior extrema after collapsing equal-value plateaus.
+
+    Collapsing plateaus drops exactly the zero steps, so an extremum is a
+    sign change between consecutive nonzero steps.
+    """
+    steps = np.sign(np.diff(np.asarray(series)))
+    steps = steps[steps != 0]
+    return int(np.count_nonzero(steps[1:] != steps[:-1]))
 
 
-def rotating_leadership(windows: Sequence[WindowStat], mode: str = "group") -> int:
+def rotating_leadership(series: WindowSeries, mode: str = "group") -> int:
     """Leadership turnover across the window series.
 
     ``group`` counts extrema of the per-window group betweenness
@@ -190,14 +214,17 @@ def rotating_leadership(windows: Sequence[WindowStat], mode: str = "group") -> i
     """
     if mode not in ("group", "actor"):
         raise ValueError(f"unknown rotating-leadership mode: {mode!r}")
-    if len(windows) < 3:
-        return 0
     if mode == "group":
-        return count_extrema([w.centralization for w in windows])
-    actors = sorted({node for w in windows for node in w.betweenness})
-    total = 0
-    for actor in actors:
-        total += count_extrema([w.betweenness.get(actor, 0.0) for w in windows])
+        return count_extrema(series.centralization)
+    # Each actor's nonzero scores, grouped by node id, in window order.
+    order = np.argsort(series.score_nodes, kind="stable")
+    cuts = np.flatnonzero(np.diff(series.score_nodes[order])) + 1
+    groups = zip(np.split(series.score_windows[order], cuts), np.split(series.scores[order], cuts))
+    dense, total = np.zeros(len(series)), 0
+    for windows, scores in groups:
+        dense[windows] = scores
+        total += count_extrema(dense)
+        dense[windows] = 0.0
     return total
 
 
@@ -220,7 +247,7 @@ def average_activity(volume: int, actors: int) -> float | None:
 
 def interactivity_scores(
     graph: InteractionGraph,
-    windows: Sequence[WindowStat],
+    windows: WindowSeries,
     mode: str = "group",
     cutoff_hours: float | None = None,
 ) -> InteractivityScores:

@@ -1,9 +1,9 @@
 """Interaction graphs and connectivity metrics.
 
 ``build_graph`` resolves one partition's mentions, replies and retweets
-once, into an integer interaction table.  The whole graph, its window
-graphs, the contacts of the dynamics metrics, activity and the exports all
-read that table.
+once, into an integer interaction table.  The whole graph, the window
+graphs of ``dynamics.window_series``, the contacts of the dynamics metrics,
+activity and the exports all read that table.
 Metrics run on the simple undirected projection (distinct unordered pairs,
 self-pairs dropped).  Betweenness is exact Brandes, never sampled; group
 centralization follows Freeman's formulation.
@@ -91,25 +91,6 @@ class InteractionGraph(SimpleGraph):
         self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
         nodes = tuple(map(corpus.handles.__getitem__, handles.tolist()))
         super().__init__(nodes, *_simple_csr(len(nodes), self.authors[self.arc_rows], self.arc_targets))
-
-    def windows(self, labels: np.ndarray, count: int) -> tuple[SimpleGraph, list[int]]:
-        """One block-diagonal graph of all windows, rows labelled ``0..count-1``, and bounds.
-
-        Window k is nodes ``bounds[k]:bounds[k+1]``.  It holds its rows' authors
-        and arcs; a reply or retweet of a row in another window adds nothing.
-        """
-        n, refs = self.node_count, self.arc_refs
-        arc_labels = labels[self.arc_rows]
-        inside = (refs < 0) | (labels[refs] == arc_labels)
-        heads = arc_labels[inside] * n + self.authors[self.arc_rows[inside]]
-        tails = arc_labels[inside] * n + self.arc_targets[inside]
-        # Every window's nodes as (label, node id) keys, in label then id order.
-        keys = np.unique(np.concatenate((labels * n + self.authors, tails)))
-        block = SimpleGraph(
-            tuple(self.nodes[i] for i in (keys % n).tolist()),
-            *_simple_csr(keys.size, np.searchsorted(keys, heads), np.searchsorted(keys, tails)),
-        )
-        return block, np.searchsorted(keys, np.arange(count + 1) * n).tolist()
 
     def iter_arcs(self) -> Iterator[tuple[str, str, str, datetime]]:
         """``(source, target, kind, created_at)`` per arc, in table order."""

@@ -55,13 +55,10 @@ class PolarLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "PolarLexicon":
-        raw = read_json_object(path, "sentiment lexicon")
-        if set(raw) != {"positive", "negative"}:
-            raise ConfigError(
-                f"sentiment lexicon {path!r} must hold exactly "
-                "'positive' and 'negative' arrays"
-            )
-        return cls(raw["positive"], raw["negative"])
+        with read_json_object(path, "sentiment lexicon") as raw:
+            if set(raw) != {"positive", "negative"}:
+                raise ConfigError("must hold exactly 'positive' and 'negative' arrays")
+            return cls(raw["positive"], raw["negative"])
 
     @classmethod
     def default(cls) -> "PolarLexicon":
@@ -124,17 +121,17 @@ class ReferenceDictionary:
         """Add-one smoothing: p(w) = (count + 1) / (N + V + 1)."""
         if not counts:
             raise ConfigError("reference dictionary needs at least one token")
+        for token, count in counts.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ConfigError(f"bad count for token {token!r}: {count!r}")
         denom = sum(counts.values()) + len(counts) + 1
         probabilities = {token: (c + 1) / denom for token, c in counts.items()}
         return cls(probabilities, 1.0 / denom)
 
     @classmethod
     def from_file(cls, path: str) -> "ReferenceDictionary":
-        counts = read_json_object(path, "reference dictionary")
-        for token, count in counts.items():
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ConfigError(f"bad count for token {token!r} in {path!r}: {count!r}")
-        return cls.from_counts(counts)
+        with read_json_object(path, "reference dictionary") as counts:
+            return cls.from_counts(counts)
 
 
 def build_reference(

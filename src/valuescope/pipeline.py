@@ -11,17 +11,17 @@ import csv
 import json
 import os
 from dataclasses import asdict
+from datetime import datetime, timezone
 from typing import Mapping
 
-from .config import ConfigError, RunConfig, read_json_object
+from .config import ConfigError, RunConfig
 from .corpus import (
     ORIENTATIONS,
-    CorpusError,
     OrientationLexicon,
     filter_and_partition,
     load_corpus,
 )
-from .dynamics import WindowStat, interactivity_scores, window_series
+from .dynamics import NO_WINDOWS, WindowSeries, interactivity_scores, window_series
 from .graph import InteractionGraph, build_graph, connectivity_scores, write_dot, write_graphml
 from .hierarchy import (
     Band,
@@ -187,13 +187,13 @@ def run_pipeline(
 
     vectors: dict[str, MetricVector] = {}
     graphs: dict[str, InteractionGraph] = {}
-    windows: dict[str, list[WindowStat]] = {}
+    windows: dict[str, WindowSeries] = {}
     dangling = 0
     for orientation in ORIENTATIONS:
         partition = partitions[orientation]
         if not partition.rows.size:
             vectors[orientation] = MetricVector()
-            windows[orientation] = []
+            windows[orientation] = NO_WINDOWS
             continue
         graph = build_graph(partition.corpus, partition.rows)
         if cfg.export_graphml or cfg.export_dot:
@@ -235,6 +235,8 @@ def replay_metrics(
 ) -> dict:
     """Normalization and classification over externally supplied raw scores."""
     cfg.validate()
+    if not all(isinstance(v, Mapping) for v in raw.values()):
+        raise ValueError("raw scores must map orientation -> {metric: value}")
     unknown = set(raw) - set(ORIENTATIONS)
     if unknown:
         raise ValueError(f"unknown orientations: {sorted(unknown)}")
@@ -252,14 +254,6 @@ def replay_metrics(
     }
 
 
-def load_replay_file(path: str) -> dict[str, dict[str, float | None]]:
-    """The raw scores of a replay metrics file; CorpusError if it is unusable."""
-    raw = read_json_object(path, "metrics file", CorpusError)
-    if not all(isinstance(v, dict) for v in raw.values()):
-        raise CorpusError(f"metrics file {path!r} must map orientation -> {{metric: value}}")
-    return raw
-
-
 def dump_report(report: dict) -> str:
     return json.dumps(report, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
@@ -268,7 +262,7 @@ def _write_outputs(
     report: dict,
     cfg: RunConfig,
     graphs: Mapping[str, InteractionGraph],
-    windows: Mapping[str, list[WindowStat]],
+    windows: Mapping[str, WindowSeries],
 ) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(
@@ -279,7 +273,7 @@ def _write_outputs(
     if cfg.window_csv:
         for orientation in ORIENTATIONS:
             path = os.path.join(cfg.output_dir, f"windows_{orientation}.csv")
-            _write_window_csv(windows.get(orientation, []), path)
+            _write_window_csv(windows[orientation], path)
     if cfg.export_graphml or cfg.export_dot:
         graph_dir = os.path.join(cfg.output_dir, "graphs")
         os.makedirs(graph_dir, exist_ok=True)
@@ -334,18 +328,11 @@ def _write_metrics_csv(report: dict, path: str) -> None:
             writer.writerow(row)
 
 
-def _write_window_csv(series: list[WindowStat], path: str) -> None:
+def _write_window_csv(series: WindowSeries, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["window_start", "n_nodes", "n_edges", "group_betweenness_centralization"]
-        )
-        for stat in series:
-            writer.writerow(
-                [
-                    stat.start.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    stat.node_count,
-                    stat.edge_count,
-                    round6(stat.centralization),
-                ]
-            )
+        writer.writerow(["window_start", "n_nodes", "n_edges", "group_betweenness_centralization"])
+        columns = (series.node_counts, series.edge_counts, series.centralization)
+        for k, (nodes, edges, central) in enumerate(zip(*(c.tolist() for c in columns))):
+            start = datetime.fromtimestamp((series.first + k) * series.width, tz=timezone.utc)
+            writer.writerow([start.strftime("%Y-%m-%dT%H:%M:%SZ"), nodes, edges, round6(central)])

@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 
 from .config import check_field_types, read_json_object
 from .corpus import ORIENTATIONS, OrientationLexicon
+from .dynamics import check_window_count
 from .language import PolarLexicon
 
 SHAPES = ("star", "dense-core", "fragmented-dyads")
@@ -72,6 +73,9 @@ class SynthSpec:
             raise ValueError("days must be at least 1")
         if self.window_hours <= 0:
             raise ValueError("window_hours must be positive")
+        # An exact ceiling, so that no day count overflows a float before it is refused.
+        hours, per = float(self.window_hours).as_integer_ratio()
+        check_window_count(-(-self.days * 24 * per // hours), self.window_hours)
         width = self.window_hours * 3600.0
         if self.start.timestamp() % width != 0:
             raise ValueError("start must sit on a window boundary")
@@ -104,28 +108,28 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SynthSpec":
-        raw = read_json_object(path, "synth spec")
-        plants_raw = raw.get("orientations")
-        if not isinstance(plants_raw, dict):
-            raise ValueError("synth spec needs an 'orientations' object")
-        plant_names = {f.name for f in fields(OrientationPlant)}
-        plants = {}
-        for name, body in plants_raw.items():
-            unknown = set(body) - plant_names
-            if unknown:
-                raise ValueError(f"{name}: unknown plant keys {sorted(unknown)}")
-            plants[name] = OrientationPlant(**body)
-        start_raw = raw.get("start", "2021-01-04T00:00:00Z")
-        start = datetime.fromisoformat(str(start_raw).replace("Z", "+00:00"))
-        spec = cls(
-            orientations=plants,
-            start=start,
-            days=raw.get("days", 7),
-            window_hours=raw.get("window_hours", 24.0),
-            seed=raw.get("seed", 0),
-        )
-        spec.validate()
-        return spec
+        with read_json_object(path, "synth spec") as raw:
+            plants_raw = raw.get("orientations")
+            if not isinstance(plants_raw, dict):
+                raise ValueError("needs an 'orientations' object")
+            plant_names = {f.name for f in fields(OrientationPlant)}
+            plants = {}
+            for name, body in plants_raw.items():
+                unknown = set(body) - plant_names
+                if unknown:
+                    raise ValueError(f"{name}: unknown plant keys {sorted(unknown)}")
+                plants[name] = OrientationPlant(**body)
+            start_raw = raw.get("start", "2021-01-04T00:00:00Z")
+            start = datetime.fromisoformat(str(start_raw).replace("Z", "+00:00"))
+            spec = cls(
+                orientations=plants,
+                start=start,
+                days=raw.get("days", 7),
+                window_hours=raw.get("window_hours", 24.0),
+                seed=raw.get("seed", 0),
+            )
+            spec.validate()
+            return spec
 
 
 def demo_spec(seed: int = 7) -> SynthSpec:

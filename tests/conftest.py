@@ -29,7 +29,7 @@ from valuescope import (
     OrientationLexicon,
     Partition,
     ReferenceDictionary,
-    WindowStat,
+    WindowSeries,
     build_graph,
     group_betweenness_centralization,
     tokenize,
@@ -249,7 +249,16 @@ def oracle_build_graph(messages) -> OracleGraph:
     )
 
 
-def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
+@dataclass(frozen=True)
+class OracleWindow:
+    start: datetime
+    node_count: int
+    edge_count: int
+    betweenness: dict[str, float]  # every node of the window, in handle order
+    centralization: float
+
+
+def oracle_window_series(messages, window_hours: float) -> list[OracleWindow]:
     """Bucket the messages, sort each bucket and build each window alone."""
     if not messages:
         return []
@@ -265,7 +274,7 @@ def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
         inside = sorted(buckets.get(idx, ()), key=lambda m: (m.created_at, m.id))
         graph = oracle_build_graph(inside).simple
         series.append(
-            WindowStat(
+            OracleWindow(
                 start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
                 node_count=graph.node_count,
                 edge_count=graph.simple_edge_count,
@@ -274,6 +283,51 @@ def oracle_window_series(messages, window_hours: float) -> list[WindowStat]:
             )
         )
     return series
+
+
+def window_starts(series: WindowSeries) -> list[datetime]:
+    """Every window's start, as the window CSV writes it."""
+    return [
+        datetime.fromtimestamp((series.first + k) * series.width, tz=timezone.utc)
+        for k in range(len(series))
+    ]
+
+
+def window_scores(series: WindowSeries, graph: InteractionGraph) -> list[tuple[int, str, float]]:
+    """``(window, handle, score)`` for every nonzero score of the series, in order."""
+    return [
+        (k, graph.nodes[node], score)
+        for k, node, score in zip(
+            series.score_windows.tolist(), series.score_nodes.tolist(), series.scores.tolist()
+        )
+    ]
+
+
+def oracle_count_extrema(series) -> int:
+    """Strict interior extrema after collapsing equal-value plateaus, one value at a time."""
+    collapsed: list[float] = []
+    for value in series:
+        if not collapsed or value != collapsed[-1]:
+            collapsed.append(value)
+    count = 0
+    for i in range(1, len(collapsed) - 1):
+        left, mid, right = collapsed[i - 1], collapsed[i], collapsed[i + 1]
+        if (mid > left and mid > right) or (mid < left and mid < right):
+            count += 1
+    return count
+
+
+def oracle_rotating_leadership(windows: list[OracleWindow], mode: str) -> int:
+    """Group or actor leadership turnover, with every actor's series keyed by handle."""
+    if len(windows) < 3:
+        return 0
+    if mode == "group":
+        return oracle_count_extrema([w.centralization for w in windows])
+    actors = sorted({node for w in windows for node in w.betweenness})
+    total = 0
+    for actor in actors:
+        total += oracle_count_extrema([w.betweenness.get(actor, 0.0) for w in windows])
+    return total
 
 
 def oracle_contact_streams(messages) -> dict[tuple[str, str], list[float]]:

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from test_pipeline import write_corpus_file
-from valuescope import ConfigError, RunConfig
+from valuescope import ORIENTATIONS, ConfigError, RunConfig
 from valuescope.cli import main
 
 
@@ -365,6 +365,19 @@ class TestSynthVerb:
         )
         assert code == 2
 
+    def test_too_many_windows_refused_before_planning(self, tmp_path, capsys, caplog):
+        # Planning would build per-window lists ten million long before it
+        # found that 30 actors cannot fill them.
+        spec = {"orientations": {"Customers": {"actors": 30, "messages": 90}}, "days": 10_000_000}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "x.ndjson"
+        code, _ = run_cli(capsys, "synth", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and " 10000000 windows" in errors[0]
+        assert not out.exists()
+
 
 class TestExportGraphVerb:
     def test_graphml_and_dot(self, corpus, tmp_path, capsys):
@@ -469,14 +482,21 @@ BAD_FILES = {
 }
 
 
+# Well-formed JSON objects of the wrong shape, one per input file.
+WRONG_SHAPES = {
+    "config": {"window_hours": -1},
+    "orientation-lexicon": {**{name: ["quality"] for name in ORIENTATIONS}, "Customers": 5},
+    "sentiment-lexicon": {"positive": 5, "negative": []},
+    "reference-dictionary": {},
+    "replay-metrics": {"Customers": 5},
+    "synth-spec": {"orientations": 5},
+}
+
+
 class TestBadInputFiles:
-    @pytest.mark.parametrize("kind", BAD_FILES)
-    @pytest.mark.parametrize("name", INPUT_FILES)
-    def test_fails_with_one_error_line(self, corpus, tmp_path, capsys, caplog, name, kind):
+    @staticmethod
+    def fails_with_one_error_line(name, path, corpus, tmp_path, capsys, caplog):
         (verb, flag), expected = INPUT_FILES[name]
-        path = tmp_path / f"{name}.json"
-        if BAD_FILES[kind] is not None:
-            path.write_bytes(BAD_FILES[kind])
         out = tmp_path / "out"
         argv = [verb, flag, str(path), "--out", str(out)]
         if verb == "run":
@@ -489,6 +509,20 @@ class TestBadInputFiles:
         assert len(errors) == 1 and str(path) in errors[0]
         assert "Traceback" not in caplog.text + captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", BAD_FILES)
+    @pytest.mark.parametrize("name", INPUT_FILES)
+    def test_fails_with_one_error_line(self, corpus, tmp_path, capsys, caplog, name, kind):
+        path = tmp_path / f"{name}.json"
+        if BAD_FILES[kind] is not None:
+            path.write_bytes(BAD_FILES[kind])
+        self.fails_with_one_error_line(name, path, corpus, tmp_path, capsys, caplog)
+
+    @pytest.mark.parametrize("name", INPUT_FILES)
+    def test_wrong_shape_names_the_file(self, corpus, tmp_path, capsys, caplog, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(WRONG_SHAPES[name]), encoding="utf-8")
+        self.fails_with_one_error_line(name, path, corpus, tmp_path, capsys, caplog)
 
 
 class TestConfig:

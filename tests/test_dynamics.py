@@ -7,14 +7,27 @@ import operator
 import random
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, graph_of, msg, oracle_nudges, oracle_response_time
+from conftest import (
+    BASE,
+    OracleWindow,
+    graph_of,
+    msg,
+    oracle_count_extrema,
+    oracle_nudges,
+    oracle_response_time,
+    oracle_rotating_leadership,
+    oracle_window_series,
+    window_scores,
+    window_starts,
+)
 from valuescope import (
     ConfigError,
-    WindowStat,
+    WindowSeries,
     activity,
     average_activity,
     average_response_time,
@@ -253,7 +266,7 @@ def test_response_time_and_nudges_match_per_contact_scan(messages, cutoff_hours)
     assert average_response_time(graph, cutoff_hours) == expected_art
     assert nudges(graph, cutoff_hours) == expected_nudges
     # The bundle shares one contact scan between both metrics.
-    scores = interactivity_scores(graph, [], cutoff_hours=cutoff_hours)
+    scores = interactivity_scores(graph, window_series(graph), cutoff_hours=cutoff_hours)
     assert scores.art_hours == expected_art
     assert scores.nudges == expected_nudges
 
@@ -279,6 +292,27 @@ class TestCountExtrema:
         series = [float(i % 2) for i in range(10)]
         assert count_extrema(series) == 8
 
+    def test_int_series(self):
+        assert count_extrema([1, 3, 2, 2, 5]) == 2
+        assert count_extrema(np.array([4, 1, 1, 1, 4, 0])) == 2
+
+    def test_negative_values(self):
+        assert count_extrema([-1.0, -3.0, -2.0, -5.0]) == 2
+        assert count_extrema([-2, 0, -2, 0]) == 2
+
+    def test_plateaus_at_both_ends(self):
+        assert count_extrema([2.0, 2.0, 5.0, 1.0, 1.0]) == 1
+        assert count_extrema([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]) == 0
+        assert count_extrema([3, 3, 1, 1, 3, 3]) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-5, max_value=5), max_size=25)
+        | st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0]), max_size=25)
+    )
+    def test_matches_oracle(self, values):
+        assert count_extrema(values) == oracle_count_extrema(values)
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=25))
     def test_bound_and_integer_monotone_invariance(self, values):
@@ -298,10 +332,11 @@ class TestWindows:
         ]
         windows = window_series(graph_of(messages))
         assert len(windows) == 3
-        assert windows[0].start == BASE
-        assert all(w.start.hour == 0 for w in windows)
-        assert [w.node_count for w in windows] == [2, 0, 2]
-        assert windows[1].centralization == 0.0
+        starts = window_starts(windows)
+        assert starts[0] == BASE
+        assert all(start.hour == 0 for start in starts)
+        assert windows.node_counts.tolist() == [2, 0, 2]
+        assert windows.centralization[1] == 0.0
 
     def test_message_on_boundary_goes_to_later_window(self):
         messages = [
@@ -310,7 +345,7 @@ class TestWindows:
         ]
         windows = window_series(graph_of(messages))
         assert len(windows) == 2
-        assert windows[1].node_count == 2
+        assert windows.node_counts[1] == 2
 
     def test_reply_across_a_boundary_resolves_only_for_contacts(self):
         # b's reply on day 2 points at a's day-1 message.  The day-2 window
@@ -324,8 +359,9 @@ class TestWindows:
         graph = graph_of(messages)
         assert graph.simple_edge_count == 1
         windows = window_series(graph)
-        assert [(w.node_count, w.edge_count) for w in windows] == [(2, 1), (1, 0)]
-        assert list(windows[1].betweenness) == []  # b alone scores 0
+        assert windows.node_counts.tolist() == [2, 1]
+        assert windows.edge_counts.tolist() == [1, 0]
+        assert window_scores(windows, graph) == []  # b alone scores 0
         assert average_response_time(graph) == pytest.approx(24.0)
         assert nudges(graph) == pytest.approx(1.0)
 
@@ -337,7 +373,7 @@ class TestWindows:
         assert len(window_series(graph_of(messages), window_hours=6.0)) == 2
 
     def test_empty_and_bad_width(self):
-        assert window_series(graph_of([])) == []
+        assert len(window_series(graph_of([]))) == 0
         with pytest.raises(ValueError):
             window_series(graph_of([msg("m1", "a")]), window_hours=0.0)
 
@@ -366,9 +402,10 @@ class TestWindows:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "betweenness_csr", counted)
-        windows = window_series(graph_of(messages))
-        assert [w.node_count for w in windows] == [4, 3, 0, 3]
-        assert [w.betweenness for w in windows] == [{"h": 3.0}, {"y": 1.0}, {}, {"h": 1.0}]
+        graph = graph_of(messages)
+        windows = window_series(graph)
+        assert windows.node_counts.tolist() == [4, 3, 0, 3]
+        assert window_scores(windows, graph) == [(0, "h", 3.0), (1, "y", 1.0), (3, "h", 1.0)]
         assert calls == [10]  # one call over the nodes of all four windows
 
 
@@ -380,6 +417,23 @@ def day_star(day, hub, spokes):
             msg(f"d{day}s{i}", spoke, 24.0 * day + 1.0 + i * 0.01, mentions=(hub,))
         )
     return out
+
+
+@st.composite
+def windowed_corpora(draw):
+    """Mentions among a few actors over 1 to 6 UTC days.
+
+    Days with no message are empty windows, and an actor posts or is
+    mentioned on some days only.
+    """
+    days = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=24))
+    messages = []
+    for i, day in enumerate(days):
+        hours = 24.0 * day + draw(st.sampled_from([0.0, 1.5, 12.0, 23.5]))
+        author = draw(st.sampled_from("abcdef"))
+        mentions = tuple(draw(st.lists(st.sampled_from("abcdefg"), max_size=3)))
+        messages.append(msg(f"m{i:02d}", author, hours, mentions=mentions))
+    return messages
 
 
 class TestRotatingLeadership:
@@ -400,7 +454,7 @@ class TestRotatingLeadership:
             else:
                 messages.append(msg(f"d{day}", "u", 24.0 * day + 1.0, mentions=("v",)))
         windows = window_series(graph_of(messages))
-        assert [w.centralization for w in windows] == [1.0, 0.0, 1.0, 0.0, 1.0]
+        assert windows.centralization.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
         assert rotating_leadership(windows, "group") == 3
 
     def test_actor_mode_tracks_individual_series(self):
@@ -415,6 +469,16 @@ class TestRotatingLeadership:
         windows = window_series(graph_of(messages))
         assert rotating_leadership(windows, "actor") == 1
         assert rotating_leadership(windows, "group") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(windowed_corpora())
+    def test_matches_oracles_in_both_modes(self, messages):
+        windows = window_series(graph_of(messages))
+        expected = oracle_window_series(messages, 24.0)
+        for mode in ("group", "actor"):
+            assert rotating_leadership(windows, mode) == oracle_rotating_leadership(
+                expected, mode
+            )
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -431,14 +495,26 @@ class TestRotatingLeadership:
     )
     def test_actor_mode_ignores_zero_scores(self, scores):
         # An absent actor reads 0.0, so dropping zeros changes no actor's series.
+        # Actor "a" is node 0, "b" node 1 and so on.
         def series(dicts):
-            return [WindowStat(BASE, 0, 0, d, 0.0) for d in dicts]
+            entries = sorted(
+                (k, "abcde".index(a), v) for k, d in enumerate(dicts) for a, v in d.items()
+            )
+            windows = np.array([k for k, _, _ in entries], dtype=np.int64)
+            nodes = np.array([node for _, node, _ in entries], dtype=np.int64)
+            values = np.array([v for _, _, v in entries], dtype=np.float64)
+            counts = np.zeros(len(dicts), dtype=np.int64)
+            return WindowSeries(
+                0, 3600.0, counts, counts, np.zeros(len(dicts)), windows, nodes, values
+            )
 
         dense = [{actor: d.get(actor, 0.0) for actor in "abcde"} for d in scores]
         sparse = [{actor: v for actor, v in d.items() if v} for d in scores]
-        assert rotating_leadership(series(dense), "actor") == rotating_leadership(
-            series(sparse), "actor"
+        expected = oracle_rotating_leadership(
+            [OracleWindow(BASE, 0, 0, d, 0.0) for d in dense], "actor"
         )
+        assert rotating_leadership(series(dense), "actor") == expected
+        assert rotating_leadership(series(sparse), "actor") == expected
 
 
 class TestInteractivityScores:

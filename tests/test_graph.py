@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
@@ -36,6 +35,8 @@ from conftest import (
     oracle_contact_streams,
     oracle_window_series,
     random_edge_set,
+    window_scores,
+    window_starts,
 )
 from valuescope import (
     Message,
@@ -724,14 +725,18 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
     assert np.array_equal(graph.table, in_order_oracle.table)
 
     windows = window_series(graph, window_hours)
+    expected = oracle_window_series(messages, window_hours)
+    assert len(windows) == len(expected)
+    assert window_starts(windows) == [w.start for w in expected]
+    assert windows.node_counts.tolist() == [w.node_count for w in expected]
+    assert windows.edge_counts.tolist() == [w.edge_count for w in expected]
+    assert windows.centralization.tolist() == [w.centralization for w in expected]
     # The oracle's window scores are dense; window_series keeps the nonzero ones.
-    expected = [
-        replace(w, betweenness={h: s for h, s in w.betweenness.items() if s})
-        for w in oracle_window_series(messages, window_hours)
-    ]
-    assert windows == expected
-    assert [list(w.betweenness.items()) for w in windows] == [
-        list(w.betweenness.items()) for w in expected
+    assert window_scores(windows, graph) == [
+        (k, handle, score)
+        for k, w in enumerate(expected)
+        for handle, score in w.betweenness.items()
+        if score
     ]
 
     streams: dict[tuple[str, str], list[float]] = {}

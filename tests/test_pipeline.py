@@ -33,7 +33,8 @@ from reference_case import EXPECTED_HINTS
 from valuescope import ConfigError, CorpusError, RunConfig, replay_metrics, run_pipeline
 from valuescope import corpus as corpus_module
 from valuescope import language as language_module
-from valuescope.pipeline import dump_report, load_replay_file, round6
+from valuescope.config import read_json_object
+from valuescope.pipeline import dump_report, round6
 
 FIXTURE_RECORDS = [
     {"id": "m1", "author": "alice", "created_at": "2021-03-01T10:00:00Z",
@@ -499,12 +500,22 @@ class TestReplay:
     def test_load_replay_file(self, tmp_path):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(self.two_orientation_raw()))
-        raw = load_replay_file(str(path))
-        assert set(raw) == {"Customers", "Employees"}
-        with pytest.raises(ValueError):
-            bad = tmp_path / "bad.json"
-            bad.write_text('{"Customers": 3}')
-            load_replay_file(str(bad))
+        with read_json_object(str(path), "metrics file", CorpusError) as raw:
+            report = replay_metrics(raw, RunConfig())
+        assert {e["orientation"] for e in report["orientations"]} == {
+            "Customers", "Employees",
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"Customers": 3}')
+        with pytest.raises(CorpusError, match="bad.json"):
+            with read_json_object(str(bad), "metrics file", CorpusError) as raw:
+                replay_metrics(raw, RunConfig())
+
+    @pytest.mark.parametrize("scores", [3, ["density"], "density", None])
+    def test_scores_must_be_mappings(self, scores):
+        raw = {**self.two_orientation_raw(), "Customers": scores}
+        with pytest.raises(ValueError, match="must map orientation"):
+            replay_metrics(raw, RunConfig())
 
 
 class TestRound6:

@@ -32,6 +32,7 @@ from valuescope import (
     write_corpus,
 )
 from valuescope.corpus import OrientationLexicon
+from valuescope.dynamics import MAX_WINDOWS
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -210,6 +211,15 @@ class TestSpecValidation:
     def test_plant_field_errors(self, plant_kwargs, message):
         with pytest.raises(ValueError, match=message):
             minimal_spec(**plant_kwargs).validate()
+
+    def test_window_count_is_bounded(self):
+        spec = minimal_spec()
+        spec.days = MAX_WINDOWS
+        spec.window_hours = 24.0
+        spec.validate()
+        spec.window_hours = 12.0
+        with pytest.raises(ValueError, match=f" {2 * MAX_WINDOWS} windows"):
+            spec.validate()
 
     def test_n_windows(self):
         assert demo_spec().n_windows == 6
@@ -468,7 +478,7 @@ class TestPlantedOscillation:
     def test_every_window_is_populated(self, oscillating_windows):
         _, windows = oscillating_windows
         assert len(windows) == 24
-        assert all(w.node_count > 0 for w in windows)
+        assert (windows.node_counts > 0).all()
 
     def test_centralization_follows_the_dyad_wave(self, oscillating_windows):
         plant, windows = oscillating_windows
@@ -479,7 +489,7 @@ class TestPlantedOscillation:
             12.0 / ((4 + 2 * k) * (3 + 2 * k))
             for _, k, _ in star_plan(plant, 24)
         ]
-        actual = [w.centralization for w in windows]
+        actual = windows.centralization.tolist()
         assert actual == pytest.approx(expected, abs=1e-12)
 
     def test_group_extrema_match_the_planted_wave(self, oscillating_windows):
