@@ -23,7 +23,6 @@ from .corpus import (
     tokenize,
 )
 from .dynamics import (
-    InteractivityScores,
     WindowSeries,
     activity,
     average_activity,
@@ -35,7 +34,6 @@ from .dynamics import (
     window_series,
 )
 from .graph import (
-    ConnectivityScores,
     InteractionGraph,
     build_graph,
     connectivity_scores,
@@ -52,6 +50,7 @@ from .hierarchy import (
     CLASS_LABELS,
     CONNECTIVITY_METRICS,
     INTERACTIVITY_METRICS,
+    LANGUAGE_METRICS,
     METRICS,
     MetricVector,
     STRATEGY_HINTS,
@@ -64,7 +63,6 @@ from .hierarchy import (
     normalize_vectors,
 )
 from .language import (
-    LanguageScores,
     LexiconSentimentScorer,
     PolarLexicon,
     ReferenceDictionary,

@@ -22,6 +22,9 @@ SECONDS_PER_HOUR = 3600.0
 # Every window, empty or not, is a block of its series' graph and a row of its columns.
 # The full-scale preset has 60 windows per series and four weeks hourly have 672.
 MAX_WINDOWS = 100_000
+# Epoch seconds of the first and the last second of the years 1 to 9999 in UTC,
+# the instants a window start can be written as a ``datetime``.
+CALENDAR = (-62135596800.0, 253402300799.0)
 _Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _contacts
 
 
@@ -167,7 +170,14 @@ def window_series(graph: InteractionGraph, window_hours: float = 24.0) -> Window
     if not graph.rows.size:
         return NO_WINDOWS
     width = window_hours * SECONDS_PER_HOUR
-    buckets = graph.stamps // width  # rows are in time order, so ascending
+    with np.errstate(all="ignore"):  # an infinite or NaN start is refused below
+        buckets = graph.stamps // width  # rows are in time order, so ascending
+    starts = buckets[0].item() * width, buckets[-1].item() * width
+    if not CALENDAR[0] <= starts[0] <= starts[1] <= CALENDAR[1]:
+        raise ConfigError(
+            f"window_hours={window_hours} cannot place the windows in time: "
+            "their starts must be finite and within the years 1 to 9999"
+        )
     first, last = int(buckets[0]), int(buckets[-1])
     count = last - first + 1
     check_window_count(count, window_hours)
@@ -228,16 +238,6 @@ def rotating_leadership(series: WindowSeries, mode: str = "group") -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class InteractivityScores:
-    activity: int
-    actor_count: int
-    avg_activity_per_actor: float | None
-    art_hours: float | None
-    nudges: float | None
-    rotating_leadership: int
-
-
 def average_activity(volume: int, actors: int) -> float | None:
     """Activity per actor; absent for an empty network."""
     if actors <= 0:
@@ -250,15 +250,16 @@ def interactivity_scores(
     windows: WindowSeries,
     mode: str = "group",
     cutoff_hours: float | None = None,
-) -> InteractivityScores:
+) -> dict[str, float | None]:
+    """The ``hierarchy.INTERACTIVITY_METRICS`` of one graph and its window series, by name."""
     volume = activity(graph)
     actors = graph.node_count
     contacts = _contacts(graph)
-    return InteractivityScores(
-        activity=volume,
-        actor_count=actors,
-        avg_activity_per_actor=average_activity(volume, actors),
-        art_hours=_average_response_time(contacts, cutoff_hours),
-        nudges=_nudges(contacts, cutoff_hours),
-        rotating_leadership=rotating_leadership(windows, mode),
-    )
+    return {
+        "art_hours": _average_response_time(contacts, cutoff_hours),
+        "nudges": _nudges(contacts, cutoff_hours),
+        "actor_count": actors,
+        "activity": volume,
+        "avg_activity_per_actor": average_activity(volume, actors),
+        "rotating_leadership": rotating_leadership(windows, mode),
+    }

@@ -11,7 +11,6 @@ centralization follows Freeman's formulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator
 from xml.sax.saxutils import escape, quoteattr
@@ -147,19 +146,13 @@ def group_betweenness_centralization(graph: SimpleGraph) -> float:
     return centralization(betweenness_array(graph))
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectivityScores:
-    density: float
-    degree_centralization: float
-    betweenness_centralization: float
-
-
-def connectivity_scores(graph: SimpleGraph) -> ConnectivityScores:
-    return ConnectivityScores(
-        density=density(graph),
-        degree_centralization=group_degree_centralization(graph),
-        betweenness_centralization=group_betweenness_centralization(graph),
-    )
+def connectivity_scores(graph: SimpleGraph) -> dict[str, float]:
+    """The ``hierarchy.CONNECTIVITY_METRICS`` of one graph, by name."""
+    return {
+        "density": density(graph),
+        "degree_centralization": group_degree_centralization(graph),
+        "betweenness_centralization": group_betweenness_centralization(graph),
+    }
 
 
 def _format_ts(stamp: datetime) -> str:

@@ -14,21 +14,40 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
 
-METRICS: tuple[str, ...] = (
-    "density",
-    "degree_centralization",
-    "betweenness_centralization",
-    "art_hours",
-    "nudges",
-    "actor_count",
-    "activity",
-    "avg_activity_per_actor",
-    "rotating_leadership",
-    "sentiment",
-    "emotionality",
-    "complexity",
-)
 
+@dataclass(frozen=True, slots=True)
+class MetricVector:
+    """The twelve metrics, None when absent; the one list of their names, in report order."""
+
+    density: float | None = None
+    degree_centralization: float | None = None
+    betweenness_centralization: float | None = None
+    art_hours: float | None = None
+    nudges: float | None = None
+    actor_count: float | None = None
+    activity: float | None = None
+    avg_activity_per_actor: float | None = None
+    rotating_leadership: float | None = None
+    sentiment: float | None = None
+    emotionality: float | None = None
+    complexity: float | None = None
+
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, float | None]) -> "MetricVector":
+        unknown = set(raw) - set(METRICS)
+        if unknown:
+            raise ValueError(f"unknown metric names: {sorted(unknown)}")
+        for name, value in raw.items():
+            low, high = DOMAINS.get(name, (0.0, float("inf")))
+            if value is not None and not (is_finite_number(value) and low <= value <= high):
+                raise ValueError(
+                    f"metric {name!r} must be a finite number in [{low}, {high}] or null,"
+                    f" got {value!r}"
+                )
+        return cls(**raw)
+
+
+METRICS: tuple[str, ...] = tuple(f.name for f in fields(MetricVector))
 CONNECTIVITY_METRICS: tuple[str, ...] = METRICS[:3]
 INTERACTIVITY_METRICS: tuple[str, ...] = METRICS[3:9]
 LANGUAGE_METRICS: tuple[str, ...] = METRICS[9:]
@@ -47,39 +66,6 @@ def is_finite_number(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return abs(value) <= sys.float_info.max  # False for NaN and infinities
-
-
-@dataclass(frozen=True, slots=True)
-class MetricVector:
-    density: float | None = None
-    degree_centralization: float | None = None
-    betweenness_centralization: float | None = None
-    art_hours: float | None = None
-    nudges: float | None = None
-    actor_count: float | None = None
-    activity: float | None = None
-    avg_activity_per_actor: float | None = None
-    rotating_leadership: float | None = None
-    sentiment: float | None = None
-    emotionality: float | None = None
-    complexity: float | None = None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, float | None]) -> "MetricVector":
-        unknown = set(raw) - set(METRICS)
-        if unknown:
-            raise ValueError(f"unknown metric names: {sorted(unknown)}")
-        for name, value in raw.items():
-            low, high = DOMAINS.get(name, (0.0, float("inf")))
-            if value is not None and not (is_finite_number(value) and low <= value <= high):
-                raise ValueError(
-                    f"metric {name!r} must be a finite number in [{low}, {high}] or null,"
-                    f" got {value!r}"
-                )
-        return cls(**{k: raw[k] for k in raw})
 
 
 class Band(str, Enum):

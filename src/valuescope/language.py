@@ -15,7 +15,6 @@ Python version (the builtin ``sum`` of floats is compensated since 3.12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Collection, Mapping, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, read_json_object
 from .corpus import ID_SLICE, Partition, TokenTable, is_string_list, tokenize
-from .hierarchy import is_finite_number
+from .hierarchy import LANGUAGE_METRICS, is_finite_number
 
 SentimentScorer = Callable[[str], float]
 
@@ -157,13 +156,6 @@ def build_reference(
     return np.array([-math.log(p) for p in probabilities], dtype=np.float64)
 
 
-@dataclass(frozen=True, slots=True)
-class LanguageScores:
-    sentiment: float | None
-    emotionality: float | None
-    complexity: float | None
-
-
 def _lexicon_sentiments(
     ids: np.ndarray, bounds: np.ndarray, vocabulary: Mapping[str, int], lexicon: PolarLexicon
 ) -> np.ndarray:
@@ -187,8 +179,8 @@ def language_scores(
     partition: Partition,
     scorer: SentimentScorer,
     surprisal: np.ndarray | None,
-) -> LanguageScores:
-    """Sentiment, emotionality and complexity of one partition.
+) -> dict[str, float | None]:
+    """The ``hierarchy.LANGUAGE_METRICS`` of one partition, by name.
 
     The default lexicon scorer reads the partition's token ids; any other
     scorer is called with each message's text.  A sentiment outside [0, 1],
@@ -196,7 +188,7 @@ def language_scores(
     reads ``surprisal``, the corpus's ``build_reference`` array, if given.
     """
     if not partition.rows.size:
-        return LanguageScores(None, None, None)
+        return dict.fromkeys(LANGUAGE_METRICS)
     ids, bounds = partition.token_ids()
     vocabulary = partition.tokens.vocabulary
     if type(scorer) is LexiconSentimentScorer:
@@ -211,8 +203,8 @@ def language_scores(
                     f"{corpus.ids[row]!r}; expected a finite number in [0, 1]"
                 )
         sentiments = np.array(values, dtype=np.float64)
-    return LanguageScores(
-        sentiment=_mean(sentiments),
-        emotionality=emotionality(sentiments),
-        complexity=_mean(surprisal[ids]) if surprisal is not None and ids.size else None,
-    )
+    return {
+        "sentiment": _mean(sentiments),
+        "emotionality": emotionality(sentiments),
+        "complexity": _mean(surprisal[ids]) if surprisal is not None and ids.size else None,
+    }

@@ -96,7 +96,7 @@ def evaluate_hierarchy(
             if inter is not None
             else None
         )
-        sentiment = getattr(vectors[orientation], "sentiment")
+        sentiment = vectors[orientation].sentiment
         feeling = (
             attitude(sentiment, cfg.attitude_negative_max, cfg.attitude_positive_min)
             if sentiment is not None
@@ -117,7 +117,7 @@ def evaluate_hierarchy(
                 "orientation": orientation,
                 "metrics": {
                     name: _opt6(value)
-                    for name, value in vectors[orientation].as_dict().items()
+                    for name, value in asdict(vectors[orientation]).items()
                 },
                 "normalized": {
                     name: {
@@ -164,12 +164,8 @@ def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
     return orientation_lexicon, polar
 
 
-def run_pipeline(
-    cfg: RunConfig,
-    scorer: SentimentScorer | None = None,
-    write_outputs: bool = True,
-) -> dict:
-    """Full analysis of the configured corpus; returns the report dict."""
+def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
+    """Full analysis of the configured corpus: writes the outputs, returns the report dict."""
     cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
@@ -206,8 +202,7 @@ def run_pipeline(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
         lang = language_scores(partition, scorer, surprisal)
-        # The three bundles hold exactly the metric vector's twelve fields.
-        vectors[orientation] = MetricVector(**asdict(conn), **asdict(inter), **asdict(lang))
+        vectors[orientation] = MetricVector(**conn, **inter, **lang)
 
     report = {
         "mode": "run",
@@ -224,8 +219,7 @@ def run_pipeline(
         },
         "orientations": evaluate_hierarchy(vectors, cfg),
     }
-    if write_outputs:
-        _write_outputs(report, cfg, graphs, windows)
+    _write_outputs(report, cfg, graphs, windows)
     return report
 
 

@@ -50,7 +50,7 @@ class OrientationPlant:
 @dataclass
 class SynthSpec:
     orientations: dict[str, OrientationPlant]
-    start: datetime
+    start: datetime = datetime(2021, 1, 4, tzinfo=timezone.utc)
     days: int = 7
     window_hours: float = 24.0
     seed: int = 0
@@ -109,7 +109,10 @@ class SynthSpec:
     @classmethod
     def from_file(cls, path: str) -> "SynthSpec":
         with read_json_object(path, "synth spec") as raw:
-            plants_raw = raw.get("orientations")
+            unknown = set(raw) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown spec keys {sorted(unknown)}")
+            plants_raw = raw.pop("orientations", None)
             if not isinstance(plants_raw, dict):
                 raise ValueError("needs an 'orientations' object")
             plant_names = {f.name for f in fields(OrientationPlant)}
@@ -119,15 +122,9 @@ class SynthSpec:
                 if unknown:
                     raise ValueError(f"{name}: unknown plant keys {sorted(unknown)}")
                 plants[name] = OrientationPlant(**body)
-            start_raw = raw.get("start", "2021-01-04T00:00:00Z")
-            start = datetime.fromisoformat(str(start_raw).replace("Z", "+00:00"))
-            spec = cls(
-                orientations=plants,
-                start=start,
-                days=raw.get("days", 7),
-                window_hours=raw.get("window_hours", 24.0),
-                seed=raw.get("seed", 0),
-            )
+            if "start" in raw:
+                raw["start"] = datetime.fromisoformat(str(raw["start"]).replace("Z", "+00:00"))
+            spec = cls(plants, **raw)
             spec.validate()
             return spec
 

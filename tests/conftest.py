@@ -22,7 +22,6 @@ from valuescope import (
     ORIENTATIONS,
     CorpusError,
     InteractionGraph,
-    LanguageScores,
     LexiconSentimentScorer,
     Message,
     MessageTable,
@@ -486,9 +485,9 @@ def oracle_filter_and_partition(messages, lexicon: OrientationLexicon):
     return partitions, discarded, counts
 
 
-def oracle_language_scores(tagged, scorer, reference) -> LanguageScores:
+def oracle_language_scores(tagged, scorer, reference) -> dict:
     if not tagged:
-        return LanguageScores(None, None, None)
+        return {"sentiment": None, "emotionality": None, "complexity": None}
     if type(scorer) is LexiconSentimentScorer:
         lexicon = scorer.lexicon
         sentiments = []
@@ -502,18 +501,18 @@ def oracle_language_scores(tagged, scorer, reference) -> LanguageScores:
     else:
         sentiments = [scorer(t.message.text) for t in tagged]
     tokens = [token for t in tagged for token in t.tokens]
-    return LanguageScores(
-        sentiment=_left_to_right_sum(sentiments) / len(sentiments),
-        emotionality=_left_to_right_sum(abs(s - 0.5) for s in sentiments)
+    return {
+        "sentiment": _left_to_right_sum(sentiments) / len(sentiments),
+        "emotionality": _left_to_right_sum(abs(s - 0.5) for s in sentiments)
         / len(sentiments),
-        complexity=_left_to_right_sum(
+        "complexity": _left_to_right_sum(
             -math.log(reference.probabilities.get(token, reference.unseen))
             for token in tokens
         )
         / len(tokens)
         if reference is not None and tokens
         else None,
-    )
+    }
 
 
 # ------------------------------------------------------------ kernel oracle

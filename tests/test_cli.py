@@ -144,6 +144,43 @@ class TestRunVerb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("window_hours", "flags"),
+        [
+            ("1e-310", ()),  # every window index overflows to infinity
+            ("1e308", ("--window-csv",)),  # the width in seconds is infinite
+        ],
+    )
+    def test_window_width_off_the_float_range_is_config_error(
+        self, corpus, tmp_path, capsys, caplog, window_hours, flags
+    ):
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out),
+            "--window-hours", window_hours, *flags,
+        )
+        assert code == 2 and stdout == ""
+        assert "cannot place the windows in time" in caplog.text
+        assert not out.exists()
+
+    def test_window_start_before_year_one_is_config_error(self, tmp_path, capsys, caplog):
+        corpus = tmp_path / "1969.ndjson"
+        records = [
+            {"id": "m1", "author": "alice", "created_at": "1969-06-01T10:00:00Z",
+             "text": "quality first", "mentions": ["bob"]},
+            {"id": "m2", "author": "bob", "created_at": "1969-06-02T10:00:00Z",
+             "text": "quality second", "reply_to": "m1"},
+        ]
+        write_corpus_file(corpus, records, extra_lines=())
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out),
+            "--window-hours", "1e12", "--window-csv",
+        )
+        assert code == 2 and stdout == ""
+        assert "within the years 1 to 9999" in caplog.text
+        assert not out.exists()
+
     def test_config_file_feeds_run(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"window_hours": 12.0, "window_csv": True}))
@@ -345,6 +382,16 @@ class TestSynthVerb:
         code, stdout = run_cli(capsys, "synth", "--spec", str(spec_path), "--out", str(out))
         assert code == 2
         assert stdout == ""
+        assert not out.exists()
+
+    def test_unknown_spec_key_is_config_error(self, tmp_path, capsys, caplog):
+        spec = {"orientations": {"Customers": {"actors": 30, "messages": 90}}, "dayz": 30}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "x.ndjson"
+        code, _ = run_cli(capsys, "synth", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        assert "unknown spec keys ['dayz']" in caplog.text
         assert not out.exists()
 
     def test_infeasible_spec_is_config_error(self, tmp_path, capsys):

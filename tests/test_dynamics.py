@@ -267,8 +267,8 @@ def test_response_time_and_nudges_match_per_contact_scan(messages, cutoff_hours)
     assert nudges(graph, cutoff_hours) == expected_nudges
     # The bundle shares one contact scan between both metrics.
     scores = interactivity_scores(graph, window_series(graph), cutoff_hours=cutoff_hours)
-    assert scores.art_hours == expected_art
-    assert scores.nudges == expected_nudges
+    assert scores["art_hours"] == expected_art
+    assert scores["nudges"] == expected_nudges
 
 
 class TestCountExtrema:
@@ -528,11 +528,11 @@ class TestInteractivityScores:
         graph = graph_of(plain)
         windows = window_series(graph)
         scores = interactivity_scores(graph, windows)
-        assert scores.activity == activity(graph)
-        assert scores.actor_count == 4
-        assert scores.avg_activity_per_actor == pytest.approx(
+        assert scores["activity"] == activity(graph)
+        assert scores["actor_count"] == 4
+        assert scores["avg_activity_per_actor"] == pytest.approx(
             activity(graph) / 4
         )
-        assert scores.art_hours == pytest.approx(2.0)
-        assert scores.nudges == pytest.approx(1.0)
-        assert scores.rotating_leadership == rotating_leadership(windows)
+        assert scores["art_hours"] == pytest.approx(2.0)
+        assert scores["nudges"] == pytest.approx(1.0)
+        assert scores["rotating_leadership"] == rotating_leadership(windows)

@@ -377,9 +377,9 @@ class TestCentralization:
     def test_connectivity_scores_bundle(self):
         graph = star_graph(4)
         scores = connectivity_scores(graph)
-        assert scores.density == pytest.approx(2 * 4 / (5 * 4))
-        assert scores.degree_centralization == 1.0
-        assert scores.betweenness_centralization == 1.0
+        assert scores["density"] == pytest.approx(2 * 4 / (5 * 4))
+        assert scores["degree_centralization"] == 1.0
+        assert scores["betweenness_centralization"] == 1.0
 
 
 @settings(max_examples=40, deadline=None)

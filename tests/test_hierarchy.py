@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -257,7 +258,7 @@ class TestClassify:
 class TestMetricVector:
     def test_round_trip(self):
         vector = MetricVector(density=0.1, sentiment=0.7)
-        again = MetricVector.from_dict(vector.as_dict())
+        again = MetricVector.from_dict(asdict(vector))
         assert again == vector
 
     def test_unknown_metric_rejected(self):
@@ -296,7 +297,7 @@ class TestMetricVector:
             "actor_count": 0, "activity": 0, "avg_activity_per_actor": 0.0,
             "rotating_leadership": 0, "complexity": 1e300,
         }
-        assert MetricVector.from_dict(edges).as_dict() == edges
+        assert asdict(MetricVector.from_dict(edges)) == edges
 
     def test_metric_groups_partition_the_list(self):
         groups = CONNECTIVITY_METRICS + INTERACTIVITY_METRICS + METRICS[9:]

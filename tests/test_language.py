@@ -25,7 +25,6 @@ from conftest import (
 )
 from valuescope import (
     ORIENTATIONS,
-    LanguageScores,
     LexiconSentimentScorer,
     MessageTable,
     OrientationLexicon,
@@ -223,27 +222,23 @@ class TestLanguageScores:
         scores = language_scores(
             partition, LexiconSentimentScorer(lexicon), build_reference(partition.tokens, ref)
         )
-        assert scores.sentiment == pytest.approx((1.0 + 0.0) / 2)
-        assert scores.emotionality == pytest.approx(0.5)
-        assert scores.complexity == pytest.approx(
+        assert scores["sentiment"] == pytest.approx((1.0 + 0.0) / 2)
+        assert scores["emotionality"] == pytest.approx(0.5)
+        assert scores["complexity"] == pytest.approx(
             complexity(["good", "good", "thing", "bad", "thing"], ref)
         )
 
     def test_empty_messages(self, lexicon):
         scores = language_scores(carrying_tokens([]), LexiconSentimentScorer(lexicon), None)
-        assert scores == pytest.approx((None, None, None)) or (
-            scores.sentiment is None
-            and scores.emotionality is None
-            and scores.complexity is None
-        )
+        assert scores == {"sentiment": None, "emotionality": None, "complexity": None}
 
     def test_without_reference_complexity_absent(self, lexicon):
         messages = [msg("m1", "x", 0.0, text="good")]
         scores = language_scores(
             carrying_tokens(messages), LexiconSentimentScorer(lexicon), None
         )
-        assert scores.sentiment == 1.0
-        assert scores.complexity is None
+        assert scores["sentiment"] == 1.0
+        assert scores["complexity"] is None
 
     def test_means_add_left_to_right(self, lexicon):
         # 0.6 ten times: 0.5999999999999999 left to right, 0.6 compensated.
@@ -254,13 +249,13 @@ class TestLanguageScores:
         expected = functools.reduce(operator.add, sentiments) / len(sentiments)
         for scorer in (LexiconSentimentScorer(lexicon), lambda text: 0.6):
             scores = language_scores(carrying_tokens(messages), scorer, None)
-            assert scores.sentiment == expected
+            assert scores["sentiment"] == expected
 
     def test_custom_callable_scorer(self):
         messages = [msg("m1", "x", 0.0, text="whatever")]
         scores = language_scores(carrying_tokens(messages), lambda text: 0.25, None)
-        assert scores.sentiment == 0.25
-        assert scores.emotionality == 0.25
+        assert scores["sentiment"] == 0.25
+        assert scores["emotionality"] == 0.25
 
 
 # Tagging words, polar words (one on both sides), plain words and noise.
@@ -271,7 +266,7 @@ _WORDS = (
 )
 
 
-def _text_based_scores(texts, lexicon, reference) -> LanguageScores:
+def _text_based_scores(texts, lexicon, reference) -> dict:
     """The computation before messages carried tokens: re-tokenize each text."""
     sentiments = []
     for text in texts:
@@ -285,17 +280,17 @@ def _text_based_scores(texts, lexicon, reference) -> LanguageScores:
     tokens = [token for text in texts for token in tokenize(text)]
     # Left to right, the order the builtin sum used before Python 3.12.
     total = functools.partial(functools.reduce, operator.add)
-    return LanguageScores(
-        sentiment=total(sentiments) / len(sentiments),
-        emotionality=total(abs(s - 0.5) for s in sentiments) / len(sentiments),
-        complexity=total(
+    return {
+        "sentiment": total(sentiments) / len(sentiments),
+        "emotionality": total(abs(s - 0.5) for s in sentiments) / len(sentiments),
+        "complexity": total(
             -math.log(reference.probabilities.get(t, reference.unseen))
             for t in tokens
         )
         / len(tokens)
         if tokens
         else None,
-    )
+    }
 
 
 @pytest.fixture(scope="module")

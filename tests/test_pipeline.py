@@ -30,7 +30,25 @@ from importlib import resources
 import pytest
 
 from reference_case import EXPECTED_HINTS
-from valuescope import ConfigError, CorpusError, RunConfig, replay_metrics, run_pipeline
+from valuescope import (
+    CONNECTIVITY_METRICS,
+    INTERACTIVITY_METRICS,
+    LANGUAGE_METRICS,
+    ConfigError,
+    CorpusError,
+    LexiconSentimentScorer,
+    OrientationLexicon,
+    RunConfig,
+    build_graph,
+    connectivity_scores,
+    filter_and_partition,
+    interactivity_scores,
+    language_scores,
+    load_corpus,
+    replay_metrics,
+    run_pipeline,
+    window_series,
+)
 from valuescope import corpus as corpus_module
 from valuescope import language as language_module
 from valuescope.config import read_json_object
@@ -260,6 +278,25 @@ class TestFixtureRun:
         assert len(lines) == 7
         assert lines[0].startswith("orientation,density,")
         assert lines[1].startswith("Customers,0.2,")
+
+
+def test_each_layer_returns_exactly_its_metric_names(tmp_path):
+    """The three layers fill ``MetricVector``, the one list of the twelve names."""
+    corpus = tmp_path / "corpus.ndjson"
+    write_corpus_file(corpus)
+    table = load_corpus(str(corpus)).messages
+    partitions, _ = filter_and_partition(table, OrientationLexicon.default())
+    customers, empty = partitions["Customers"], partitions["Citizenship"]
+    assert customers.rows.size and not empty.rows.size
+    graph = build_graph(customers.corpus, customers.rows)
+    layers = [
+        (connectivity_scores(graph), CONNECTIVITY_METRICS),
+        (interactivity_scores(graph, window_series(graph)), INTERACTIVITY_METRICS),
+        (language_scores(customers, LexiconSentimentScorer(), None), LANGUAGE_METRICS),
+        (language_scores(empty, LexiconSentimentScorer(), None), LANGUAGE_METRICS),
+    ]
+    for scores, names in layers:
+        assert set(scores) == set(names)
 
 
 class TestRunVariants:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import graph_of
 from valuescope import (
+    ConfigError,
     LexiconSentimentScorer,
     OrientationPlant,
     SynthSpec,
@@ -274,6 +275,11 @@ class TestSpecFile:
     def test_unknown_plant_key(self, tmp_path):
         body = {"orientations": {"Employees": {"actors": 20, "messages": 60, "mood": 1}}}
         with pytest.raises(ValueError, match="unknown plant keys"):
+            SynthSpec.from_file(self.write_spec(tmp_path, body))
+
+    def test_unknown_spec_key(self, tmp_path):
+        body = {"orientations": {"Employees": {"actors": 20, "messages": 60}}, "dayz": 30}
+        with pytest.raises(ConfigError, match=r"unknown spec keys \['dayz'\]"):
             SynthSpec.from_file(self.write_spec(tmp_path, body))
 
     def test_root_must_be_object(self, tmp_path):
