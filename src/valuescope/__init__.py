@@ -46,21 +46,21 @@ from .graph import (
 from .hierarchy import (
     Attitude,
     Band,
-    Classification,
-    CLASS_LABELS,
+    CLASSES,
     CONNECTIVITY_METRICS,
     INTERACTIVITY_METRICS,
     LANGUAGE_METRICS,
     METRICS,
     MetricVector,
-    STRATEGY_HINTS,
     ValueClass,
     attitude,
     band,
     classify,
     composite,
+    evaluate_hierarchy,
     min_max_normalize,
     normalize_vectors,
+    round6,
 )
 from .language import (
     LexiconSentimentScorer,
@@ -72,13 +72,7 @@ from .language import (
     language_scores,
     score_sentiment,
 )
-from .pipeline import (
-    dump_report,
-    evaluate_hierarchy,
-    replay_metrics,
-    round6,
-    run_pipeline,
-)
+from .pipeline import dump_report, replay_metrics, run_pipeline
 from .synth import (
     OrientationPlant,
     SynthSpec,

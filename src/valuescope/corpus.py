@@ -328,6 +328,11 @@ def _parse_micros(raw: object) -> int | None:
     return (stamp - _EPOCH) // _MICROSECOND
 
 
+def format_stamp(stamp: datetime) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ`` of an aware UTC datetime, the year always four digits."""
+    return f"{stamp.year:04d}-{stamp:%m-%dT%H:%M:%S}Z"
+
+
 def _clean_handle(raw: object) -> str | None:
     if not isinstance(raw, str):
         return None

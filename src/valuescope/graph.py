@@ -11,6 +11,7 @@ centralization follows Freeman's formulation.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime
 from typing import Iterator
 from xml.sax.saxutils import escape, quoteattr
@@ -18,7 +19,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from . import _kernels
-from .corpus import ABSENT, MessageTable, segments
+from .corpus import ABSENT, CorpusError, MessageTable, format_stamp, segments
 
 ARC_KINDS = ("mention", "reply", "retweet")
 MENTION, REPLY, RETWEET = range(len(ARC_KINDS))
@@ -155,8 +156,16 @@ def connectivity_scores(graph: SimpleGraph) -> dict[str, float]:
     }
 
 
-def _format_ts(stamp: datetime) -> str:
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+# A character outside XML 1.0's Char production.  Lone surrogates are among
+# them, so a handle that passes can also be written as UTF-8.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def check_exportable(graph: InteractionGraph, orientation: str) -> None:
+    """Raise ``CorpusError`` if a GraphML or DOT file could not hold one of the graph's handles."""
+    for name in graph.nodes:
+        if _NOT_XML_CHAR.search(name):
+            raise CorpusError(f"cannot export {orientation}: handle {name!r} is not XML 1.0 text")
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -166,6 +175,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
     """Serialize the arc multigraph as GraphML (directed edges)."""
+    check_exportable(graph, orientation)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -186,7 +196,7 @@ def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
         lines.append(
             f"    <edge source={quoteattr(source)} target={quoteattr(target)}>"
             f'<data key="d2">{kind}</data>'
-            f'<data key="d3">{_format_ts(stamp)}</data></edge>'
+            f'<data key="d3">{format_stamp(stamp)}</data></edge>'
         )
     _write_lines(path, [*lines, "  </graph>", "</graphml>"])
 
@@ -197,6 +207,7 @@ def _dot_quote(value: str) -> str:
 
 def write_dot(graph: InteractionGraph, orientation: str, path: str) -> None:
     """Serialize the arc multigraph in DOT format."""
+    check_exportable(graph, orientation)
     lines = [f"digraph {_dot_quote(orientation)} {{"]
     for i, handle in enumerate(graph.nodes):
         lines.append(
@@ -206,6 +217,6 @@ def write_dot(graph: InteractionGraph, orientation: str, path: str) -> None:
     for source, target, kind, stamp in graph.iter_arcs():
         lines.append(
             f"  {_dot_quote(source)} -> {_dot_quote(target)} "
-            f"[kind={_dot_quote(kind)}, timestamp={_dot_quote(_format_ts(stamp))}];"
+            f"[kind={_dot_quote(kind)}, timestamp={_dot_quote(format_stamp(stamp))}];"
         )
     _write_lines(path, [*lines, "}"])

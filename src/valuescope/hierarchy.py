@@ -3,16 +3,20 @@
 Every metric is min-max normalized across orientations so composites compare
 positions, not magnitudes.  Interactivity and connectivity composites are
 weighted means of normalized values; band thresholds then drive a fixed
-decision table that assigns each orientation a salience class and a strategy
-hint.
+decision table that assigns each orientation a salience class, whose label
+and strategy hint come from ``CLASSES``.  ``evaluate_hierarchy`` forms each
+orientation's report entry from these steps.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,25 +94,33 @@ class ValueClass(str, Enum):
     VOID = "Void"
 
 
-CLASS_LABELS: dict[ValueClass, str] = {
-    ValueClass.ACTIVE: "Active",
-    ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE: "Active but with neutral or negative feelings",
-    ValueClass.ACTIVE_DISAGGREGATED: "Active but on disaggregated groups",
-    ValueClass.LATENT: "Latent",
-    ValueClass.LATENT_NEGATIVE: "Latent but with negative feelings",
-    ValueClass.LATENT_DISAGGREGATED: "Latent but on disaggregated groups",
-    ValueClass.VOID: "Void",
+# Each class's report label and strategy hint.
+CLASSES: dict[ValueClass, tuple[str, str]] = {
+    ValueClass.ACTIVE: ("Active", "At the heart of any strategic process"),
+    ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE: (
+        "Active but with neutral or negative feelings",
+        "Immediate attention, consider to gradually divest",
+    ),
+    ValueClass.ACTIVE_DISAGGREGATED: (
+        "Active but on disaggregated groups",
+        "Immediate attention, verify the convergence among stakeholders",
+    ),
+    ValueClass.LATENT: ("Latent", "Periodic attention"),
+    ValueClass.LATENT_NEGATIVE: (
+        "Latent but with negative feelings",
+        "Periodic attention, consider to gradually divest",
+    ),
+    ValueClass.LATENT_DISAGGREGATED: (
+        "Latent but on disaggregated groups",
+        "Periodic attention, verify the convergence among stakeholders",
+    ),
+    ValueClass.VOID: ("Void", "Consider to gradually divest"),
 }
 
-STRATEGY_HINTS: dict[ValueClass, str] = {
-    ValueClass.ACTIVE: "At the heart of any strategic process",
-    ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE: "Immediate attention, consider to gradually divest",
-    ValueClass.ACTIVE_DISAGGREGATED: "Immediate attention, verify the convergence among stakeholders",
-    ValueClass.LATENT: "Periodic attention",
-    ValueClass.LATENT_NEGATIVE: "Periodic attention, consider to gradually divest",
-    ValueClass.LATENT_DISAGGREGATED: "Periodic attention, verify the convergence among stakeholders",
-    ValueClass.VOID: "Consider to gradually divest",
-}
+
+def round6(value: float | None) -> float | None:
+    """Round to six significant digits, the report serialization precision; None stays None."""
+    return None if value is None else float(f"{value:.6g}")
 
 
 def min_max_normalize(
@@ -202,43 +214,86 @@ def attitude(
     return Attitude.NEUTRAL
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    value_class: ValueClass
-    label: str
-    hint: str
-
-
-def classify(
-    connectivity: Band, interactivity: Band, feeling: Attitude
-) -> Classification:
+def classify(connectivity: Band, interactivity: Band, feeling: Attitude) -> ValueClass:
     """Decision table over (connectivity band, interactivity band, attitude).
 
     Interactivity dominates: a Low band is Void no matter how connected or
     how warm the discourse.  High interactivity is the Active family, split
     by fragmentation first and attitude second; Intermediate is the Latent
-    family with the same two splits.
+    family, where a negative attitude comes first and fragmentation second.
     """
     if interactivity is Band.LOW:
-        result = ValueClass.VOID
-    elif interactivity is Band.HIGH:
+        return ValueClass.VOID
+    if interactivity is Band.HIGH:
         if connectivity is Band.LOW:
-            result = ValueClass.ACTIVE_DISAGGREGATED
-        elif feeling is Attitude.POSITIVE:
-            result = ValueClass.ACTIVE
-        else:
-            result = ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE
-    else:
-        if connectivity is Band.LOW:
-            result = (
-                ValueClass.LATENT_NEGATIVE
-                if feeling is Attitude.NEGATIVE
-                else ValueClass.LATENT_DISAGGREGATED
-            )
-        else:
-            result = (
-                ValueClass.LATENT_NEGATIVE
-                if feeling is Attitude.NEGATIVE
-                else ValueClass.LATENT
-            )
-    return Classification(result, CLASS_LABELS[result], STRATEGY_HINTS[result])
+            return ValueClass.ACTIVE_DISAGGREGATED
+        if feeling is Attitude.POSITIVE:
+            return ValueClass.ACTIVE
+        return ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE
+    if feeling is Attitude.NEGATIVE:
+        return ValueClass.LATENT_NEGATIVE
+    if connectivity is Band.LOW:
+        return ValueClass.LATENT_DISAGGREGATED
+    return ValueClass.LATENT
+
+
+def evaluate_hierarchy(vectors: Mapping[str, MetricVector], cfg: RunConfig) -> list[dict]:
+    """Each orientation's report entry: normalized, composited, banded and classified.
+
+    Orientations missing an input (empty partitions, too few peers to
+    normalize against) carry null composites and no classification instead
+    of failing the run.
+    """
+    normalized = normalize_vectors(vectors)
+    # The two centralizations count against connectivity unless configured positive.
+    inverted = frozenset() if cfg.centralization_positive else frozenset(CONNECTIVITY_METRICS[1:])
+    entries: list[dict] = []
+    for orientation, vector in vectors.items():
+        mm = normalized[orientation]
+        conn = composite(mm, CONNECTIVITY_METRICS, cfg.connectivity_weights, inverted)
+        inter = composite(mm, INTERACTIVITY_METRICS, cfg.interactivity_weights, LOWER_IS_MORE)
+        conn_band = None if conn is None else band(
+            conn, cfg.connectivity_low, cfg.connectivity_high
+        )
+        inter_band = None if inter is None else band(
+            inter, cfg.interactivity_low, cfg.interactivity_high
+        )
+        feeling = None if vector.sentiment is None else attitude(
+            vector.sentiment, cfg.attitude_negative_max, cfg.attitude_positive_min
+        )
+        value_class, warnings = None, []
+        if conn_band and inter_band and feeling:
+            value_class = classify(conn_band, inter_band, feeling)
+            if inter_band is Band.LOW and conn_band is not Band.LOW:
+                warnings.append(
+                    "low interactivity forces Void; the "
+                    f"{conn_band.value} connectivity band and "
+                    f"{feeling.value} attitude are disregarded"
+                )
+        label, hint = CLASSES[value_class] if value_class else (None, None)
+        entries.append(
+            {
+                "orientation": orientation,
+                "metrics": {name: round6(value) for name, value in asdict(vector).items()},
+                "normalized": {
+                    name: {
+                        "mm": round6(value),
+                        "directed": round6(
+                            1.0 - value if name in LOWER_IS_MORE and value is not None else value
+                        ),
+                    }
+                    for name, value in mm.items()
+                },
+                "composites": {"connectivity": round6(conn), "interactivity": round6(inter)},
+                "bands": {
+                    "connectivity": conn_band and conn_band.value,
+                    "interactivity": inter_band and inter_band.value,
+                },
+                "attitude": feeling and feeling.value,
+                "classification": value_class and value_class.value,
+                "label": label,
+                "strategy_hint": hint,
+                "warnings": warnings,
+            }
+        )
+    return entries

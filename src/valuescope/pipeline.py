@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Mapping
 
@@ -19,23 +18,19 @@ from .corpus import (
     ORIENTATIONS,
     OrientationLexicon,
     filter_and_partition,
+    format_stamp,
     load_corpus,
 )
 from .dynamics import NO_WINDOWS, WindowSeries, interactivity_scores, window_series
-from .graph import InteractionGraph, build_graph, connectivity_scores, write_dot, write_graphml
-from .hierarchy import (
-    Band,
-    CONNECTIVITY_METRICS,
-    INTERACTIVITY_METRICS,
-    LOWER_IS_MORE,
-    METRICS,
-    MetricVector,
-    attitude,
-    band,
-    classify,
-    composite,
-    normalize_vectors,
+from .graph import (
+    InteractionGraph,
+    build_graph,
+    check_exportable,
+    connectivity_scores,
+    write_dot,
+    write_graphml,
 )
+from .hierarchy import METRICS, MetricVector, evaluate_hierarchy, round6
 from .language import (
     LexiconSentimentScorer,
     PolarLexicon,
@@ -44,110 +39,6 @@ from .language import (
     build_reference,
     language_scores,
 )
-
-
-def round6(value: float) -> float:
-    """Round to six significant digits, the report serialization precision."""
-    return float(f"{value:.6g}")
-
-
-def _opt6(value: float | None) -> float | None:
-    return None if value is None else round6(value)
-
-
-def _connectivity_inverted(cfg: RunConfig) -> frozenset[str]:
-    if cfg.centralization_positive:
-        return frozenset()
-    return frozenset({"degree_centralization", "betweenness_centralization"})
-
-
-def evaluate_hierarchy(
-    vectors: Mapping[str, MetricVector], cfg: RunConfig
-) -> list[dict]:
-    """Normalize, composite, band and classify every orientation.
-
-    Orientations missing an input (empty partitions, too few peers to
-    normalize against) carry null composites and no classification instead
-    of failing the run.
-    """
-    normalized = normalize_vectors(vectors)
-    entries: list[dict] = []
-    for orientation in vectors:
-        mm = normalized[orientation]
-        conn = composite(
-            mm,
-            CONNECTIVITY_METRICS,
-            cfg.connectivity_weights,
-            _connectivity_inverted(cfg),
-        )
-        inter = composite(
-            mm,
-            INTERACTIVITY_METRICS,
-            cfg.interactivity_weights,
-            LOWER_IS_MORE,
-        )
-        conn_band = (
-            band(conn, cfg.connectivity_low, cfg.connectivity_high)
-            if conn is not None
-            else None
-        )
-        inter_band = (
-            band(inter, cfg.interactivity_low, cfg.interactivity_high)
-            if inter is not None
-            else None
-        )
-        sentiment = vectors[orientation].sentiment
-        feeling = (
-            attitude(sentiment, cfg.attitude_negative_max, cfg.attitude_positive_min)
-            if sentiment is not None
-            else None
-        )
-        warnings: list[str] = []
-        classification = None
-        if conn_band is not None and inter_band is not None and feeling is not None:
-            classification = classify(conn_band, inter_band, feeling)
-            if inter_band is Band.LOW and conn_band is not Band.LOW:
-                warnings.append(
-                    "low interactivity forces Void; the "
-                    f"{conn_band.value} connectivity band and "
-                    f"{feeling.value} attitude are disregarded"
-                )
-        entries.append(
-            {
-                "orientation": orientation,
-                "metrics": {
-                    name: _opt6(value)
-                    for name, value in asdict(vectors[orientation]).items()
-                },
-                "normalized": {
-                    name: {
-                        "mm": _opt6(mm[name]),
-                        "directed": _opt6(
-                            1.0 - mm[name]
-                            if name in LOWER_IS_MORE and mm[name] is not None
-                            else mm[name]
-                        ),
-                    }
-                    for name in METRICS
-                },
-                "composites": {
-                    "connectivity": _opt6(conn),
-                    "interactivity": _opt6(inter),
-                },
-                "bands": {
-                    "connectivity": conn_band.value if conn_band else None,
-                    "interactivity": inter_band.value if inter_band else None,
-                },
-                "attitude": feeling.value if feeling else None,
-                "classification": classification.value_class.value
-                if classification
-                else None,
-                "label": classification.label if classification else None,
-                "strategy_hint": classification.hint if classification else None,
-                "warnings": warnings,
-            }
-        )
-    return entries
 
 
 def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
@@ -193,6 +84,7 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
             continue
         graph = build_graph(partition.corpus, partition.rows)
         if cfg.export_graphml or cfg.export_dot:
+            check_exportable(graph, orientation)  # before any output is written
             graphs[orientation] = graph
         dangling += graph.dangling_refs
         series = window_series(graph, cfg.window_hours)
@@ -299,27 +191,23 @@ def _write_metrics_csv(report: dict, path: str) -> None:
         ]
     )
 
-    def cell(value) -> str:
-        return "" if value is None else str(value)
-
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for entry in report["orientations"]:
-            row = [entry["orientation"]]
-            row += [cell(entry["metrics"][name]) for name in METRICS]
-            row += [cell(entry["normalized"][name]["mm"]) for name in METRICS]
-            row += [
-                cell(entry["composites"]["connectivity"]),
-                cell(entry["composites"]["interactivity"]),
-                cell(entry["bands"]["connectivity"]),
-                cell(entry["bands"]["interactivity"]),
-                cell(entry["attitude"]),
-                cell(entry["classification"]),
-                cell(entry["label"]),
-                cell(entry["strategy_hint"]),
-            ]
-            writer.writerow(row)
+            writer.writerow(
+                [
+                    entry["orientation"],
+                    *entry["metrics"].values(),
+                    *(values["mm"] for values in entry["normalized"].values()),
+                    *entry["composites"].values(),
+                    *entry["bands"].values(),
+                    entry["attitude"],
+                    entry["classification"],
+                    entry["label"],
+                    entry["strategy_hint"],
+                ]
+            )
 
 
 def _write_window_csv(series: WindowSeries, path: str) -> None:
@@ -329,4 +217,4 @@ def _write_window_csv(series: WindowSeries, path: str) -> None:
         columns = (series.node_counts, series.edge_counts, series.centralization)
         for k, (nodes, edges, central) in enumerate(zip(*(c.tolist() for c in columns))):
             start = datetime.fromtimestamp((series.first + k) * series.width, tz=timezone.utc)
-            writer.writerow([start.strftime("%Y-%m-%dT%H:%M:%SZ"), nodes, edges, round6(central)])
+            writer.writerow([format_stamp(start), nodes, edges, round6(central)])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from .config import check_field_types, read_json_object
-from .corpus import ORIENTATIONS, OrientationLexicon
+from .corpus import ORIENTATIONS, OrientationLexicon, format_stamp
 from .dynamics import check_window_count
 from .language import PolarLexicon
 
@@ -298,7 +298,7 @@ class _OrientationWriter:
             {
                 "id": msg_id,
                 "author": author,
-                "created_at": created.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "created_at": format_stamp(created),
                 "text": self.sampler.text(),
                 "reply_to": reply_to,
                 "retweet_of": None,

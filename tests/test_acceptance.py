@@ -47,6 +47,7 @@ from valuescope import (
     ORIENTATIONS,
     Attitude,
     Band,
+    CLASSES,
     OrientationPlant,
     PolarLexicon,
     ReferenceDictionary,
@@ -348,10 +349,7 @@ def test_classifier_totality():
     texts_ok = True
     for conn, inter, feeling in itertools.product(Band, Band, Attitude):
         result = classify(conn, inter, feeling)
-        name = result.value_class.value
-        if result.label != EXPECTED_LABELS[name]:
-            texts_ok = False
-        if result.hint != EXPECTED_HINTS[name]:
+        if CLASSES[result] != (EXPECTED_LABELS[result.value], EXPECTED_HINTS[result.value]):
             texts_ok = False
         combos += 1
     ok = combos == 27 and texts_ok

@@ -426,6 +426,41 @@ class TestSynthVerb:
         assert not out.exists()
 
 
+class TestUnexportableHandles:
+    """A handle GraphML or UTF-8 cannot hold stops an export before its file opens."""
+
+    @pytest.fixture(params=["x\u0001y", "x\ud800"], ids=["control", "surrogate"])
+    def author_corpus(self, request, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        record = {"id": "m1", "author": request.param, "created_at": "2021-03-01T10:00:00Z",
+                  "text": "quality check", "mentions": ["bob"]}
+        write_corpus_file(path, records=[record], extra_lines=())
+        return request.param, path
+
+    @pytest.mark.parametrize("fmt", ["graphml", "dot"])
+    def test_run_writes_nothing(self, author_corpus, tmp_path, capsys, caplog, fmt):
+        author, corpus = author_corpus
+        out = tmp_path / "out"
+        code, stdout = run_cli(
+            capsys, "run", "--corpus", str(corpus), "--out", str(out), f"--export-{fmt}"
+        )
+        assert (code, stdout) == (1, "")
+        assert f"cannot export Customers: handle {author!r}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["graphml", "dot"])
+    def test_export_graph_opens_no_file(self, author_corpus, tmp_path, capsys, caplog, fmt):
+        author, corpus = author_corpus
+        target = tmp_path / f"customers.{fmt}"
+        code, _ = run_cli(
+            capsys, "export-graph", "--corpus", str(corpus), "--orientation", "Customers",
+            "--format", fmt, "--out", str(target),
+        )
+        assert code == 1
+        assert f"cannot export Customers: handle {author!r}" in caplog.text
+        assert not target.exists()
+
+
 class TestExportGraphVerb:
     def test_graphml_and_dot(self, corpus, tmp_path, capsys):
         graphml = tmp_path / "customers.graphml"

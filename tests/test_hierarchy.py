@@ -13,6 +13,7 @@ from reference_case import EXPECTED_HINTS, EXPECTED_LABELS, EXPECTED_MM, RAW_SCO
 from valuescope import (
     Attitude,
     Band,
+    CLASSES,
     CONNECTIVITY_METRICS,
     INTERACTIVITY_METRICS,
     METRICS,
@@ -191,49 +192,31 @@ class TestAttitude:
 
 class TestClassify:
     def test_high_interactivity_family(self):
+        assert classify(Band.HIGH, Band.HIGH, Attitude.POSITIVE) is ValueClass.ACTIVE
         assert (
-            classify(Band.HIGH, Band.HIGH, Attitude.POSITIVE).value_class
-            is ValueClass.ACTIVE
-        )
-        assert (
-            classify(Band.INTERMEDIATE, Band.HIGH, Attitude.NEUTRAL).value_class
+            classify(Band.INTERMEDIATE, Band.HIGH, Attitude.NEUTRAL)
             is ValueClass.ACTIVE_NEUTRAL_OR_NEGATIVE
         )
-        assert (
-            classify(Band.LOW, Band.HIGH, Attitude.POSITIVE).value_class
-            is ValueClass.ACTIVE_DISAGGREGATED
-        )
+        assert classify(Band.LOW, Band.HIGH, Attitude.POSITIVE) is ValueClass.ACTIVE_DISAGGREGATED
 
     def test_intermediate_interactivity_family(self):
+        assert classify(Band.HIGH, Band.INTERMEDIATE, Attitude.POSITIVE) is ValueClass.LATENT
+        assert classify(Band.HIGH, Band.INTERMEDIATE, Attitude.NEGATIVE) is ValueClass.LATENT_NEGATIVE
         assert (
-            classify(Band.HIGH, Band.INTERMEDIATE, Attitude.POSITIVE).value_class
-            is ValueClass.LATENT
-        )
-        assert (
-            classify(Band.HIGH, Band.INTERMEDIATE, Attitude.NEGATIVE).value_class
-            is ValueClass.LATENT_NEGATIVE
-        )
-        assert (
-            classify(Band.LOW, Band.INTERMEDIATE, Attitude.NEUTRAL).value_class
+            classify(Band.LOW, Band.INTERMEDIATE, Attitude.NEUTRAL)
             is ValueClass.LATENT_DISAGGREGATED
         )
-        assert (
-            classify(Band.LOW, Band.INTERMEDIATE, Attitude.NEGATIVE).value_class
-            is ValueClass.LATENT_NEGATIVE
-        )
+        assert classify(Band.LOW, Band.INTERMEDIATE, Attitude.NEGATIVE) is ValueClass.LATENT_NEGATIVE
 
     def test_low_interactivity_is_void_regardless(self):
         for conn in Band:
             for feeling in Attitude:
-                assert (
-                    classify(conn, Band.LOW, feeling).value_class is ValueClass.VOID
-                )
+                assert classify(conn, Band.LOW, feeling) is ValueClass.VOID
 
     def test_every_combination_defined_with_frozen_strings(self):
         for conn, inter, feeling in itertools.product(Band, Band, Attitude):
             result = classify(conn, inter, feeling)
-            assert result.label == EXPECTED_LABELS[result.value_class.value]
-            assert result.hint == EXPECTED_HINTS[result.value_class.value]
+            assert CLASSES[result] == (EXPECTED_LABELS[result.value], EXPECTED_HINTS[result.value])
 
     def test_attitude_never_demotes_across_families(self):
         # Moving attitude from negative to positive must never move an
@@ -248,10 +231,7 @@ class TestClassify:
             ValueClass.VOID: "void",
         }
         for conn, inter in itertools.product(Band, Band):
-            seen = {
-                families[classify(conn, inter, feeling).value_class]
-                for feeling in Attitude
-            }
+            seen = {families[classify(conn, inter, feeling)] for feeling in Attitude}
             assert len(seen) == 1
 
 

@@ -423,6 +423,23 @@ class TestRunVariants:
         # orientations with no messages have no graph to export
         assert not (out / "graphs" / "Citizenship.graphml").exists()
 
+    def test_stamps_before_year_1000_keep_four_digits(self, tmp_path):
+        corpus = tmp_path / "corpus.ndjson"
+        write_corpus_file(corpus, records=[
+            {"id": "m1", "author": "alice", "created_at": "0500-03-01T10:00:00Z",
+             "text": "quality check", "mentions": ["bob"]},
+            {"id": "m2", "author": "bob", "created_at": "0500-03-01T11:00:00Z",
+             "text": "quality check", "reply_to": "m1"},
+        ], extra_lines=())
+        out = tmp_path / "out"
+        run_pipeline(RunConfig(corpus=str(corpus), output_dir=str(out), window_csv=True,
+                               export_graphml=True, export_dot=True))
+        windows = (out / "windows_Customers.csv").read_text().splitlines()
+        assert windows[1].startswith("0500-03-01T00:00:00Z,")
+        graphml = (out / "graphs" / "Customers.graphml").read_text()
+        assert '<data key="d3">0500-03-01T10:00:00Z</data>' in graphml
+        assert 'timestamp="0500-03-01T11:00:00Z"' in (out / "graphs" / "Customers.dot").read_text()
+
     def test_run_builds_no_message_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a Message was built")

@@ -336,6 +336,13 @@ class TestGeneratedCorpus:
         assert min(stamps) >= spec.start
         assert max(stamps) < spec.start + timedelta(days=spec.days)
 
+    def test_start_before_year_1000_round_trips(self):
+        spec = minimal_spec()
+        spec.start = datetime(500, 3, 1, tzinfo=timezone.utc)
+        records = generate_corpus(spec)
+        assert records[0]["created_at"].startswith("0500-03-01T")
+        parsed_messages(records)
+
     def test_partition_matches_plants(self, demo_partitions):
         counts = {name: len(group) for name, group in demo_partitions.items()}
         assert counts == DEMO_BUDGET
