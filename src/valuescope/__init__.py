@@ -63,14 +63,12 @@ from .hierarchy import (
     round6,
 )
 from .language import (
-    LexiconSentimentScorer,
     PolarLexicon,
     ReferenceDictionary,
     SentimentScorer,
     build_reference,
     emotionality,
     language_scores,
-    score_sentiment,
 )
 from .pipeline import dump_report, replay_metrics, run_pipeline
 from .synth import (

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels
 from .config import ConfigError
 from .graph import RETWEET, InteractionGraph, _simple_csr, centralization
+from .hierarchy import ordered_mean
 
 SECONDS_PER_HOUR = 3600.0
 # Every window, empty or not, is a block of its series' graph and a row of its columns.
@@ -95,10 +96,7 @@ def _average_response_time(contacts: _Contacts, cutoff_hours: float | None) -> f
         lags = lags[lags <= cutoff_hours]
     if not lags.size:
         return None
-    # Left to right in pair, then row order, as ``cumsum`` adds: the builtin
-    # ``sum`` of floats is compensated since Python 3.12 and would change the
-    # last digits.
-    return float(np.cumsum(lags)[-1] / lags.size)
+    return ordered_mean(lags)  # in pair, then row order
 
 
 def nudges(

@@ -16,6 +16,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .config import RunConfig
 
 
@@ -121,6 +123,12 @@ CLASSES: dict[ValueClass, tuple[str, str]] = {
 def round6(value: float | None) -> float | None:
     """Round to six significant digits, the report serialization precision; None stays None."""
     return None if value is None else float(f"{value:.6g}")
+
+
+def ordered_mean(values: np.ndarray) -> float:
+    """Mean of a non-empty float array, its terms added left to right by ``cumsum``, so its
+    bits hold on every Python (the builtin ``sum`` of floats is compensated since 3.12)."""
+    return float(values.cumsum()[-1] / values.size)
 
 
 def min_max_normalize(

@@ -1,15 +1,13 @@
 """Language metrics: lexicon sentiment, emotionality, unigram surprisal.
 
-Sentiment scorers are pluggable: anything callable as ``scorer(text) -> float``
-with output in [0, 1] works, and any other output fails the run.  The
-built-in baseline counts polar lexicon tokens, reading the partition's ids
-in the corpus token table.  Complexity is the mean surprisal (nats) of a
-partition's tokens: ``build_reference`` gives each vocabulary entry its
-surprisal once per run, under the corpus's smoothed unigram model or an
-external reference dictionary, and every partition indexes that array.
-
-Every mean adds its terms left to right, so it has the same bits on every
-Python version (the builtin ``sum`` of floats is compensated since 3.12).
+Sentiment comes from a ``PolarLexicon``, which counts polar tokens on the
+partition's ids in the corpus token table and never reads a text, or from
+any callable ``scorer(text) -> float``, which is called with each message's
+text and must return a number in [0, 1]; any other output fails the run.
+Complexity is the mean surprisal (nats) of a partition's tokens:
+``build_reference`` gives each vocabulary entry its surprisal once per run,
+under the corpus's smoothed unigram model or an external reference
+dictionary, and every partition indexes that array.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, read_json_object
 from .corpus import ID_SLICE, Partition, TokenTable, is_string_list, tokenize
-from .hierarchy import LANGUAGE_METRICS, is_finite_number
+from .hierarchy import LANGUAGE_METRICS, is_finite_number, ordered_mean
 
 SentimentScorer = Callable[[str], float]
 
@@ -65,37 +63,37 @@ class PolarLexicon:
         with resources.as_file(packaged) as path:
             return cls.from_file(str(path))
 
-
-def score_sentiment(text: str, lexicon: PolarLexicon) -> float:
-    """0.5 + (p - q) / (2 (p + q)); 0.5 when no polar token occurs."""
-    tokens = tokenize(text)
-    p = sum(map(lexicon.positive.__contains__, tokens))
-    q = sum(map(lexicon._negative_only.__contains__, tokens))
-    if p + q == 0:
-        return NEUTRAL_SENTIMENT
-    return 0.5 + (p - q) / (2.0 * (p + q))
-
-
-class LexiconSentimentScorer:
-    """Default scorer: polar token counting against a PolarLexicon."""
-
-    def __init__(self, lexicon: PolarLexicon | None = None):
-        self.lexicon = lexicon if lexicon is not None else PolarLexicon.default()
-
-    def __call__(self, text: str) -> float:
-        return score_sentiment(text, self.lexicon)
-
-
-def _mean(values: np.ndarray) -> float:
-    """Mean with its terms added left to right (``cumsum``, not pairwise ``sum``)."""
-    return float(np.cumsum(values)[-1] / values.size)
+    def sentiments(
+        self, ids: np.ndarray, bounds: np.ndarray, vocabulary: Mapping[str, int]
+    ) -> np.ndarray:
+        """0.5 + (p - q) / (2 (p + q)) of each message ``ids[bounds[k]:bounds[k + 1]]``, with p
+        positive and q negative-only tokens; 0.5 when no polar token occurs."""
+        counts = []
+        for terms in (self.positive, self._negative_only):
+            polar = np.zeros(len(vocabulary), dtype=bool)
+            polar[[vocabulary[term] for term in terms if term in vocabulary]] = True
+            # Polar tokens per message as differences of a running count.
+            running = np.zeros(ids.size + 1, dtype=np.int64)
+            np.cumsum(polar[ids], out=running[1:])
+            counts.append(running[bounds[1:]] - running[bounds[:-1]])
+        p, q = counts
+        sentiments = np.full(p.size, NEUTRAL_SENTIMENT)
+        some = p + q > 0
+        sentiments[some] = 0.5 + (p - q)[some] / (2.0 * (p + q)[some])
+        return sentiments
 
 
 def emotionality(sentiments: Sequence[float]) -> float | None:
     """Mean absolute deviation from neutral; lives in [0, 0.5]."""
     if not len(sentiments):
         return None
-    return _mean(np.abs(np.asarray(sentiments, dtype=np.float64) - NEUTRAL_SENTIMENT))
+    return ordered_mean(np.abs(np.asarray(sentiments, dtype=np.float64) - NEUTRAL_SENTIMENT))
+
+
+def _add_one(counts: list[int]) -> tuple[list[float], float]:
+    """p(w) = (count + 1) / (N + V + 1) of each count, and 1 / (N + V + 1) for unseen tokens."""
+    denom = sum(counts) + len(counts) + 1
+    return [(c + 1) / denom for c in counts], 1.0 / denom
 
 
 class ReferenceDictionary:
@@ -117,15 +115,14 @@ class ReferenceDictionary:
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "ReferenceDictionary":
-        """Add-one smoothing: p(w) = (count + 1) / (N + V + 1)."""
+        """Add-one smoothed probabilities of token counts."""
         if not counts:
             raise ConfigError("reference dictionary needs at least one token")
         for token, count in counts.items():
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise ConfigError(f"bad count for token {token!r}: {count!r}")
-        denom = sum(counts.values()) + len(counts) + 1
-        probabilities = {token: (c + 1) / denom for token, c in counts.items()}
-        return cls(probabilities, 1.0 / denom)
+        probabilities, unseen = _add_one(list(counts.values()))
+        return cls(dict(zip(counts, probabilities)), unseen)
 
     @classmethod
     def from_file(cls, path: str) -> "ReferenceDictionary":
@@ -147,8 +144,7 @@ def build_reference(
         counts = np.zeros(len(vocabulary), dtype=np.int64)
         for start in range(0, ids.size, ID_SLICE):
             counts += np.bincount(ids[start : start + ID_SLICE], minlength=counts.size)
-        denom = ids.size + counts.size + 1
-        probabilities = [(c + 1) / denom for c in counts.tolist()]
+        probabilities, _ = _add_one(counts.tolist())
     else:
         lookup, unseen = reference.probabilities.get, reference.unseen
         probabilities = [lookup(token, unseen) for token in vocabulary]
@@ -156,43 +152,23 @@ def build_reference(
     return np.array([-math.log(p) for p in probabilities], dtype=np.float64)
 
 
-def _lexicon_sentiments(
-    ids: np.ndarray, bounds: np.ndarray, vocabulary: Mapping[str, int], lexicon: PolarLexicon
-) -> np.ndarray:
-    """``score_sentiment`` of every message, from its ids and bounds."""
-    counts = []
-    for terms in (lexicon.positive, lexicon._negative_only):
-        polar = np.zeros(len(vocabulary), dtype=bool)
-        polar[[vocabulary[term] for term in terms if term in vocabulary]] = True
-        # Polar tokens per message as differences of a running count.
-        running = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(polar[ids], out=running[1:])
-        counts.append(running[bounds[1:]] - running[bounds[:-1]])
-    p, q = counts
-    sentiments = np.full(p.size, NEUTRAL_SENTIMENT)
-    some = p + q > 0
-    sentiments[some] = 0.5 + (p - q)[some] / (2.0 * (p + q)[some])
-    return sentiments
-
-
 def language_scores(
     partition: Partition,
-    scorer: SentimentScorer,
+    scorer: PolarLexicon | SentimentScorer,
     surprisal: np.ndarray | None,
 ) -> dict[str, float | None]:
     """The ``hierarchy.LANGUAGE_METRICS`` of one partition, by name.
 
-    The default lexicon scorer reads the partition's token ids; any other
-    scorer is called with each message's text.  A sentiment outside [0, 1],
-    NaN or not a number raises ValueError naming the message.  Complexity
-    reads ``surprisal``, the corpus's ``build_reference`` array, if given.
+    A ``PolarLexicon`` scores the partition's token ids; any other scorer is
+    called with each message's text, and a sentiment outside [0, 1], NaN or
+    not a number raises ValueError naming the message.  Complexity reads
+    ``surprisal``, the corpus's ``build_reference`` array, if given.
     """
     if not partition.rows.size:
         return dict.fromkeys(LANGUAGE_METRICS)
     ids, bounds = partition.token_ids()
-    vocabulary = partition.tokens.vocabulary
-    if type(scorer) is LexiconSentimentScorer:
-        sentiments = _lexicon_sentiments(ids, bounds, vocabulary, scorer.lexicon)
+    if isinstance(scorer, PolarLexicon):
+        sentiments = scorer.sentiments(ids, bounds, partition.tokens.vocabulary)
     else:
         corpus, rows = partition.corpus, partition.rows.tolist()
         values = [scorer(corpus.texts[row]) for row in rows]
@@ -204,7 +180,7 @@ def language_scores(
                 )
         sentiments = np.array(values, dtype=np.float64)
     return {
-        "sentiment": _mean(sentiments),
+        "sentiment": ordered_mean(sentiments),
         "emotionality": emotionality(sentiments),
-        "complexity": _mean(surprisal[ids]) if surprisal is not None and ids.size else None,
+        "complexity": ordered_mean(surprisal[ids]) if surprisal is not None and ids.size else None,
     }

@@ -32,7 +32,6 @@ from .graph import (
 )
 from .hierarchy import METRICS, MetricVector, evaluate_hierarchy, round6
 from .language import (
-    LexiconSentimentScorer,
     PolarLexicon,
     ReferenceDictionary,
     SentimentScorer,
@@ -61,8 +60,6 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
     lexicon, polar = _load_lexicons(cfg)
-    if scorer is None:
-        scorer = LexiconSentimentScorer(polar)
 
     parsed = load_corpus(cfg.corpus)
     partitions, discarded = filter_and_partition(parsed.messages, lexicon)
@@ -93,7 +90,7 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
         inter = interactivity_scores(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(partition, scorer, surprisal)
+        lang = language_scores(partition, polar if scorer is None else scorer, surprisal)
         vectors[orientation] = MetricVector(**conn, **inter, **lang)
 
     report = {

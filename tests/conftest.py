@@ -22,15 +22,16 @@ from valuescope import (
     ORIENTATIONS,
     CorpusError,
     InteractionGraph,
-    LexiconSentimentScorer,
     Message,
     MessageTable,
     OrientationLexicon,
     Partition,
+    PolarLexicon,
     ReferenceDictionary,
     WindowSeries,
     build_graph,
     group_betweenness_centralization,
+    language_scores,
     tokenize,
 )
 from valuescope.corpus import ABSENT, UNKNOWN
@@ -70,6 +71,12 @@ def carrying_tokens(messages) -> Partition:
     """The messages, in the given order, as a partition over their own tables."""
     table = MessageTable.from_messages(messages)
     return Partition(table, np.arange(len(table)))
+
+
+def scored_sentiment(text: str, scorer) -> float:
+    """The sentiment ``language_scores`` gives ``text`` as a one-message partition."""
+    partition = carrying_tokens([msg("m", "a", text=text)])
+    return language_scores(partition, scorer, None)["sentiment"]
 
 
 def partition_ids(partition: Partition) -> list[str]:
@@ -485,21 +492,20 @@ def oracle_filter_and_partition(messages, lexicon: OrientationLexicon):
     return partitions, discarded, counts
 
 
+def oracle_sentiment(text: str, lexicon: PolarLexicon) -> float:
+    """0.5 + (p - q) / (2 (p + q)) over the text's tokens, a token on both sides positive."""
+    tokens = tokenize(text)
+    p = sum(token in lexicon.positive for token in tokens)
+    q = sum(token in lexicon.negative and token not in lexicon.positive for token in tokens)
+    return 0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q))
+
+
 def oracle_language_scores(tagged, scorer, reference) -> dict:
     if not tagged:
         return {"sentiment": None, "emotionality": None, "complexity": None}
-    if type(scorer) is LexiconSentimentScorer:
-        lexicon = scorer.lexicon
-        sentiments = []
-        for t in tagged:
-            p = sum(token in lexicon.positive for token in t.tokens)
-            q = sum(
-                token in lexicon.negative and token not in lexicon.positive
-                for token in t.tokens
-            )
-            sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
-    else:
-        sentiments = [scorer(t.message.text) for t in tagged]
+    if isinstance(scorer, PolarLexicon):
+        scorer = functools.partial(oracle_sentiment, lexicon=scorer)
+    sentiments = [scorer(t.message.text) for t in tagged]
     tokens = [token for t in tagged for token in t.tokens]
     return {
         "sentiment": _left_to_right_sum(sentiments) / len(sentiments),

@@ -27,6 +27,7 @@ from conftest import (
     indexed_nodes,
     random_edge_set,
     reference_from_tokens,
+    scored_sentiment,
 )
 from reference_case import (
     DIVERGENT,
@@ -66,7 +67,6 @@ from valuescope import (
     replay_metrics,
     rotating_leadership,
     run_pipeline,
-    score_sentiment,
     star_plan,
     window_series,
     write_corpus,
@@ -278,8 +278,8 @@ def test_language_properties():
     swap_ok = True
     for _ in range(200):
         text = " ".join(rng.choices(vocabulary, k=rng.randint(1, 12)))
-        forward = score_sentiment(text, lexicon)
-        mirrored = score_sentiment(text, swapped)
+        forward = scored_sentiment(text, lexicon)
+        mirrored = scored_sentiment(text, swapped)
         if abs(forward + mirrored - 1.0) > 1e-12:
             swap_ok = False
 

@@ -20,12 +20,13 @@ from conftest import (
     msg,
     oracle_filter_and_partition,
     oracle_language_scores,
+    oracle_sentiment,
     partition_ids,
     reference_from_tokens,
+    scored_sentiment,
 )
 from valuescope import (
     ORIENTATIONS,
-    LexiconSentimentScorer,
     MessageTable,
     OrientationLexicon,
     PolarLexicon,
@@ -34,7 +35,6 @@ from valuescope import (
     emotionality,
     filter_and_partition,
     language_scores,
-    score_sentiment,
     tokenize,
 )
 
@@ -51,22 +51,22 @@ class TestSentiment:
     def test_formula_three_pos_one_neg(self, lexicon):
         text = "good great love the good parts, one bad moment"
         # p=4, q=1 -> 0.5 + 3/10
-        assert score_sentiment(text, lexicon) == pytest.approx(0.8)
+        assert scored_sentiment(text, lexicon) == pytest.approx(0.8)
 
     def test_neutral_when_no_polar_token(self, lexicon):
-        assert score_sentiment("nothing polar here", lexicon) == 0.5
+        assert scored_sentiment("nothing polar here", lexicon) == 0.5
 
     def test_extremes(self, lexicon):
-        assert score_sentiment("good great", lexicon) == 1.0
-        assert score_sentiment("bad awful hate", lexicon) == 0.0
+        assert scored_sentiment("good great", lexicon) == 1.0
+        assert scored_sentiment("bad awful hate", lexicon) == 0.0
 
     def test_balanced_counts_are_neutral(self, lexicon):
-        assert score_sentiment("good bad", lexicon) == 0.5
+        assert scored_sentiment("good bad", lexicon) == 0.5
 
     def test_matching_is_token_based(self, lexicon):
         # "goodness" must not match "good"; punctuation must not block it.
-        assert score_sentiment("goodness me", lexicon) == 0.5
-        assert score_sentiment("GOOD!", lexicon) == 1.0
+        assert scored_sentiment("goodness me", lexicon) == 0.5
+        assert scored_sentiment("GOOD!", lexicon) == 1.0
 
     def test_multi_token_term_rejected(self):
         with pytest.raises(ValueError, match="single token"):
@@ -85,13 +85,23 @@ class TestSentiment:
         text = " ".join(words)
         straight = PolarLexicon(POS, NEG)
         swapped = PolarLexicon(NEG, POS)
-        assert score_sentiment(text, straight) == pytest.approx(
-            1.0 - score_sentiment(text, swapped), abs=1e-12
+        assert scored_sentiment(text, straight) == pytest.approx(
+            1.0 - scored_sentiment(text, swapped), abs=1e-12
         )
 
-    def test_scorer_class_wraps_lexicon(self, lexicon):
-        scorer = LexiconSentimentScorer(lexicon)
-        assert scorer("good") == 1.0
+    def test_lexicon_subclass_scores_token_ids(self, lexicon):
+        class Subclass(PolarLexicon):
+            pass
+
+        texts = ["good great love the good parts, one bad moment", "plain", "AWFUL, bad!"]
+        partition = carrying_tokens(
+            [msg(f"m{i}", "a", float(i), text=text) for i, text in enumerate(texts)]
+        )
+        expected = functools.reduce(operator.add, [oracle_sentiment(t, lexicon) for t in texts])
+        # Blank texts score 0.5 each, so only the token ids give the oracle's mean.
+        partition.corpus.texts[:] = [""] * len(texts)
+        scores = language_scores(partition, Subclass(POS, NEG), None)
+        assert scores["sentiment"] == expected / len(texts)
 
 
 class TestEmotionality:
@@ -219,9 +229,7 @@ class TestLanguageScores:
             t for m in messages for t in ("good", "bad", "thing")
         )
         partition = carrying_tokens(messages)
-        scores = language_scores(
-            partition, LexiconSentimentScorer(lexicon), build_reference(partition.tokens, ref)
-        )
+        scores = language_scores(partition, lexicon, build_reference(partition.tokens, ref))
         assert scores["sentiment"] == pytest.approx((1.0 + 0.0) / 2)
         assert scores["emotionality"] == pytest.approx(0.5)
         assert scores["complexity"] == pytest.approx(
@@ -229,14 +237,12 @@ class TestLanguageScores:
         )
 
     def test_empty_messages(self, lexicon):
-        scores = language_scores(carrying_tokens([]), LexiconSentimentScorer(lexicon), None)
+        scores = language_scores(carrying_tokens([]), lexicon, None)
         assert scores == {"sentiment": None, "emotionality": None, "complexity": None}
 
     def test_without_reference_complexity_absent(self, lexicon):
         messages = [msg("m1", "x", 0.0, text="good")]
-        scores = language_scores(
-            carrying_tokens(messages), LexiconSentimentScorer(lexicon), None
-        )
+        scores = language_scores(carrying_tokens(messages), lexicon, None)
         assert scores["sentiment"] == 1.0
         assert scores["complexity"] is None
 
@@ -247,7 +253,7 @@ class TestLanguageScores:
         ]
         sentiments = [0.6] * 10
         expected = functools.reduce(operator.add, sentiments) / len(sentiments)
-        for scorer in (LexiconSentimentScorer(lexicon), lambda text: 0.6):
+        for scorer in (lexicon, lambda text: 0.6):
             scores = language_scores(carrying_tokens(messages), scorer, None)
             assert scores["sentiment"] == expected
 
@@ -268,15 +274,7 @@ _WORDS = (
 
 def _text_based_scores(texts, lexicon, reference) -> dict:
     """The computation before messages carried tokens: re-tokenize each text."""
-    sentiments = []
-    for text in texts:
-        p = q = 0
-        for token in tokenize(text):
-            if token in lexicon.positive:
-                p += 1
-            elif token in lexicon.negative:
-                q += 1
-        sentiments.append(0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q)))
+    sentiments = [oracle_sentiment(text, lexicon) for text in texts]
     tokens = [token for text in texts for token in tokenize(text)]
     # Left to right, the order the builtin sum used before Python 3.12.
     total = functools.partial(functools.reduce, operator.add)
@@ -331,14 +329,13 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
         ]
         references.append((surprisal, text_reference))
 
-    scorer = LexiconSentimentScorer(polar)
     for surprisal, reference in references:
         for orientation in ORIENTATIONS:
             partition = partitions[orientation]
             if not partition.rows.size:
                 continue
             texts = [partition.corpus.texts[row] for row in partition.rows.tolist()]
-            assert language_scores(partition, scorer, surprisal) == _text_based_scores(
+            assert language_scores(partition, polar, surprisal) == _text_based_scores(
                 texts, polar, reference
             )
 
@@ -415,7 +412,7 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
     )
     for surprisal, reference in references:
-        for scorer in (LexiconSentimentScorer(polar), _custom_scorer):
+        for scorer in (polar, _custom_scorer):
             for orientation in ORIENTATIONS:
                 assert language_scores(
                     partitions[orientation], scorer, surprisal

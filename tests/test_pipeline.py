@@ -36,8 +36,8 @@ from valuescope import (
     LANGUAGE_METRICS,
     ConfigError,
     CorpusError,
-    LexiconSentimentScorer,
     OrientationLexicon,
+    PolarLexicon,
     RunConfig,
     build_graph,
     connectivity_scores,
@@ -292,8 +292,8 @@ def test_each_layer_returns_exactly_its_metric_names(tmp_path):
     layers = [
         (connectivity_scores(graph), CONNECTIVITY_METRICS),
         (interactivity_scores(graph, window_series(graph)), INTERACTIVITY_METRICS),
-        (language_scores(customers, LexiconSentimentScorer(), None), LANGUAGE_METRICS),
-        (language_scores(empty, LexiconSentimentScorer(), None), LANGUAGE_METRICS),
+        (language_scores(customers, PolarLexicon.default(), None), LANGUAGE_METRICS),
+        (language_scores(empty, PolarLexicon.default(), None), LANGUAGE_METRICS),
     ]
     for scores, names in layers:
         assert set(scores) == set(names)
@@ -308,6 +308,26 @@ class TestRunVariants:
         write_corpus_file(corpus, order=random.Random(2))
         second = dump_report(run_pipeline(cfg))
         assert first == second
+
+    def test_window_count_is_the_most_windows_of_any_orientation(self, tmp_path):
+        corpus = tmp_path / "spans.ndjson"
+        records = [
+            {"id": "c1", "author": "alice", "created_at": "2021-03-01T10:00:00Z",
+             "text": "quality first", "mentions": ["bob"]},
+            {"id": "c2", "author": "bob", "created_at": "2021-03-01T12:00:00Z",
+             "text": "quality second", "reply_to": "c1"},
+            {"id": "e1", "author": "erin", "created_at": "2021-03-01T11:00:00Z",
+             "text": "team spirit kickoff", "mentions": ["frank"]},
+            {"id": "e2", "author": "frank", "created_at": "2021-03-04T09:00:00Z",
+             "text": "team spirit again", "reply_to": "e1"},
+        ]
+        write_corpus_file(corpus, records=records, extra_lines=())
+        cfg = RunConfig(corpus=str(corpus), output_dir=str(tmp_path / "out"))
+        run = run_pipeline(cfg)["run"]
+        per_orientation = run["windows_per_orientation"]
+        assert per_orientation["Customers"] == 1
+        assert per_orientation["Employees"] == 4
+        assert run["window_count"] == per_orientation["Employees"]
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty.ndjson"

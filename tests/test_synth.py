@@ -6,16 +6,17 @@ contact gets answered at exactly the configured lag.  The expected metrics
 therefore have closed forms and most assertions here are exact.
 """
 
+import functools
 import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import graph_of
+from conftest import graph_of, oracle_sentiment
 from valuescope import (
     ConfigError,
-    LexiconSentimentScorer,
     OrientationPlant,
+    PolarLexicon,
     SynthSpec,
     average_response_time,
     demo_spec,
@@ -454,7 +455,7 @@ class TestPlantedDenseCore:
 
 class TestSentimentBias:
     def scorer(self):
-        return LexiconSentimentScorer()
+        return functools.partial(oracle_sentiment, lexicon=PolarLexicon.default())
 
     def test_positive_bias_is_reached(self, demo_partitions):
         score = self.scorer()
