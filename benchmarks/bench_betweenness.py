@@ -11,9 +11,12 @@ Three graph shapes, all in CSR form and seeded:
   (reduced, one sweep per round) is timed against one unweighted
   single-root sweep per node over the whole graph, and the row prints the
   largest score difference.
-* ``path``: one path with shuffled node ids, the worst case for the
-  level-by-level sweeps: its diameter is n - 1, so every sweep takes
-  about n BFS levels.  ``betweenness_csr`` is timed on it.
+* ``path``, ``cycle`` and ``caterpillar``: deep shapes with shuffled node
+  ids, the worst case for the level-by-level sweeps.  For each
+  ``--path-nodes`` n there is a path of n nodes (diameter n - 1), a cycle
+  of n nodes (diameter n // 2) and a caterpillar, a spine of n // 2 nodes
+  with one leaf on each (diameter n // 2 + 1), so every sweep takes
+  hundreds of BFS levels.  ``betweenness_csr`` is timed on each.
 
 Run it as
 
@@ -85,11 +88,21 @@ def forest_csr(n: int, rng: random.Random):
     return (*to_csr(total, pairs), total, len(pairs))
 
 
-def path_csr(n: int, rng: random.Random):
-    """A path through n nodes in shuffled id order."""
-    order = list(range(n))
-    rng.shuffle(order)
-    return to_csr(n, zip(order, order[1:]))
+def deep_shapes(n: int, rng: random.Random):
+    """``(name, nodes, indptr, indices)`` of a path, a cycle (n >= 3) and a
+    caterpillar of about n nodes, each with its node ids shuffled."""
+    spine = n // 2
+    shapes = [
+        ("path", n, [(i, i + 1) for i in range(n - 1)]),
+        ("cycle", n, [(i, (i + 1) % n) for i in range(n)] if n >= 3 else []),
+        ("caterpillar", 2 * spine,
+         [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]),
+    ]
+    for name, nodes, pairs in shapes:
+        if pairs:
+            relabel = list(range(nodes))
+            rng.shuffle(relabel)
+            yield (name, nodes, *to_csr(nodes, [(relabel[i], relabel[j]) for i, j in pairs]))
 
 
 def all_sources(indptr, indices, n):
@@ -142,16 +155,16 @@ def bench_forest(args, rng) -> None:
         )
 
 
-def bench_path(args, rng) -> None:
+def bench_deep(args, rng) -> None:
     print()
-    print("path with shuffled node ids")
-    header = f"{'n':>6} {'time (s)':>10}"
+    print("deep shapes with shuffled node ids")
+    header = f"{'shape':>12} {'n':>6} {'time (s)':>10}"
     print(header)
     print("-" * len(header))
     for n in args.path_nodes:
-        indptr, indices = path_csr(n, rng)
-        elapsed, _ = timed(betweenness_csr, indptr, indices, n, args.repeats)
-        print(f"{n:>6} {elapsed:>10.3f}")
+        for name, nodes, indptr, indices in deep_shapes(n, rng):
+            elapsed, _ = timed(betweenness_csr, indptr, indices, nodes, args.repeats)
+            print(f"{name:>12} {nodes:>6} {elapsed:>10.3f}")
 
 
 def main() -> None:
@@ -166,7 +179,7 @@ def main() -> None:
     rng = random.Random(args.seed)
     bench_random(args, rng)
     bench_forest(args, rng)
-    bench_path(args, rng)
+    bench_deep(args, rng)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .corpus import (
     MessageTable,
     OrientationLexicon,
     ParseResult,
-    Partition,
     Partitioned,
     TokenTable,
     filter_and_partition,
@@ -26,10 +25,8 @@ from .dynamics import (
     WindowSeries,
     activity,
     average_activity,
-    average_response_time,
     count_extrema,
     interactivity_scores,
-    nudges,
     rotating_leadership,
     window_series,
 )

@@ -160,8 +160,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_export_graph(args: argparse.Namespace) -> int:
     lexicon, _ = _load_lexicons(RunConfig(orientation_lexicon=args.orientation_lexicon))
     parsed = load_corpus(args.corpus)
-    partition = filter_and_partition(parsed.messages, lexicon).partitions[args.orientation]
-    graph = build_graph(partition.corpus, partition.rows)
+    rows = filter_and_partition(parsed.messages, lexicon).partitions[args.orientation]
+    graph = build_graph(parsed.messages, rows)
     if args.fmt == "graphml":
         write_graphml(graph, args.orientation, args.out)
     else:

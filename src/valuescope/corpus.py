@@ -23,9 +23,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import is_, truediv
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,12 +175,18 @@ class _Rows(NamedTuple):
     skipped: int = 0
 
 
+def _numbering(keys: Iterable[str] = ()) -> tuple[dict[str, int], Callable[[str], int]]:
+    """``keys`` numbered 0, 1, ..., and the lookup that gives a new key the
+    next number, the size before insertion: numbers in first-seen order."""
+    numbers: defaultdict[str, int] = defaultdict(None, zip(keys, count()))
+    numbers.default_factory = numbers.__len__
+    return numbers, numbers.__getitem__
+
+
 def _rows(records: Iterable[tuple]) -> _Rows:
     """The rows of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
     rows = _Rows([], [], [], [], array("q"), [], array("q"), array("q"), array("q", [0]))
-    handles: defaultdict[str, int] = defaultdict()
-    handles.default_factory = handles.__len__
-    number = handles.__getitem__
+    handles, number = _numbering()
     mentions = rows.mentions
     for msg_id, author, stamp, text, reply_to, retweet_of, named in records:
         rows.ids.append(msg_id)
@@ -198,10 +204,7 @@ def _rows(records: Iterable[tuple]) -> _Rows:
 def _tokens(texts: Iterable[str]) -> tuple[array, array, list[str]]:
     """Each text's tokens as ``"i"`` ids into the texts' own vocabulary, the
     texts' ``"q"`` bounds in them, and that vocabulary in first-seen order."""
-    vocabulary: defaultdict[str, int] = defaultdict()
-    # A token seen for the first time gets the next id: the size before insertion.
-    vocabulary.default_factory = vocabulary.__len__
-    number = vocabulary.__getitem__
+    vocabulary, number = _numbering()
     ids = array("i")
     bounds = array("q", [0])
     for text in texts:
@@ -285,9 +288,7 @@ def _merge_tokens(parts: list[tuple[array, array, list[str]]]) -> TokenTable:
     those; its arrays grow in place by each later range, renumbered.
     """
     (ids, bounds, words), *later = parts
-    vocabulary: defaultdict[str, int] = defaultdict(None, zip(words, range(len(words))))
-    vocabulary.default_factory = vocabulary.__len__
-    number = vocabulary.__getitem__
+    vocabulary, number = _numbering(words)
     for local_ids, local_bounds, words in later:
         renumber = np.fromiter(map(number, words), np.int32, len(words))
         local = np.frombuffer(local_ids, dtype=np.int32)
@@ -600,23 +601,6 @@ def segments(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return positions, gathered
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Partition:
-    """One orientation's rows, in (created_at, id) order, of the corpus tables."""
-
-    corpus: MessageTable  # shared by every partition
-    rows: np.ndarray  # int64
-
-    @property
-    def tokens(self) -> TokenTable:
-        return self.corpus.tokens
-
-    def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The messages' token ids back to back, and each message's bounds in them."""
-        positions, bounds = segments(self.tokens.bounds, self.rows)
-        return self.tokens.ids[positions], bounds
-
-
 def _tag(table: TokenTable, lexicon: OrientationLexicon) -> np.ndarray:
     """(orientation, message) matrix: does one of its phrases occur in the message.
 
@@ -647,23 +631,20 @@ def _tag(table: TokenTable, lexicon: OrientationLexicon) -> np.ndarray:
 
 
 class Partitioned(NamedTuple):
-    partitions: dict[str, Partition]
+    partitions: dict[str, np.ndarray]  # orientation -> its rows, in (created_at, id) order
     discarded: int
 
 
 def filter_and_partition(corpus: MessageTable, lexicon: OrientationLexicon) -> Partitioned:
-    """Tag messages and split them into per-orientation partitions.
+    """Tag messages and split their rows into per-orientation partitions.
 
     Tagging reads the corpus token table, where parsing put each message's
     tokens.  A message matching several orientations lands in each of
-    them; untagged messages are dropped and counted.  Partitions come back
-    sorted by (created_at, id) so every downstream computation is
-    independent of input order.
+    them; untagged messages are dropped and counted.  Each partition is an
+    array of rows sorted by (created_at, id), so every downstream
+    computation is independent of input order.
     """
     tags = _tag(corpus.tokens, lexicon)
     ordered = corpus.order(np.flatnonzero(tags.any(axis=0)))
-    partitions = {
-        orientation: Partition(corpus, ordered[tags[row, ordered]])
-        for row, orientation in enumerate(ORIENTATIONS)
-    }
+    partitions = {o: ordered[tags[row, ordered]] for row, o in enumerate(ORIENTATIONS)}
     return Partitioned(partitions, len(corpus) - ordered.size)

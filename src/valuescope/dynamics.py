@@ -77,18 +77,12 @@ def _contacts(graph: InteractionGraph) -> _Contacts:
     return pairs, stamps, answer
 
 
-def average_response_time(
-    graph: InteractionGraph, cutoff_hours: float | None = None
-) -> float | None:
+def _average_response_time(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
     """Mean hours from a contact to its earliest strictly later answer.
 
     Contacts that are never answered (or answered past ``cutoff_hours``, when
     given) carry no lag.  Returns None when nothing was answered.
     """
-    return _average_response_time(_contacts(graph), cutoff_hours)
-
-
-def _average_response_time(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
     _, stamps, answer = contacts
     answered = answer >= 0
     lags = (stamps[answer[answered]] - stamps[answered]) / SECONDS_PER_HOUR
@@ -99,9 +93,7 @@ def _average_response_time(contacts: _Contacts, cutoff_hours: float | None) -> f
     return ordered_mean(lags)  # in pair, then row order
 
 
-def nudges(
-    graph: InteractionGraph, cutoff_hours: float | None = None
-) -> float | None:
+def _nudges(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
     """Mean run length of contacts A->B needed before B answers.
 
     Every answer closes one chain: the consecutive A->B contacts since B's
@@ -110,10 +102,6 @@ def nudges(
     answer past ``cutoff_hours`` from the chain's last contact closes
     nothing, and the chain runs on to the next answer.
     """
-    return _nudges(_contacts(graph), cutoff_hours)
-
-
-def _nudges(contacts: _Contacts, cutoff_hours: float | None) -> float | None:
     pairs, stamps, answer = contacts
     answered = np.flatnonzero(answer >= 0)
     pairs, answer = pairs[answered], answer[answered]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from datetime import datetime
 from typing import Iterator
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -34,18 +33,7 @@ def _simple_csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarra
     return indptr, both % n
 
 
-class SimpleGraph:
-    """Sorted node handles and the simple undirected projection, as CSR."""
-
-    def __init__(self, nodes: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray):
-        self.nodes = nodes
-        self.node_count = len(nodes)
-        self._indptr, self._indices = indptr, indices
-        self.degrees = np.diff(indptr)
-        self.simple_edge_count = len(indices) // 2
-
-
-class InteractionGraph(SimpleGraph):
+class InteractionGraph:
     """One partition's interaction table plus its simple projection.
 
     ``rows`` are the partition's rows of ``corpus``, in ``(created_at, id)``
@@ -89,8 +77,12 @@ class InteractionGraph(SimpleGraph):
             arcs[0, at], arcs[1, at], arcs[2, at], arcs[3, at] = resolved, targets, kind, refs
         self.table = arcs[:, arcs[2] >= 0]
         self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
-        nodes = tuple(map(corpus.handles.__getitem__, handles.tolist()))
-        super().__init__(nodes, *_simple_csr(len(nodes), self.authors[self.arc_rows], self.arc_targets))
+        self.nodes = tuple(map(corpus.handles.__getitem__, handles.tolist()))
+        self.node_count = len(self.nodes)
+        heads = self.authors[self.arc_rows]
+        self._indptr, self._indices = _simple_csr(self.node_count, heads, self.arc_targets)
+        self.degrees = np.diff(self._indptr)
+        self.simple_edge_count = len(self._indices) // 2
 
     def iter_arcs(self) -> Iterator[tuple[str, str, str, datetime]]:
         """``(source, target, kind, created_at)`` per arc, in table order."""
@@ -107,19 +99,19 @@ class InteractionGraph(SimpleGraph):
 build_graph = InteractionGraph  # build_graph(table, rows), rows in table.order()
 
 
-def density(graph: SimpleGraph) -> float:
+def density(graph: InteractionGraph) -> float:
     n = graph.node_count
     if n < 2:
         return 0.0
     return 2.0 * graph.simple_edge_count / (n * (n - 1))
 
 
-def betweenness_array(graph: SimpleGraph) -> np.ndarray:
+def betweenness_array(graph: InteractionGraph) -> np.ndarray:
     """Exact betweenness in node order, unordered pairs counted once."""
     return _kernels.betweenness_csr(graph._indptr, graph._indices, graph.node_count) / 2.0
 
 
-def group_degree_centralization(graph: SimpleGraph) -> float:
+def group_degree_centralization(graph: InteractionGraph) -> float:
     """Freeman degree centralization of the simple projection."""
     n = graph.node_count
     if n < 3:
@@ -142,12 +134,12 @@ def centralization(scores: np.ndarray) -> float:
     return float(np.sum(values.max() - values)) / (n - 1)
 
 
-def group_betweenness_centralization(graph: SimpleGraph) -> float:
+def group_betweenness_centralization(graph: InteractionGraph) -> float:
     """Freeman betweenness centralization of the simple projection."""
     return centralization(betweenness_array(graph))
 
 
-def connectivity_scores(graph: SimpleGraph) -> dict[str, float]:
+def connectivity_scores(graph: InteractionGraph) -> dict[str, float]:
     """The ``hierarchy.CONNECTIVITY_METRICS`` of one graph, by name."""
     return {
         "density": density(graph),
@@ -173,8 +165,20 @@ def _write_lines(path: str, lines: list[str]) -> None:
         handle.write("".join(line + "\n" for line in lines))
 
 
+def _quote_attr(value: str) -> str:
+    """``value`` quoted as an XML attribute value, as the standard library's ``quoteattr`` does."""
+    # The ampersand first, so that no entity written here is escaped again.
+    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    value = value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
-    """Serialize the arc multigraph as GraphML (directed edges)."""
+    """Serialize the arc multigraph as GraphML (directed edges); ``orientation`` is not escaped."""
     check_exportable(graph, orientation)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -185,16 +189,15 @@ def write_graphml(graph: InteractionGraph, orientation: str, path: str) -> None:
         '  <key id="d3" for="edge" attr.name="timestamp" attr.type="string"/>',
         '  <graph id="G" edgedefault="directed">',
     ]
-    orient = escape(orientation)
     for i, handle in enumerate(graph.nodes):
         lines.append(
-            f"    <node id={quoteattr(handle)}>"
-            f'<data key="d0">{orient}</data>'
+            f"    <node id={_quote_attr(handle)}>"
+            f'<data key="d0">{orientation}</data>'
             f'<data key="d1">{int(graph.degrees[i])}</data></node>'
         )
     for source, target, kind, stamp in graph.iter_arcs():
         lines.append(
-            f"    <edge source={quoteattr(source)} target={quoteattr(target)}>"
+            f"    <edge source={_quote_attr(source)} target={_quote_attr(target)}>"
             f'<data key="d2">{kind}</data>'
             f'<data key="d3">{format_stamp(stamp)}</data></edge>'
         )

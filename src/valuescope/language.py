@@ -19,7 +19,7 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .config import ConfigError, read_json_object
-from .corpus import ID_SLICE, Partition, TokenTable, is_string_list, tokenize
+from .corpus import ID_SLICE, MessageTable, TokenTable, is_string_list, segments, tokenize
 from .hierarchy import LANGUAGE_METRICS, is_finite_number, ordered_mean
 
 SentimentScorer = Callable[[str], float]
@@ -153,30 +153,32 @@ def build_reference(
 
 
 def language_scores(
-    partition: Partition,
+    table: MessageTable,
+    rows: np.ndarray,
     scorer: PolarLexicon | SentimentScorer,
     surprisal: np.ndarray | None,
 ) -> dict[str, float | None]:
-    """The ``hierarchy.LANGUAGE_METRICS`` of one partition, by name.
+    """The ``hierarchy.LANGUAGE_METRICS`` of one partition, ``rows`` of ``table``, by name.
 
-    A ``PolarLexicon`` scores the partition's token ids; any other scorer is
+    A ``PolarLexicon`` scores the rows' token ids; any other scorer is
     called with each message's text, and a sentiment outside [0, 1], NaN or
     not a number raises ValueError naming the message.  Complexity reads
     ``surprisal``, the corpus's ``build_reference`` array, if given.
     """
-    if not partition.rows.size:
+    if not rows.size:
         return dict.fromkeys(LANGUAGE_METRICS)
-    ids, bounds = partition.token_ids()
+    positions, bounds = segments(table.tokens.bounds, rows)
+    ids = table.tokens.ids[positions]
     if isinstance(scorer, PolarLexicon):
-        sentiments = scorer.sentiments(ids, bounds, partition.tokens.vocabulary)
+        sentiments = scorer.sentiments(ids, bounds, table.tokens.vocabulary)
     else:
-        corpus, rows = partition.corpus, partition.rows.tolist()
-        values = [scorer(corpus.texts[row]) for row in rows]
+        rows = rows.tolist()
+        values = [scorer(table.texts[row]) for row in rows]
         for row, value in zip(rows, values):
             if not is_finite_number(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"sentiment scorer returned {value!r} for message "
-                    f"{corpus.ids[row]!r}; expected a finite number in [0, 1]"
+                    f"{table.ids[row]!r}; expected a finite number in [0, 1]"
                 )
         sentiments = np.array(values, dtype=np.float64)
     return {

@@ -60,6 +60,7 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
     lexicon, polar = _load_lexicons(cfg)
+    scorer = polar if scorer is None else scorer
 
     parsed = load_corpus(cfg.corpus)
     partitions, discarded = filter_and_partition(parsed.messages, lexicon)
@@ -74,12 +75,12 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
     windows: dict[str, WindowSeries] = {}
     dangling = 0
     for orientation in ORIENTATIONS:
-        partition = partitions[orientation]
-        if not partition.rows.size:
+        rows = partitions[orientation]
+        if not rows.size:
             vectors[orientation] = MetricVector()
             windows[orientation] = NO_WINDOWS
             continue
-        graph = build_graph(partition.corpus, partition.rows)
+        graph = build_graph(parsed.messages, rows)
         if cfg.export_graphml or cfg.export_dot:
             check_exportable(graph, orientation)  # before any output is written
             graphs[orientation] = graph
@@ -90,7 +91,7 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
         inter = interactivity_scores(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(partition, polar if scorer is None else scorer, surprisal)
+        lang = language_scores(parsed.messages, rows, scorer, surprisal)
         vectors[orientation] = MetricVector(**conn, **inter, **lang)
 
     report = {

@@ -11,12 +11,14 @@ import functools
 import json
 import math
 import operator
+import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from valuescope import (
     ORIENTATIONS,
@@ -24,18 +26,24 @@ from valuescope import (
     InteractionGraph,
     Message,
     MessageTable,
+    MetricVector,
     OrientationLexicon,
-    Partition,
     PolarLexicon,
     ReferenceDictionary,
+    RunConfig,
     WindowSeries,
     build_graph,
-    group_betweenness_centralization,
+    evaluate_hierarchy,
+    interactivity_scores,
     language_scores,
+    round6,
     tokenize,
 )
+from valuescope import corpus as corpus_module
+from valuescope._kernels import betweenness_csr
 from valuescope.corpus import ABSENT, UNKNOWN
-from valuescope.graph import SimpleGraph, betweenness_array
+from valuescope.dynamics import NO_WINDOWS
+from valuescope.graph import betweenness_array, centralization
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -67,26 +75,41 @@ def graph_of(messages) -> InteractionGraph:
     return build_graph(messages, messages.order())
 
 
-def carrying_tokens(messages) -> Partition:
-    """The messages, in the given order, as a partition over their own tables."""
+def carrying_tokens(messages) -> tuple[MessageTable, np.ndarray]:
+    """The messages' table and every row of it, in the given order: one partition."""
     table = MessageTable.from_messages(messages)
-    return Partition(table, np.arange(len(table)))
+    return table, np.arange(len(table))
 
 
 def scored_sentiment(text: str, scorer) -> float:
     """The sentiment ``language_scores`` gives ``text`` as a one-message partition."""
-    partition = carrying_tokens([msg("m", "a", text=text)])
-    return language_scores(partition, scorer, None)["sentiment"]
+    return language_scores(*carrying_tokens([msg("m", "a", text=text)]), scorer, None)["sentiment"]
 
 
-def partition_ids(partition: Partition) -> list[str]:
+def partition_ids(table: MessageTable, rows: np.ndarray) -> list[str]:
     """The ids of a partition's messages, in partition order."""
-    return [partition.corpus.ids[row] for row in partition.rows.tolist()]
+    return [table.ids[row] for row in rows.tolist()]
 
 
-def betweenness(graph: SimpleGraph) -> dict[str, float]:
+def betweenness(graph: InteractionGraph) -> dict[str, float]:
     """``betweenness_array`` keyed by node handle."""
     return dict(zip(graph.nodes, betweenness_array(graph).tolist()))
+
+
+def art_hours(graph: InteractionGraph, cutoff_hours: float | None = None) -> float | None:
+    """The average response time ``interactivity_scores`` gives ``graph``."""
+    return interactivity_scores(graph, NO_WINDOWS, cutoff_hours=cutoff_hours)["art_hours"]
+
+
+def nudges(graph: InteractionGraph, cutoff_hours: float | None = None) -> float | None:
+    """The nudges ``interactivity_scores`` gives ``graph``."""
+    return interactivity_scores(graph, NO_WINDOWS, cutoff_hours=cutoff_hours)["nudges"]
+
+
+def split_into_ranges(patch: pytest.MonkeyPatch, path, ranges: int) -> None:
+    """Make ``load_corpus(path)`` see ``ranges`` CPUs and cut ranges as small as it takes."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
+    patch.setattr(corpus_module, "_MIN_RANGE_BYTES", max(1, os.path.getsize(path) // ranges))
 
 
 def reference_from_tokens(tokens) -> ReferenceDictionary:
@@ -187,7 +210,8 @@ class OracleGraph:
     nodes: tuple[str, ...]
     arcs: list[tuple[str, str, str, datetime]]  # (source, target, kind, created_at)
     dangling_refs: int
-    simple: SimpleGraph
+    indptr: np.ndarray  # the simple projection as CSR
+    indices: np.ndarray
     authors: np.ndarray  # each message's author, as a node id
     stamps: np.ndarray  # each message's timestamp()
     table: np.ndarray  # (message, target node, kind, referenced message or -1) per arc
@@ -232,9 +256,6 @@ def oracle_build_graph(messages) -> OracleGraph:
     for neighbours in adjacency:
         indices.extend(sorted(neighbours))
         indptr.append(len(indices))
-    simple = SimpleGraph(
-        ordered, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
-    )
     table = np.array(
         [
             [row for row, _ in places],
@@ -248,7 +269,8 @@ def oracle_build_graph(messages) -> OracleGraph:
         ordered,
         arcs,
         dangling,
-        simple,
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
         np.array([index[m.author] for m in msgs], dtype=np.int64),
         np.array([m.created_at.timestamp() for m in msgs], dtype=np.float64),
         table,
@@ -278,14 +300,16 @@ def oracle_window_series(messages, window_hours: float) -> list[OracleWindow]:
     series = []
     for idx in range(first, last + 1):
         inside = sorted(buckets.get(idx, ()), key=lambda m: (m.created_at, m.id))
-        graph = oracle_build_graph(inside).simple
+        graph = oracle_build_graph(inside)
+        n = len(graph.nodes)
+        scores = betweenness_csr(graph.indptr, graph.indices, n) / 2.0
         series.append(
             OracleWindow(
                 start=datetime.fromtimestamp(idx * width, tz=timezone.utc),
-                node_count=graph.node_count,
-                edge_count=graph.simple_edge_count,
-                betweenness=betweenness(graph),
-                centralization=group_betweenness_centralization(graph),
+                node_count=n,
+                edge_count=graph.indices.size // 2,
+                betweenness=dict(zip(graph.nodes, scores.tolist())),
+                centralization=centralization(scores),
             )
         )
     return series
@@ -738,3 +762,72 @@ def oracle_nudges(messages, cutoff_hours=None) -> float | None:
             chains.append(len(waiting))
             taken += len(waiting)
     return sum(chains) / len(chains) if chains else None
+
+
+# ----------------------------------------------------------- report oracle
+#
+# A whole run composed from the oracles above, each walking ``Message``
+# records.  Only the hierarchy, the centralization formula and the six-digit
+# rounding are the code under test; every vector fed to them is the oracles'.
+
+
+def _oracle_window_csv(series: list[OracleWindow]) -> bytes:
+    rows = ["window_start,n_nodes,n_edges,group_betweenness_centralization"]
+    rows += [
+        f"{w.start:%Y-%m-%dT%H:%M:%SZ},{w.node_count},{w.edge_count},{round6(w.centralization)}"
+        for w in series
+    ]
+    return "".join(row + "\r\n" for row in rows).encode()
+
+
+def oracle_report(lines, cfg: RunConfig) -> tuple[dict, dict[str, bytes]]:
+    """The report ``run_pipeline(cfg)`` returns for the NDJSON ``lines``, without
+    its ``config`` block, and each orientation's window CSV.
+
+    The packaged lexicons are used, and the corpus's own reference model;
+    ``cfg`` gives the window width, leadership mode, response cutoff and the
+    hierarchy's settings.
+    """
+    messages, skipped = oracle_parse_corpus(lines)
+    partitions, discarded, counts = oracle_filter_and_partition(
+        messages, OrientationLexicon.default()
+    )
+    reference = ReferenceDictionary.from_counts(dict(counts)) if counts else None
+    polar = PolarLexicon.default()
+    vectors, windows, csvs, dangling = {}, {}, {}, 0
+    for orientation, tagged in partitions.items():
+        ordered = [t.message for t in tagged]
+        series = oracle_window_series(ordered, cfg.window_hours)
+        windows[orientation], csvs[orientation] = len(series), _oracle_window_csv(series)
+        if not ordered:
+            vectors[orientation] = MetricVector()
+            continue
+        graph = oracle_build_graph(ordered)
+        dangling += graph.dangling_refs
+        n, edges = len(graph.nodes), graph.indices.size // 2
+        degrees = np.diff(graph.indptr).tolist()
+        scores = oracle_betweenness_csr(graph.indptr, graph.indices, n) / 2.0
+        volume = oracle_activity(ordered)
+        vectors[orientation] = MetricVector(
+            density=2.0 * edges / (n * (n - 1)) if n > 1 else 0.0,
+            degree_centralization=(
+                sum(max(degrees) - d for d in degrees) / ((n - 1) * (n - 2)) if n > 2 else 0.0
+            ),
+            betweenness_centralization=centralization(scores),
+            art_hours=oracle_response_time(ordered, cfg.response_cutoff_hours),
+            nudges=oracle_nudges(ordered, cfg.response_cutoff_hours),
+            actor_count=n,
+            activity=volume,
+            avg_activity_per_actor=volume / n,
+            rotating_leadership=oracle_rotating_leadership(series, cfg.gbco_mode),
+            **oracle_language_scores(tagged, polar, reference),
+        )
+    run = {
+        "corpus_size": len(messages),
+        "skipped_records": skipped,
+        "discarded_untagged": discarded,
+        "dangling_references": dangling,
+        "window_count": max(windows.values()),
+        "windows_per_orientation": windows,
+    }
+    return {"mode": "run", "run": run, "orientations": evaluate_hierarchy(vectors, cfg)}, csvs

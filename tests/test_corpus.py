@@ -18,6 +18,7 @@ from conftest import (
     oracle_parse_corpus,
     oracle_rows,
     partition_ids,
+    split_into_ranges,
     table_rows,
 )
 from valuescope import corpus as corpus_module
@@ -56,14 +57,17 @@ def parse_one(raw) -> Message | None:
     return Message(*table_rows(result.messages)[0]) if len(result.messages) else None
 
 
-def partition(messages, lexicon):
-    return filter_and_partition(MessageTable.from_messages(messages), lexicon)
+def partition(messages, lexicon) -> tuple[dict[str, list[str]], int]:
+    """Each orientation's message ids in partition order, and the discarded count."""
+    table = MessageTable.from_messages(messages)
+    partitions, discarded = filter_and_partition(table, lexicon)
+    return {o: partition_ids(table, rows) for o, rows in partitions.items()}, discarded
 
 
 def tags(lexicon, text) -> frozenset[str]:
     """Orientations whose partitions hold a message of ``text``."""
-    partitions = partition([msg("m1", "a", text=text)], lexicon).partitions
-    return frozenset(o for o, p in partitions.items() if p.rows.size)
+    partitions, _ = partition([msg("m1", "a", text=text)], lexicon)
+    return frozenset(o for o, ids in partitions.items() if ids)
 
 
 # Anything json.loads can return, and records that mix plausible field values
@@ -383,7 +387,7 @@ class TestPartition:
             msg("m2", "b", hours=2.0, text="our customers know it"),
         ]
         partitions, discarded = partition(messages, lexicon)
-        assert partition_ids(partitions["Customers"]) == []
+        assert partitions["Customers"] == []
         assert discarded == 2
 
     def test_partition_counts_and_sorting(self, lexicon):
@@ -395,17 +399,17 @@ class TestPartition:
         ]
         partitions, discarded = partition(messages, lexicon)
         assert discarded == 1
-        assert partition_ids(partitions["Customers"]) == ["m1", "m2", "m4"]
-        assert partition_ids(partitions["Employees"]) == ["m4"]
-        assert partition_ids(partitions["Citizenship"]) == []
+        assert partitions["Customers"] == ["m1", "m2", "m4"]
+        assert partitions["Employees"] == ["m4"]
+        assert partitions["Citizenship"] == []
 
     def test_multi_tagged_message_lands_in_each_partition(self, lexicon):
         messages = [msg("m1", "a", text="quality with integrity")]
         partitions, discarded = partition(messages, lexicon)
         assert discarded == 0
-        holding = {o for o, p in partitions.items() if partition_ids(p) == ["m1"]}
+        holding = {o for o, ids in partitions.items() if ids == ["m1"]}
         assert holding == {"Customers", "Citizenship"}
-        assert all(not partitions[o].rows.size for o in set(ORIENTATIONS) - holding)
+        assert all(not partitions[o] for o in set(ORIENTATIONS) - holding)
 
     def test_tie_broken_by_id(self, lexicon):
         messages = [
@@ -413,7 +417,7 @@ class TestPartition:
             msg("ma", "b", hours=1.0, text="quality"),
         ]
         partitions, _ = partition(messages, lexicon)
-        assert partition_ids(partitions["Customers"]) == ["ma", "mb"]
+        assert partitions["Customers"] == ["ma", "mb"]
 
     def test_input_order_does_not_matter(self, lexicon):
         messages = [
@@ -424,7 +428,7 @@ class TestPartition:
         random.Random(3).shuffle(shuffled)
         first, _ = partition(messages, lexicon)
         second, _ = partition(shuffled, lexicon)
-        assert partition_ids(first["Customers"]) == partition_ids(second["Customers"])
+        assert first["Customers"] == second["Customers"]
 
     def test_distinct_ids_plus_discarded_equals_total(self, lexicon):
         messages = [
@@ -434,7 +438,7 @@ class TestPartition:
             msg("m4", "d", text="team spirit"),
         ]
         partitions, discarded = partition(messages, lexicon)
-        tagged_ids = {ident for p in partitions.values() for ident in partition_ids(p)}
+        tagged_ids = {ident for ids in partitions.values() for ident in ids}
         assert len(tagged_ids) + discarded == len(messages)
 
 
@@ -489,10 +493,8 @@ class TestByteRanges:
     @staticmethod
     def load(path, monkeypatch, ranges: int):
         """Parse ``path`` with ``ranges`` CPUs and ranges as small as it takes."""
-        size = os.path.getsize(path)
         with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
-            patch.setattr(corpus_module, "_MIN_RANGE_BYTES", max(1, size // ranges))
+            split_into_ranges(patch, path, ranges)
             if ranges > 1:
                 with open(path, "rb") as file:
                     assert len(corpus_module._cuts(file)) - 1 == ranges

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from conftest import (
     BASE,
     OracleWindow,
+    art_hours,
     graph_of,
     msg,
+    nudges,
     oracle_count_extrema,
     oracle_nudges,
     oracle_response_time,
@@ -30,10 +32,8 @@ from valuescope import (
     WindowSeries,
     activity,
     average_activity,
-    average_response_time,
     count_extrema,
     interactivity_scores,
-    nudges,
     rotating_leadership,
     window_series,
 )
@@ -88,7 +88,7 @@ class TestAverageResponseTime:
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 2.0, mentions=("a",)),
         ]
-        assert average_response_time(graph_of(messages)) == pytest.approx(2.0)
+        assert art_hours(graph_of(messages)) == pytest.approx(2.0)
 
     def test_mean_over_three_pairs(self):
         messages = (
@@ -96,32 +96,32 @@ class TestAverageResponseTime:
             + exchange("q", "c", "d", 0.0, 3.0)
             + exchange("r", "e", "f", 0.0, 8.0)
         )
-        assert average_response_time(graph_of(messages)) == pytest.approx(4.0)
+        assert art_hours(graph_of(messages)) == pytest.approx(4.0)
 
     def test_unanswered_contact_is_none(self):
         messages = [msg("m1", "a", 0.0, mentions=("b",))]
-        assert average_response_time(graph_of(messages)) is None
+        assert art_hours(graph_of(messages)) is None
 
     def test_simultaneous_message_is_not_an_answer(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 0.0, mentions=("a",)),
         ]
-        assert average_response_time(graph_of(messages)) is None
+        assert art_hours(graph_of(messages)) is None
 
     def test_reply_without_mention_answers(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.5, reply_to="m1"),
         ]
-        assert average_response_time(graph_of(messages)) == pytest.approx(1.5)
+        assert art_hours(graph_of(messages)) == pytest.approx(1.5)
 
     def test_retweets_make_no_contact(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("b",)),
             msg("m2", "b", 1.0, retweet_of="m1"),
         ]
-        assert average_response_time(graph_of(messages)) is None
+        assert art_hours(graph_of(messages)) is None
 
     def test_mention_and_reply_to_same_target_dedupe(self):
         # a pings b twice in one message (mention + reply); one contact only,
@@ -132,14 +132,14 @@ class TestAverageResponseTime:
             msg("m2", "b", 3.0, reply_to="m1"),
         ]
         # contacts: b->a at 0 (answered at 1.0), a->b at 1 (answered at 3.0)
-        assert average_response_time(graph_of(messages)) == pytest.approx(1.5)
+        assert art_hours(graph_of(messages)) == pytest.approx(1.5)
 
     def test_self_mention_ignored(self):
         messages = [
             msg("m1", "a", 0.0, mentions=("a",)),
             msg("m2", "a", 1.0, mentions=("a",)),
         ]
-        assert average_response_time(graph_of(messages)) is None
+        assert art_hours(graph_of(messages)) is None
 
     def test_earliest_answer_wins(self):
         messages = [
@@ -147,15 +147,15 @@ class TestAverageResponseTime:
             msg("m2", "b", 1.0, mentions=("a",)),
             msg("m3", "b", 9.0, mentions=("a",)),
         ]
-        assert average_response_time(graph_of(messages)) == pytest.approx(1.0)
+        assert art_hours(graph_of(messages)) == pytest.approx(1.0)
 
     def test_cutoff_drops_slow_answers(self):
         messages = (
             exchange("p", "a", "b", 0.0, 1.0)
             + exchange("q", "c", "d", 0.0, 50.0)
         )
-        assert average_response_time(graph_of(messages)) == pytest.approx(25.5)
-        assert average_response_time(graph_of(messages), cutoff_hours=24.0) == pytest.approx(1.0)
+        assert art_hours(graph_of(messages)) == pytest.approx(25.5)
+        assert art_hours(graph_of(messages), cutoff_hours=24.0) == pytest.approx(1.0)
 
     def test_mean_adds_left_to_right(self):
         # Ten 0.1 h lags: 0.09999999999999999 left to right, 0.1 compensated.
@@ -163,7 +163,7 @@ class TestAverageResponseTime:
             m for k in range(10) for m in exchange(f"p{k}", f"a{k}", f"b{k}", 0.0, 0.1)
         ]
         lags = [0.1] * 10
-        assert average_response_time(graph_of(messages)) == (
+        assert art_hours(graph_of(messages)) == (
             functools.reduce(operator.add, lags) / len(lags)
         )
 
@@ -175,7 +175,7 @@ class TestAverageResponseTime:
         )
         shuffled = messages[:]
         random.Random(1).shuffle(shuffled)
-        assert average_response_time(graph_of(shuffled)) == average_response_time(graph_of(messages))
+        assert art_hours(graph_of(shuffled)) == art_hours(graph_of(messages))
 
 
 class TestNudges:
@@ -261,14 +261,9 @@ def conversations(draw):
 @given(conversations(), st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]))
 def test_response_time_and_nudges_match_per_contact_scan(messages, cutoff_hours):
     graph = graph_of(messages)
-    expected_art = oracle_response_time(messages, cutoff_hours)
-    expected_nudges = oracle_nudges(messages, cutoff_hours)
-    assert average_response_time(graph, cutoff_hours) == expected_art
-    assert nudges(graph, cutoff_hours) == expected_nudges
-    # The bundle shares one contact scan between both metrics.
     scores = interactivity_scores(graph, window_series(graph), cutoff_hours=cutoff_hours)
-    assert scores["art_hours"] == expected_art
-    assert scores["nudges"] == expected_nudges
+    assert scores["art_hours"] == oracle_response_time(messages, cutoff_hours)
+    assert scores["nudges"] == oracle_nudges(messages, cutoff_hours)
 
 
 class TestCountExtrema:
@@ -362,7 +357,7 @@ class TestWindows:
         assert windows.node_counts.tolist() == [2, 1]
         assert windows.edge_counts.tolist() == [1, 0]
         assert window_scores(windows, graph) == []  # b alone scores 0
-        assert average_response_time(graph) == pytest.approx(24.0)
+        assert art_hours(graph) == pytest.approx(24.0)
         assert nudges(graph) == pytest.approx(1.0)
 
     def test_custom_width(self):

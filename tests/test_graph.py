@@ -10,14 +10,18 @@ shipped Brandes implementations must agree with it.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from datetime import timedelta
 from fractions import Fraction
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -38,6 +42,7 @@ from conftest import (
     window_scores,
     window_starts,
 )
+import valuescope
 from valuescope import (
     Message,
     MessageTable,
@@ -54,6 +59,7 @@ from valuescope import (
 from valuescope import _kernels
 from valuescope._kernels import _brandes_sweep, _component_labels, betweenness_csr
 from valuescope.dynamics import _contacts
+from valuescope.graph import _quote_attr
 
 
 def brute_force_betweenness(graph) -> dict[str, Fraction]:
@@ -655,6 +661,39 @@ class TestExports:
         write_graphml(graph, "Customers", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="&<>\t\n\r\"'a ", max_size=8))
+    @example("a&b<c>d")
+    @example("tab\tline\nreturn\r")
+    @example('say "hi"')
+    @example("it's")
+    @example("both \"quotes\" and 'these'")
+    def test_attribute_quoting_is_quoteattrs(self, handle):
+        assert _quote_attr(handle) == quoteattr(handle)
+
+    def test_graphml_keeps_handles_with_markup_quotes_and_line_breaks(self, tmp_path):
+        # Attribute values normalize a raw tab or line break to a space;
+        # only character references keep them.
+        handles = ("a&b<c>", "tab\tline\nreturn\rend", 'say "hi"', "it's", "\"both'")
+        graph = graph_of([msg("m1", "x", 0.0, mentions=handles)])
+        path = tmp_path / "g.graphml"
+        write_graphml(graph, "Customers", str(path))
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        tree = ET.parse(path)
+        assert tuple(n.get("id") for n in tree.findall(".//g:node", ns)) == graph.nodes
+        assert [e.get("target") for e in tree.findall(".//g:edge", ns)] == list(handles)
+
+
+def test_cli_import_leaves_out_xml_sax_and_urllib():
+    """GraphML quoting is written out, so starting the CLI imports neither."""
+    src = os.path.dirname(os.path.dirname(valuescope.__file__))
+    code = "import sys, valuescope.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "valuescope.graph" in done.stdout.split()
+    assert not {"urllib.request", "xml.sax"} & set(done.stdout.split())
+
 
 def test_build_is_order_independent():
     rng = random.Random(5)
@@ -713,9 +752,9 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
     graph = graph_of(messages)
     oracle = oracle_build_graph(messages)
     assert graph.nodes == oracle.nodes
-    assert np.array_equal(graph._indptr, oracle.simple._indptr)
-    assert np.array_equal(graph._indices, oracle.simple._indices)
-    assert graph.simple_edge_count == oracle.simple.simple_edge_count
+    assert np.array_equal(graph._indptr, oracle.indptr)
+    assert np.array_equal(graph._indices, oracle.indices)
+    assert graph.simple_edge_count == oracle.indices.size // 2
     assert graph.dangling_refs == oracle.dangling_refs
     in_order = sorted(messages, key=lambda m: (m.created_at, m.id))
     in_order_oracle = oracle_build_graph(in_order)
@@ -765,6 +804,6 @@ def test_partition_graph_resolves_references_inside_the_partition(messages, keep
     assert np.array_equal(graph.authors, oracle.authors)
     assert np.array_equal(graph.stamps, oracle.stamps)
     assert np.array_equal(graph.table, oracle.table)
-    assert np.array_equal(graph._indptr, oracle.simple._indptr)
-    assert np.array_equal(graph._indices, oracle.simple._indices)
+    assert np.array_equal(graph._indptr, oracle.indptr)
+    assert np.array_equal(graph._indices, oracle.indices)
     assert list(graph.iter_arcs()) == oracle.arcs

@@ -94,13 +94,13 @@ class TestSentiment:
             pass
 
         texts = ["good great love the good parts, one bad moment", "plain", "AWFUL, bad!"]
-        partition = carrying_tokens(
+        table, rows = carrying_tokens(
             [msg(f"m{i}", "a", float(i), text=text) for i, text in enumerate(texts)]
         )
         expected = functools.reduce(operator.add, [oracle_sentiment(t, lexicon) for t in texts])
         # Blank texts score 0.5 each, so only the token ids give the oracle's mean.
-        partition.corpus.texts[:] = [""] * len(texts)
-        scores = language_scores(partition, Subclass(POS, NEG), None)
+        table.texts[:] = [""] * len(texts)
+        scores = language_scores(table, rows, Subclass(POS, NEG), None)
         assert scores["sentiment"] == expected / len(texts)
 
 
@@ -228,8 +228,8 @@ class TestLanguageScores:
         ref = reference_from_tokens(
             t for m in messages for t in ("good", "bad", "thing")
         )
-        partition = carrying_tokens(messages)
-        scores = language_scores(partition, lexicon, build_reference(partition.tokens, ref))
+        table, rows = carrying_tokens(messages)
+        scores = language_scores(table, rows, lexicon, build_reference(table.tokens, ref))
         assert scores["sentiment"] == pytest.approx((1.0 + 0.0) / 2)
         assert scores["emotionality"] == pytest.approx(0.5)
         assert scores["complexity"] == pytest.approx(
@@ -237,12 +237,12 @@ class TestLanguageScores:
         )
 
     def test_empty_messages(self, lexicon):
-        scores = language_scores(carrying_tokens([]), lexicon, None)
+        scores = language_scores(*carrying_tokens([]), lexicon, None)
         assert scores == {"sentiment": None, "emotionality": None, "complexity": None}
 
     def test_without_reference_complexity_absent(self, lexicon):
         messages = [msg("m1", "x", 0.0, text="good")]
-        scores = language_scores(carrying_tokens(messages), lexicon, None)
+        scores = language_scores(*carrying_tokens(messages), lexicon, None)
         assert scores["sentiment"] == 1.0
         assert scores["complexity"] is None
 
@@ -254,12 +254,12 @@ class TestLanguageScores:
         sentiments = [0.6] * 10
         expected = functools.reduce(operator.add, sentiments) / len(sentiments)
         for scorer in (lexicon, lambda text: 0.6):
-            scores = language_scores(carrying_tokens(messages), scorer, None)
+            scores = language_scores(*carrying_tokens(messages), scorer, None)
             assert scores["sentiment"] == expected
 
     def test_custom_callable_scorer(self):
         messages = [msg("m1", "x", 0.0, text="whatever")]
-        scores = language_scores(carrying_tokens(messages), lambda text: 0.25, None)
+        scores = language_scores(*carrying_tokens(messages), lambda text: 0.25, None)
         assert scores["sentiment"] == 0.25
         assert scores["emotionality"] == 0.25
 
@@ -331,11 +331,11 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
 
     for surprisal, reference in references:
         for orientation in ORIENTATIONS:
-            partition = partitions[orientation]
-            if not partition.rows.size:
+            rows = partitions[orientation]
+            if not rows.size:
                 continue
-            texts = [partition.corpus.texts[row] for row in partition.rows.tolist()]
-            assert language_scores(partition, polar, surprisal) == _text_based_scores(
+            texts = [table.texts[row] for row in rows.tolist()]
+            assert language_scores(table, rows, polar, surprisal) == _text_based_scores(
                 texts, polar, reference
             )
 
@@ -394,7 +394,7 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
     tokens = table.tokens
     assert list(tokens.vocabulary) == list(expected_counts)
     for orientation in ORIENTATIONS:
-        assert partition_ids(partitions[orientation]) == [
+        assert partition_ids(table, partitions[orientation]) == [
             t.message.id for t in expected[orientation]
         ]
 
@@ -415,5 +415,5 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         for scorer in (polar, _custom_scorer):
             for orientation in ORIENTATIONS:
                 assert language_scores(
-                    partitions[orientation], scorer, surprisal
+                    table, partitions[orientation], scorer, surprisal
                 ) == oracle_language_scores(expected[orientation], scorer, reference)

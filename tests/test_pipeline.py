@@ -24,11 +24,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import tempfile
+from datetime import timedelta
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import BASE, oracle_report, split_into_ranges
 from reference_case import EXPECTED_HINTS
 from valuescope import (
     CONNECTIVITY_METRICS,
@@ -52,6 +58,7 @@ from valuescope import (
 from valuescope import corpus as corpus_module
 from valuescope import language as language_module
 from valuescope.config import read_json_object
+from valuescope.corpus import format_stamp
 from valuescope.pipeline import dump_report, round6
 
 FIXTURE_RECORDS = [
@@ -287,16 +294,89 @@ def test_each_layer_returns_exactly_its_metric_names(tmp_path):
     table = load_corpus(str(corpus)).messages
     partitions, _ = filter_and_partition(table, OrientationLexicon.default())
     customers, empty = partitions["Customers"], partitions["Citizenship"]
-    assert customers.rows.size and not empty.rows.size
-    graph = build_graph(customers.corpus, customers.rows)
+    assert customers.size and not empty.size
+    graph = build_graph(table, customers)
     layers = [
         (connectivity_scores(graph), CONNECTIVITY_METRICS),
         (interactivity_scores(graph, window_series(graph)), INTERACTIVITY_METRICS),
-        (language_scores(customers, PolarLexicon.default(), None), LANGUAGE_METRICS),
-        (language_scores(empty, PolarLexicon.default(), None), LANGUAGE_METRICS),
+        (language_scores(table, customers, PolarLexicon.default(), None), LANGUAGE_METRICS),
+        (language_scores(table, empty, PolarLexicon.default(), None), LANGUAGE_METRICS),
     ]
     for scores, names in layers:
         assert set(scores) == set(names)
+
+
+# Phrases of every default orientation, polar words and filler; a text joins
+# a few, so many messages carry several orientations.
+_PHRASES = (
+    "quality", "customer trust", "team spirit", "financial strength", "leadership",
+    "integrity", "social responsibility", "good", "bad", "love", "the", "plan",
+)
+_MALFORMED_LINES = (
+    "{", "[1, 2]", "quality", '{"id": "x"}',
+    '{"id": "late", "author": "a", "created_at": "soon", "text": "quality"}',
+    '{"id": "self", "author": "a", "created_at": "2021-03-01T00:00:00Z", '
+    '"text": "quality", "reply_to": "self"}',
+)
+
+
+@st.composite
+def report_inputs(draw):
+    """NDJSON lines from 3 to 6 authors, ``RunConfig`` options and a byte-range count.
+
+    Stamps fall in 1 to 4 windows from a window start, so orientations span
+    different window counts; references point inside, across and outside
+    orientations and outside the corpus, and malformed lines are mixed in.
+    """
+    window_hours = draw(st.sampled_from([6.0, 24.0, 36.0]))  # BASE starts a window of each
+    minutes = int(window_hours * 60) * draw(st.integers(1, 4))
+    authors = draw(st.lists(st.sampled_from("abcdef"), min_size=3, max_size=6, unique=True))
+    count = draw(st.integers(3, 14))
+    ids = [f"m{i:02d}" for i in range(count)]
+    references = st.none() | st.sampled_from([*ids, "gone"])
+    lines = []
+    for ident in ids:
+        record = {
+            "id": ident,
+            "author": draw(st.sampled_from(authors)),
+            "created_at": format_stamp(BASE + timedelta(minutes=draw(st.integers(0, minutes - 1)))),
+            "text": " ".join(draw(st.lists(st.sampled_from(_PHRASES), min_size=1, max_size=4))),
+            "mentions": draw(st.lists(st.sampled_from([*authors, "outsider"]), max_size=2)),
+        }
+        for key in ("reply_to", "retweet_of"):
+            target = draw(references)
+            if target is not None and target != ident:
+                record[key] = target
+        lines.append(json.dumps(record))
+    for line in draw(st.lists(st.sampled_from(_MALFORMED_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    options = {
+        "window_hours": window_hours,
+        "gbco_mode": draw(st.sampled_from(["group", "actor"])),
+        "response_cutoff_hours": draw(st.sampled_from([None, 1.0, 12.0])),
+    }
+    return lines, options, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_inputs())
+def test_report_matches_the_composed_oracles(inputs):
+    """The report, less ``config``, and every window CSV equal the oracles' on K byte ranges."""
+    lines, options, ranges = inputs
+    with tempfile.TemporaryDirectory() as work:
+        corpus, out = os.path.join(work, "corpus.ndjson"), os.path.join(work, "out")
+        with open(corpus, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        cfg = RunConfig(corpus=corpus, output_dir=out, window_csv=True, **options)
+        with pytest.MonkeyPatch.context() as patch:
+            split_into_ranges(patch, corpus, ranges)
+            report = run_pipeline(cfg)
+        expected, window_csvs = oracle_report(lines, cfg)
+        del report["config"]
+        assert dump_report(report) == dump_report(expected)
+        for orientation, expected_csv in window_csvs.items():
+            with open(os.path.join(out, f"windows_{orientation}.csv"), "rb") as handle:
+                assert handle.read() == expected_csv, orientation
 
 
 class TestRunVariants:

@@ -12,20 +12,18 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import graph_of, oracle_sentiment
+from conftest import art_hours, graph_of, nudges, oracle_sentiment
 from valuescope import (
     ConfigError,
     OrientationPlant,
     PolarLexicon,
     SynthSpec,
-    average_response_time,
     demo_spec,
     density,
     filter_and_partition,
     generate_corpus,
     group_betweenness_centralization,
     group_degree_centralization,
-    nudges,
     oscillation_series,
     parse_corpus,
     rotating_leadership,
@@ -76,14 +74,10 @@ def demo_records():
 
 @pytest.fixture(scope="module")
 def demo_partitions(demo_records):
-    partitions, discarded = filter_and_partition(
-        parsed_messages(demo_records), OrientationLexicon.default()
-    )
+    table = parsed_messages(demo_records)
+    partitions, discarded = filter_and_partition(table, OrientationLexicon.default())
     assert discarded == 0
-    return {
-        o: [partition.corpus.texts[row] for row in partition.rows.tolist()]
-        for o, partition in partitions.items()
-    }
+    return {o: [table.texts[row] for row in rows.tolist()] for o, rows in partitions.items()}
 
 
 class TestOscillationSeries:
@@ -392,7 +386,7 @@ class TestPlantedStar:
         assert group_betweenness_centralization(graph) == 1.0
 
     def test_response_time_equals_the_lag(self, star_messages):
-        assert average_response_time(graph_of(star_messages)) == 2.0
+        assert art_hours(graph_of(star_messages)) == 2.0
 
     def test_single_ping_exchanges(self, star_messages):
         assert nudges(graph_of(star_messages)) == 1.0
@@ -400,7 +394,7 @@ class TestPlantedStar:
     def test_lag_is_configurable(self):
         plant = OrientationPlant(actors=50, messages=98, response_lag_hours=0.5)
         messages = parsed_messages(generate_corpus(single_plant_spec(plant)))
-        assert average_response_time(graph_of(messages)) == 0.5
+        assert art_hours(graph_of(messages)) == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +420,7 @@ class TestPlantedDyads:
         assert group_betweenness_centralization(graph) == 0.0
 
     def test_response_time_equals_the_lag(self, dyad_messages):
-        assert average_response_time(graph_of(dyad_messages)) == 2.0
+        assert art_hours(graph_of(dyad_messages)) == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -444,7 +438,7 @@ class TestPlantedDenseCore:
         # too and the core may answer those hours later, so the mean is only
         # bounded below by something positive.
         messages = parsed_messages(core_records)
-        art = average_response_time(graph_of(messages))
+        art = art_hours(graph_of(messages))
         assert art is not None
         assert art > 0.0
 
