@@ -62,21 +62,30 @@ from .hierarchy import (
 from .language import (
     PolarLexicon,
     ReferenceDictionary,
-    SentimentScorer,
     build_reference,
     emotionality,
     language_scores,
 )
 from .pipeline import dump_report, replay_metrics, run_pipeline
-from .synth import (
-    OrientationPlant,
-    SynthSpec,
-    demo_spec,
-    full_scale_spec,
-    generate_corpus,
-    oscillation_series,
-    star_plan,
-    write_corpus,
-)
 
 __version__ = "0.1.0"
+
+# Only the ``synth`` verb needs the generator, so it is imported on first use.
+_SYNTH_NAMES = frozenset({
+    "OrientationPlant",
+    "SynthSpec",
+    "demo_spec",
+    "full_scale_spec",
+    "generate_corpus",
+    "oscillation_series",
+    "star_plan",
+    "write_corpus",
+})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,6 @@ from .pipeline import (
     replay_metrics,
     run_pipeline,
 )
-from .synth import SynthSpec, demo_spec, full_scale_spec, generate_corpus, write_corpus
 
 logger = logging.getLogger("valuescope")
 
@@ -138,6 +137,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, demo_spec, full_scale_spec, generate_corpus, write_corpus
+
     if args.spec:
         spec = SynthSpec.from_file(args.spec)
     elif args.preset == "full-scale":

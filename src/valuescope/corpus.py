@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from operator import is_, truediv
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -118,11 +118,13 @@ class MessageTable:
     are epoch microseconds, exact for ordering; ``seconds`` are the same
     instants as ``datetime.timestamp()`` gives them.  ``reply_to`` and
     ``retweet_of`` hold the referenced row, ``ABSENT`` or ``UNKNOWN``.
-    ``tokens`` holds each text's tokens, row r's at ``tokens.bounds[r]``.
+    ``tokens`` holds each text's tokens, row r's at ``tokens.bounds[r]``;
+    the texts themselves are dropped once tokenized.  ``ranks`` gives each
+    message id's rank among the table's ids in Python string order, which
+    breaks ties between equal stamps; the id strings are dropped too.
     """
 
-    ids: list[str]
-    texts: list[str]
+    ranks: np.ndarray  # int64
     handles: tuple[str, ...]
     authors: np.ndarray  # int64
     mentions: np.ndarray  # int64
@@ -134,7 +136,7 @@ class MessageTable:
     tokens: TokenTable
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.ranks)
 
     @classmethod
     def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
@@ -148,9 +150,8 @@ class MessageTable:
     def order(self, rows: np.ndarray | None = None) -> np.ndarray:
         """``rows`` (default: every row) in ``(created_at, id)`` order."""
         if rows is None:
-            rows = np.arange(len(self.ids))
-        # Ids sort as Python strings: a numpy string sort ignores trailing NULs.
-        by_id = np.array(sorted(rows.tolist(), key=self.ids.__getitem__), dtype=np.int64)
+            rows = np.arange(len(self))
+        by_id = rows[np.argsort(self.ranks[rows])]
         return by_id[np.argsort(self.micros[by_id], kind="stable")]
 
     def created_at(self, row: int) -> datetime:
@@ -161,7 +162,8 @@ class MessageTable:
 class _Rows(NamedTuple):
     """One byte range's accepted records as columns of plain ``array``s and
     lists, so a worker process builds and pickles them without numpy.
-    Handles are numbered in first-seen order; references are still ids."""
+    Handles are numbered in first-seen order; references are still ids.
+    ``texts`` are read only to tokenize them."""
 
     ids: list[str]
     texts: list[str]
@@ -216,13 +218,17 @@ def _tokens(texts: Iterable[str]) -> tuple[array, array, list[str]]:
 def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTable:
     """The table of the ranges' rows, back to back in range order; empties ``parts``.
 
-    The ranges' own columns and the id index are freed before range 0 is
-    tokenized and ``later_tokens`` yields the other ranges' tokens, so the
-    tokens never share memory with them.
+    Only range 0 may still hold its texts.  The ranges' own columns, the id
+    strings and range 0's texts are freed before ``later_tokens`` yields the
+    other ranges' tokens, so the tokens never share memory with them.
     """
     ids = [msg_id for part in parts for msg_id in part.ids]
-    texts = [text for part in parts for text in part.texts]
     reply_to, retweet_of = _references(ids, parts)
+    # Ids rank as Python strings: a numpy string sort ignores trailing NULs.
+    by_id = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.int64, len(ids))
+    ranks = np.empty_like(by_id)
+    ranks[by_id] = np.arange(by_id.size)
+    del ids, by_id
     handles = sorted(set().union(*(part.handles for part in parts)))
     handle_id = dict(zip(handles, range(len(handles))))
     authors, mentions, bounds = [], [], [np.zeros(1, np.int64)]
@@ -236,11 +242,14 @@ def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTab
         mentions.append(renumber[np.frombuffer(part.mentions, dtype=np.int64)])
         micros.extend(part.micros)
     authors, mentions, bounds = map(np.concatenate, (authors, mentions, bounds))
-    first = len(parts[0].ids)
+    texts = parts[0].texts
     parts.clear()
+    del part  # the loop's last range, which would otherwise live until the return
+    tokens = [_tokens(texts)]
+    del texts
+    tokens += later_tokens
     return MessageTable(
-        ids=ids,
-        texts=texts,
+        ranks=ranks,
         handles=tuple(handles),
         authors=authors,
         mentions=mentions,
@@ -251,7 +260,7 @@ def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTab
         seconds=np.fromiter(map(truediv, micros, repeat(1_000_000)), np.float64, len(micros)),
         reply_to=reply_to,
         retweet_of=retweet_of,
-        tokens=_merge_tokens([_tokens(islice(texts, first)), *later_tokens]),
+        tokens=_merge_tokens(tokens),
     )
 
 
@@ -409,8 +418,9 @@ def parse_corpus(lines: Iterable[str]) -> ParseResult:
     UTF-8 fails as a whole in ``load_corpus``, before duplicate ids are
     checked.
     """
-    rows = _parse_lines(lines)
-    return ParseResult(_table([rows]), rows.skipped)
+    parts = [_parse_lines(lines)]
+    skipped = parts[0].skipped
+    return ParseResult(_table(parts), skipped)
 
 
 class _ByteRange(io.RawIOBase):
@@ -472,10 +482,10 @@ def _cuts(file: BinaryIO) -> list[int | None]:
 def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
     """Start a worker on bytes ``start:end`` of ``path``; return its pid and pipe.
 
-    The worker pickles into the pipe its range's rows, or the error that
-    stopped them, and then the rows' tokens.  It runs plain Python only, no
-    numpy, whose threads the fork did not copy, and it leaves through
-    ``os._exit``, so it never returns into the caller.
+    The worker pickles into the pipe its range's rows without their texts,
+    or the error that stopped them, and then the texts' tokens.  It runs
+    plain Python only, no numpy, whose threads the fork did not copy, and
+    it leaves through ``os._exit``, so it never returns into the caller.
     """
     read_end, write_end = os.pipe()
     try:
@@ -494,7 +504,7 @@ def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
                 except (OSError, CorpusError) as exc:
                     pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
                 else:
-                    pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(rows._replace(texts=[]), pipe, pickle.HIGHEST_PROTOCOL)
                     pipe.flush()
                     pickle.dump(_tokens(rows.texts), pipe, pickle.HIGHEST_PROTOCOL)
         finally:

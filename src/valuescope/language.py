@@ -1,10 +1,8 @@
 """Language metrics: lexicon sentiment, emotionality, unigram surprisal.
 
 Sentiment comes from a ``PolarLexicon``, which counts polar tokens on the
-partition's ids in the corpus token table and never reads a text, or from
-any callable ``scorer(text) -> float``, which is called with each message's
-text and must return a number in [0, 1]; any other output fails the run.
-Complexity is the mean surprisal (nats) of a partition's tokens:
+partition's ids in the corpus token table; the message table keeps no
+texts.  Complexity is the mean surprisal (nats) of a partition's tokens:
 ``build_reference`` gives each vocabulary entry its surprisal once per run,
 under the corpus's smoothed unigram model or an external reference
 dictionary, and every partition indexes that array.
@@ -14,15 +12,13 @@ from __future__ import annotations
 
 import math
 from importlib import resources
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from .config import ConfigError, read_json_object
 from .corpus import ID_SLICE, MessageTable, TokenTable, is_string_list, segments, tokenize
-from .hierarchy import LANGUAGE_METRICS, is_finite_number, ordered_mean
-
-SentimentScorer = Callable[[str], float]
+from .hierarchy import LANGUAGE_METRICS, ordered_mean
 
 NEUTRAL_SENTIMENT = 0.5
 
@@ -155,32 +151,19 @@ def build_reference(
 def language_scores(
     table: MessageTable,
     rows: np.ndarray,
-    scorer: PolarLexicon | SentimentScorer,
+    lexicon: PolarLexicon,
     surprisal: np.ndarray | None,
 ) -> dict[str, float | None]:
     """The ``hierarchy.LANGUAGE_METRICS`` of one partition, ``rows`` of ``table``, by name.
 
-    A ``PolarLexicon`` scores the rows' token ids; any other scorer is
-    called with each message's text, and a sentiment outside [0, 1], NaN or
-    not a number raises ValueError naming the message.  Complexity reads
+    ``lexicon`` scores the rows' token ids.  Complexity reads
     ``surprisal``, the corpus's ``build_reference`` array, if given.
     """
     if not rows.size:
         return dict.fromkeys(LANGUAGE_METRICS)
     positions, bounds = segments(table.tokens.bounds, rows)
     ids = table.tokens.ids[positions]
-    if isinstance(scorer, PolarLexicon):
-        sentiments = scorer.sentiments(ids, bounds, table.tokens.vocabulary)
-    else:
-        rows = rows.tolist()
-        values = [scorer(table.texts[row]) for row in rows]
-        for row, value in zip(rows, values):
-            if not is_finite_number(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"sentiment scorer returned {value!r} for message "
-                    f"{table.ids[row]!r}; expected a finite number in [0, 1]"
-                )
-        sentiments = np.array(values, dtype=np.float64)
+    sentiments = lexicon.sentiments(ids, bounds, table.tokens.vocabulary)
     return {
         "sentiment": ordered_mean(sentiments),
         "emotionality": emotionality(sentiments),

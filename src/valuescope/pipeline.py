@@ -31,13 +31,7 @@ from .graph import (
     write_graphml,
 )
 from .hierarchy import METRICS, MetricVector, evaluate_hierarchy, round6
-from .language import (
-    PolarLexicon,
-    ReferenceDictionary,
-    SentimentScorer,
-    build_reference,
-    language_scores,
-)
+from .language import PolarLexicon, ReferenceDictionary, build_reference, language_scores
 
 
 def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
@@ -54,13 +48,12 @@ def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
     return orientation_lexicon, polar
 
 
-def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
+def run_pipeline(cfg: RunConfig) -> dict:
     """Full analysis of the configured corpus: writes the outputs, returns the report dict."""
     cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
     lexicon, polar = _load_lexicons(cfg)
-    scorer = polar if scorer is None else scorer
 
     parsed = load_corpus(cfg.corpus)
     partitions, discarded = filter_and_partition(parsed.messages, lexicon)
@@ -91,7 +84,7 @@ def run_pipeline(cfg: RunConfig, scorer: SentimentScorer | None = None) -> dict:
         inter = interactivity_scores(
             graph, series, cfg.gbco_mode, cfg.response_cutoff_hours
         )
-        lang = language_scores(parsed.messages, rows, scorer, surprisal)
+        lang = language_scores(parsed.messages, rows, polar, surprisal)
         vectors[orientation] = MetricVector(**conn, **inter, **lang)
 
     report = {

@@ -81,14 +81,15 @@ def carrying_tokens(messages) -> tuple[MessageTable, np.ndarray]:
     return table, np.arange(len(table))
 
 
-def scored_sentiment(text: str, scorer) -> float:
+def scored_sentiment(text: str, lexicon: PolarLexicon) -> float:
     """The sentiment ``language_scores`` gives ``text`` as a one-message partition."""
-    return language_scores(*carrying_tokens([msg("m", "a", text=text)]), scorer, None)["sentiment"]
+    return language_scores(*carrying_tokens([msg("m", "a", text=text)]), lexicon, None)["sentiment"]
 
 
-def partition_ids(table: MessageTable, rows: np.ndarray) -> list[str]:
-    """The ids of a partition's messages, in partition order."""
-    return [table.ids[row] for row in rows.tolist()]
+def partition_ids(messages, rows: np.ndarray) -> list[str]:
+    """The ids of a partition's messages, in partition order; ``messages``
+    are the ones the table was built from, in its row order."""
+    return [messages[row].id for row in rows.tolist()]
 
 
 def betweenness(graph: InteractionGraph) -> dict[str, float]:
@@ -524,12 +525,10 @@ def oracle_sentiment(text: str, lexicon: PolarLexicon) -> float:
     return 0.5 if p + q == 0 else 0.5 + (p - q) / (2.0 * (p + q))
 
 
-def oracle_language_scores(tagged, scorer, reference) -> dict:
+def oracle_language_scores(tagged, lexicon: PolarLexicon, reference) -> dict:
     if not tagged:
         return {"sentiment": None, "emotionality": None, "complexity": None}
-    if isinstance(scorer, PolarLexicon):
-        scorer = functools.partial(oracle_sentiment, lexicon=scorer)
-    sentiments = [scorer(t.message.text) for t in tagged]
+    sentiments = [oracle_sentiment(t.message.text, lexicon) for t in tagged]
     tokens = [token for t in tagged for token in t.tokens]
     return {
         "sentiment": _left_to_right_sum(sentiments) / len(sentiments),
@@ -658,22 +657,26 @@ UNKNOWN_REF = "<unknown>"
 
 
 def table_rows(table: MessageTable) -> list[tuple]:
-    """Each row as ``Message`` fields; a reference names its row's id, or ``UNKNOWN_REF``."""
+    """Each row as ``Message`` fields, with its id's rank in place of the id,
+    its text's tokens in place of the text, and a reference as its row's
+    rank or ``UNKNOWN_REF``."""
 
-    def ref(row: int) -> str | None:
+    def ref(row: int) -> int | str | None:
         if row == ABSENT:
             return None
-        return UNKNOWN_REF if row == UNKNOWN else table.ids[row]
+        return UNKNOWN_REF if row == UNKNOWN else int(table.ranks[row])
 
+    words = list(table.tokens.vocabulary)
+    token_ids, token_bounds = table.tokens.ids.tolist(), table.tokens.bounds.tolist()
     rows = []
     for row in range(len(table)):
         lo, hi = table.mention_bounds[row], table.mention_bounds[row + 1]
         rows.append(
             (
-                table.ids[row],
+                int(table.ranks[row]),
                 table.handles[table.authors[row]],
                 table.created_at(row),
-                table.texts[row],
+                tuple(words[t] for t in token_ids[token_bounds[row] : token_bounds[row + 1]]),
                 ref(int(table.reply_to[row])),
                 ref(int(table.retweet_of[row])),
                 tuple(table.handles[h] for h in table.mentions[lo:hi].tolist()),
@@ -684,13 +687,14 @@ def table_rows(table: MessageTable) -> list[tuple]:
 
 def oracle_rows(messages) -> list[tuple]:
     """``table_rows`` of the table that ``messages`` should fill."""
-    ids = {m.id for m in messages}
+    rank = {ident: k for k, ident in enumerate(sorted(m.id for m in messages))}
 
-    def ref(target: str | None) -> str | None:
-        return None if target is None else target if target in ids else UNKNOWN_REF
+    def ref(target: str | None) -> int | str | None:
+        return None if target is None else rank.get(target, UNKNOWN_REF)
 
     return [
-        (m.id, m.author, m.created_at, m.text, ref(m.reply_to), ref(m.retweet_of), m.mentions)
+        (rank[m.id], m.author, m.created_at, tuple(tokenize(m.text)), ref(m.reply_to),
+         ref(m.retweet_of), m.mentions)
         for m in messages
     ]
 

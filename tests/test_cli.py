@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import valuescope
 from test_pipeline import write_corpus_file
 from valuescope import ORIENTATIONS, ConfigError, RunConfig
 from valuescope.cli import main
@@ -310,6 +314,19 @@ class TestReplayVerb:
 
 
 class TestSynthVerb:
+    def test_generator_is_imported_on_first_use(self):
+        src = os.path.dirname(os.path.dirname(valuescope.__file__))
+        code = (
+            "import sys, valuescope.cli\n"
+            "print('valuescope.synth' in sys.modules)\n"
+            "from valuescope import SynthSpec\n"
+            "print(SynthSpec.__module__)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "valuescope.synth"]
+
     def test_preset_demo_writes_parseable_corpus(self, tmp_path, capsys):
         out = tmp_path / "demo.ndjson"
         code, _ = run_cli(capsys, "synth", "--preset", "demo", "--out", str(out))

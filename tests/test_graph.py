@@ -797,7 +797,7 @@ def test_partition_graph_resolves_references_inside_the_partition(messages, keep
     inside = sorted(
         (m for m, k in zip(messages, keep) if k), key=lambda m: (m.created_at, m.id)
     )
-    assert [table.ids[row] for row in rows.tolist()] == [m.id for m in inside]
+    assert [messages[row].id for row in rows.tolist()] == [m.id for m in inside]
     oracle = oracle_build_graph(inside)
     assert graph.nodes == oracle.nodes
     assert graph.dangling_refs == oracle.dangling_refs

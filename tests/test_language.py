@@ -98,8 +98,6 @@ class TestSentiment:
             [msg(f"m{i}", "a", float(i), text=text) for i, text in enumerate(texts)]
         )
         expected = functools.reduce(operator.add, [oracle_sentiment(t, lexicon) for t in texts])
-        # Blank texts score 0.5 each, so only the token ids give the oracle's mean.
-        table.texts[:] = [""] * len(texts)
         scores = language_scores(table, rows, Subclass(POS, NEG), None)
         assert scores["sentiment"] == expected / len(texts)
 
@@ -253,15 +251,8 @@ class TestLanguageScores:
         ]
         sentiments = [0.6] * 10
         expected = functools.reduce(operator.add, sentiments) / len(sentiments)
-        for scorer in (lexicon, lambda text: 0.6):
-            scores = language_scores(*carrying_tokens(messages), scorer, None)
-            assert scores["sentiment"] == expected
-
-    def test_custom_callable_scorer(self):
-        messages = [msg("m1", "x", 0.0, text="whatever")]
-        scores = language_scores(*carrying_tokens(messages), lambda text: 0.25, None)
-        assert scores["sentiment"] == 0.25
-        assert scores["emotionality"] == 0.25
+        scores = language_scores(*carrying_tokens(messages), lexicon, None)
+        assert scores["sentiment"] == expected
 
 
 # Tagging words, polar words (one on both sides), plain words and noise.
@@ -334,7 +325,7 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
             rows = partitions[orientation]
             if not rows.size:
                 continue
-            texts = [table.texts[row] for row in rows.tolist()]
+            texts = [messages[row].text for row in rows.tolist()]
             assert language_scores(table, rows, polar, surprisal) == _text_based_scores(
                 texts, polar, reference
             )
@@ -354,10 +345,6 @@ _CUSTOM_LEXICON = {
     "Citizenship": ["integrity", "delta epsilon"],
     "SocialResponsibility": ["absent phrase here", "epsilon alpha"],
 }
-
-
-def _custom_scorer(text: str) -> float:
-    return 1 if len(text) % 7 == 0 else (len(text) % 5) / 4
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,7 +381,7 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
     tokens = table.tokens
     assert list(tokens.vocabulary) == list(expected_counts)
     for orientation in ORIENTATIONS:
-        assert partition_ids(table, partitions[orientation]) == [
+        assert partition_ids(messages, partitions[orientation]) == [
             t.message.id for t in expected[orientation]
         ]
 
@@ -412,8 +399,7 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
     )
     for surprisal, reference in references:
-        for scorer in (polar, _custom_scorer):
-            for orientation in ORIENTATIONS:
-                assert language_scores(
-                    table, partitions[orientation], scorer, surprisal
-                ) == oracle_language_scores(expected[orientation], scorer, reference)
+        for orientation in ORIENTATIONS:
+            assert language_scores(
+                table, partitions[orientation], polar, surprisal
+            ) == oracle_language_scores(expected[orientation], polar, reference)

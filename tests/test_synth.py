@@ -77,7 +77,8 @@ def demo_partitions(demo_records):
     table = parsed_messages(demo_records)
     partitions, discarded = filter_and_partition(table, OrientationLexicon.default())
     assert discarded == 0
-    return {o: [table.texts[row] for row in rows.tolist()] for o, rows in partitions.items()}
+    return {o: [demo_records[row]["text"] for row in rows.tolist()]
+            for o, rows in partitions.items()}
 
 
 class TestOscillationSeries:
@@ -466,9 +467,9 @@ class TestSentimentBias:
         plant = OrientationPlant(
             actors=50, messages=300, shape="star", sentiment_bias=0.3
         )
-        messages = parsed_messages(generate_corpus(single_plant_spec(plant)))
+        records = generate_corpus(single_plant_spec(plant))
         score = self.scorer()
-        mean = sum(score(text) for text in messages.texts) / len(messages)
+        mean = sum(score(r["text"]) for r in records) / len(records)
         assert mean == pytest.approx(0.3, abs=0.06)
 
 
