@@ -19,14 +19,15 @@ import logging
 import sys
 
 from .config import ConfigError, RunConfig, read_json_object
-from .corpus import ORIENTATIONS, CorpusError, filter_and_partition, load_corpus
-from .graph import build_graph, write_dot, write_graphml
-from .pipeline import (
-    _load_lexicons,
-    dump_report,
-    replay_metrics,
-    run_pipeline,
+from .corpus import (
+    ORIENTATIONS,
+    CorpusError,
+    OrientationLexicon,
+    filter_and_partition,
+    load_corpus,
 )
+from .graph import build_graph, write_dot, write_graphml
+from .pipeline import dump_report, replay_metrics, run_pipeline
 
 logger = logging.getLogger("valuescope")
 
@@ -159,7 +160,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    lexicon, _ = _load_lexicons(RunConfig(orientation_lexicon=args.orientation_lexicon))
+    lexicon = (OrientationLexicon.from_file(args.orientation_lexicon)
+               if args.orientation_lexicon else OrientationLexicon.default())
     parsed = load_corpus(args.corpus)
     rows = filter_and_partition(parsed.messages, lexicon).partitions[args.orientation]
     graph = build_graph(parsed.messages, rows)

@@ -3,10 +3,10 @@
 Input is newline-delimited JSON, one message per line, with fields
 ``id``, ``author``, ``created_at`` (RFC 3339, UTC), ``text``, ``reply_to``,
 ``retweet_of`` and ``mentions``.  Parsing fills one ``MessageTable`` of
-columns for the whole corpus, each text's tokens included; a partition is
-an array of its rows.  Messages are tagged against six core-value
-orientations by matching lexicon phrases as contiguous token subsequences,
-insensitive to case and punctuation.
+columns for the whole corpus, each text tokenized as its record is parsed;
+a partition is an array of its rows.  Messages are tagged against six
+core-value orientations by matching lexicon phrases as contiguous token
+subsequences, insensitive to case and punctuation.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class MessageTable:
     instants as ``datetime.timestamp()`` gives them.  ``reply_to`` and
     ``retweet_of`` hold the referenced row, ``ABSENT`` or ``UNKNOWN``.
     ``tokens`` holds each text's tokens, row r's at ``tokens.bounds[r]``;
-    the texts themselves are dropped once tokenized.  ``ranks`` gives each
-    message id's rank among the table's ids in Python string order, which
-    breaks ties between equal stamps; the id strings are dropped too.
+    the texts themselves are not kept.  ``ranks`` gives each message id's
+    rank among the table's ids in Python string order, which breaks ties
+    between equal stamps; the id strings are dropped too.
     """
 
     ranks: np.ndarray  # int64
@@ -163,10 +163,12 @@ class _Rows(NamedTuple):
     """One byte range's accepted records as columns of plain ``array``s and
     lists, so a worker process builds and pickles them without numpy.
     Handles are numbered in first-seen order; references are still ids.
-    ``texts`` are read only to tokenize them."""
+    ``tokens`` holds each text's tokens as ``"i"`` ids into the range's own
+    vocabulary, the texts' ``"q"`` bounds in them, and that vocabulary in
+    first-seen order; the texts themselves are not kept."""
 
     ids: list[str]
-    texts: list[str]
+    tokens: tuple[array, array, list[str]]
     replies: list[str | None]
     retweets: list[str | None]
     micros: array  # "q"
@@ -187,40 +189,32 @@ def _numbering(keys: Iterable[str] = ()) -> tuple[dict[str, int], Callable[[str]
 
 def _rows(records: Iterable[tuple]) -> _Rows:
     """The rows of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
-    rows = _Rows([], [], [], [], array("q"), [], array("q"), array("q"), array("q", [0]))
+    rows = _Rows([], (array("i"), array("q", [0]), []), [], [], array("q"), [],
+                 array("q"), array("q"), array("q", [0]))
+    token_ids, token_bounds, words = rows.tokens
+    vocabulary, word = _numbering()
     handles, number = _numbering()
     mentions = rows.mentions
     for msg_id, author, stamp, text, reply_to, retweet_of, named in records:
         rows.ids.append(msg_id)
-        rows.texts.append(text)
+        token_ids.extend(map(word, tokenize(text)))
+        token_bounds.append(len(token_ids))
         rows.replies.append(reply_to)
         rows.retweets.append(retweet_of)
         rows.micros.append(stamp)
         rows.authors.append(number(author))
         mentions.extend(map(number, named))
         rows.mention_bounds.append(len(mentions))
+    words.extend(vocabulary)
     rows.handles.extend(handles)
     return rows
 
 
-def _tokens(texts: Iterable[str]) -> tuple[array, array, list[str]]:
-    """Each text's tokens as ``"i"`` ids into the texts' own vocabulary, the
-    texts' ``"q"`` bounds in them, and that vocabulary in first-seen order."""
-    vocabulary, number = _numbering()
-    ids = array("i")
-    bounds = array("q", [0])
-    for text in texts:
-        ids.extend(map(number, tokenize(text)))
-        bounds.append(len(ids))
-    return ids, bounds, list(vocabulary)
-
-
-def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTable:
+def _table(parts: list[_Rows]) -> MessageTable:
     """The table of the ranges' rows, back to back in range order; empties ``parts``.
 
-    Only range 0 may still hold its texts.  The ranges' own columns, the id
-    strings and range 0's texts are freed before ``later_tokens`` yields the
-    other ranges' tokens, so the tokens never share memory with them.
+    The ranges' own columns and the id strings are freed before range 0's
+    token arrays grow by the other ranges' tokens.
     """
     ids = [msg_id for part in parts for msg_id in part.ids]
     reply_to, retweet_of = _references(ids, parts)
@@ -242,12 +236,9 @@ def _table(parts: list[_Rows], later_tokens: Iterable[tuple] = ()) -> MessageTab
         mentions.append(renumber[np.frombuffer(part.mentions, dtype=np.int64)])
         micros.extend(part.micros)
     authors, mentions, bounds = map(np.concatenate, (authors, mentions, bounds))
-    texts = parts[0].texts
+    tokens = [part.tokens for part in parts]
     parts.clear()
     del part  # the loop's last range, which would otherwise live until the return
-    tokens = [_tokens(texts)]
-    del texts
-    tokens += later_tokens
     return MessageTable(
         ranks=ranks,
         handles=tuple(handles),
@@ -482,8 +473,8 @@ def _cuts(file: BinaryIO) -> list[int | None]:
 def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
     """Start a worker on bytes ``start:end`` of ``path``; return its pid and pipe.
 
-    The worker pickles into the pipe its range's rows without their texts,
-    or the error that stopped them, and then the texts' tokens.  It runs
+    The worker pickles into the pipe its range's rows, tokens included, or
+    the error that stopped them: one result either way.  It runs
     plain Python only, no numpy, whose threads the fork did not copy, and
     it leaves through ``os._exit``, so it never returns into the caller.
     """
@@ -504,17 +495,15 @@ def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
                 except (OSError, CorpusError) as exc:
                     pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
                 else:
-                    pickle.dump(rows._replace(texts=[]), pipe, pickle.HIGHEST_PROTOCOL)
-                    pipe.flush()
-                    pickle.dump(_tokens(rows.texts), pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     os.close(write_end)
     return pid, open(read_end, "rb")
 
 
-def _receive(worker: tuple[int, BinaryIO]):
-    """The worker's next result; raises the error it sent, or if it died."""
+def _receive(worker: tuple[int, BinaryIO]) -> _Rows:
+    """The worker's rows; raises the error it sent, or if it died."""
     pid, pipe = worker
     try:
         result = pickle.load(pipe)
@@ -528,11 +517,12 @@ def _receive(worker: tuple[int, BinaryIO]):
 def load_corpus(path: str) -> ParseResult:
     """Parse the NDJSON file at ``path``, one byte range per usable CPU.
 
-    Range 0 is read here and every other range by a forked worker; the
-    ranges' rows and tokens are joined in file order into exactly the
-    tables that one range gives.  Bad UTF-8 is reported at its byte offset
-    in the file, for the earliest range that holds some.  Every worker is
-    killed and reaped before this returns or raises.
+    Range 0 is read here and every other range by a forked worker, each
+    tokenizing its texts as it parses them; the ranges' rows are joined in
+    file order into exactly the tables that one range gives.  Bad UTF-8 is
+    reported at its byte offset in the file, for the earliest range that
+    holds some.  Every worker is killed and reaped before this returns or
+    raises.
     """
     workers: list[tuple[int, BinaryIO]] = []
     try:
@@ -543,7 +533,7 @@ def load_corpus(path: str) -> ParseResult:
             parts = [_read_range(file, cuts[0], cuts[1])]
         parts += map(_receive, workers)
         skipped = sum(part.skipped for part in parts)
-        return ParseResult(_table(parts, map(_receive, workers)), skipped)
+        return ParseResult(_table(parts), skipped)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path!r}: {exc}") from exc
     finally:

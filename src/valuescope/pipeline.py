@@ -34,26 +34,15 @@ from .hierarchy import METRICS, MetricVector, evaluate_hierarchy, round6
 from .language import PolarLexicon, ReferenceDictionary, build_reference, language_scores
 
 
-def _load_lexicons(cfg: RunConfig) -> tuple[OrientationLexicon, PolarLexicon]:
-    orientation_lexicon = (
-        OrientationLexicon.from_file(cfg.orientation_lexicon)
-        if cfg.orientation_lexicon
-        else OrientationLexicon.default()
-    )
-    polar = (
-        PolarLexicon.from_file(cfg.sentiment_lexicon)
-        if cfg.sentiment_lexicon
-        else PolarLexicon.default()
-    )
-    return orientation_lexicon, polar
-
-
 def run_pipeline(cfg: RunConfig) -> dict:
     """Full analysis of the configured corpus: writes the outputs, returns the report dict."""
     cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
-    lexicon, polar = _load_lexicons(cfg)
+    lexicon = (OrientationLexicon.from_file(cfg.orientation_lexicon)
+               if cfg.orientation_lexicon else OrientationLexicon.default())
+    polar = (PolarLexicon.from_file(cfg.sentiment_lexicon)
+             if cfg.sentiment_lexicon else PolarLexicon.default())
 
     parsed = load_corpus(cfg.corpus)
     partitions, discarded = filter_and_partition(parsed.messages, lexicon)

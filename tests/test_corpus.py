@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import threading
 import time
@@ -583,17 +584,29 @@ class TestByteRanges:
             with pytest.raises(CorpusError, match=f"byte 0xc3 in position {middle}:"):
                 self.load(path, monkeypatch, ranges)
 
-    def test_worker_that_dies_is_an_error_and_reaped(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("death", ["before-writing", "mid-result"])
+    def test_worker_that_dies_is_an_error_and_reaped(self, tmp_path, monkeypatch, death):
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(ndjson_bytes(7))
-        read_range = corpus_module._read_range
+        read_range, dump, parent = corpus_module._read_range, pickle.dump, os.getpid()
 
         def dying(file, start, end):
             if start:  # a worker's range
                 os._exit(3)
             return read_range(file, start, end)
 
-        monkeypatch.setattr(corpus_module, "_read_range", dying)
+        def dying_dump(obj, file, *args):
+            if os.getpid() == parent:
+                return dump(obj, file, *args)
+            data = pickle.dumps(obj, *args)
+            file.write(data[: len(data) // 2])  # the first half of the worker's one result
+            file.flush()
+            os._exit(3)
+
+        if death == "before-writing":
+            monkeypatch.setattr(corpus_module, "_read_range", dying)
+        else:
+            monkeypatch.setattr(pickle, "dump", dying_dump)
         with pytest.raises(CorpusError, match="without a result"):
             self.load(path, monkeypatch, 3)
         with pytest.raises(ChildProcessError):
