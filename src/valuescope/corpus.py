@@ -19,12 +19,13 @@ import re
 import signal
 import stat
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
-from itertools import chain, count, repeat
-from operator import is_, truediv
+from itertools import chain, count, groupby, islice, repeat
+from operator import eq, is_not, truediv
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -213,22 +214,26 @@ def _rows(records: Iterable[tuple]) -> _Rows:
 def _table(parts: list[_Rows]) -> MessageTable:
     """The table of the ranges' rows, back to back in range order; empties ``parts``.
 
-    The ranges' own columns and the id strings are freed before range 0's
-    token arrays grow by the other ranges' tokens.
+    Ids and handles are found by bisection in their sorted lists, so no dict
+    keyed by them is built.  The ranges' own columns and the id strings are
+    freed before range 0's token arrays grow by the other ranges' tokens.
     """
-    ids = [msg_id for part in parts for msg_id in part.ids]
-    reply_to, retweet_of = _references(ids, parts)
-    # Ids rank as Python strings: a numpy string sort ignores trailing NULs.
-    by_id = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.int64, len(ids))
+    # Ids rank as Python strings, which an object sort compares with ``<``:
+    # a numpy string sort ignores trailing NULs.
+    ids = np.array([msg_id for part in parts for msg_id in part.ids], dtype=object)
+    by_id = np.argsort(ids, kind="stable")
+    reply_to, retweet_of = _references(ids, by_id, parts)
     ranks = np.empty_like(by_id)
     ranks[by_id] = np.arange(by_id.size)
     del ids, by_id
-    handles = sorted(set().union(*(part.handles for part in parts)))
-    handle_id = dict(zip(handles, range(len(handles))))
+    # A range lists each of its handles once, so sorted together a handle's
+    # repeats are adjacent.
+    handles = [handle for handle, _ in groupby(sorted(chain.from_iterable(
+        part.handles for part in parts)))]
     authors, mentions, bounds = [], [], [np.zeros(1, np.int64)]
     micros = array("q")
     for part in parts:
-        renumber = np.fromiter(map(handle_id.__getitem__, part.handles), np.int64,
+        renumber = np.fromiter(map(bisect_left, repeat(handles), part.handles), np.int64,
                                len(part.handles))
         authors.append(renumber[np.frombuffer(part.authors, dtype=np.int64)])
         bounds.append(np.frombuffer(part.mention_bounds, dtype=np.int64)[1:]
@@ -255,24 +260,33 @@ def _table(parts: list[_Rows]) -> MessageTable:
     )
 
 
-def _references(ids: list[str], parts: list[_Rows]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``reply_to`` and ``retweet_of`` rows of the ranges' rows, whose
-    ids are ``ids``; a duplicate id raises for its first repeat in input order."""
-    row_of = dict(zip(ids, range(len(ids))))
-    if len(row_of) < len(ids):
+def _references(ids: np.ndarray, by_id: np.ndarray,
+                parts: list[_Rows]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``reply_to`` and ``retweet_of`` rows of the ranges' rows, whose ids
+    are ``ids``, ``by_id`` ordering them as Python strings.  A duplicate id,
+    found next to its repeat in that order, raises for its first repeat in
+    input order."""
+    ordered = ids[by_id].tolist()
+    if any(map(eq, ordered, islice(ordered, 1, None))):
         seen: set[str] = set()
         for msg_id in ids:
             if msg_id in seen:
                 raise CorpusError(f"duplicate message id: {msg_id!r}")
             seen.add(msg_id)
 
-    # None, no reference, is found apart: a None key would double the
-    # size of a dict whose keys are all strings.
+    def place(ref: str) -> int:
+        """The named id's index in ``ordered``, or ``UNKNOWN``."""
+        at = bisect_left(ordered, ref)
+        return at if at < len(ordered) and ordered[at] == ref else UNKNOWN
+
     def resolve(columns: list[list[str | None]]) -> np.ndarray:
-        rows = np.fromiter(map(row_of.get, chain.from_iterable(columns), repeat(UNKNOWN)),
-                           np.int64, len(ids))
-        rows[np.fromiter(map(is_, chain.from_iterable(columns), repeat(None)),
-                         bool, len(ids))] = ABSENT
+        named = np.fromiter(map(is_not, chain.from_iterable(columns), repeat(None)), bool,
+                            len(ids))
+        rows = np.full(len(ids), ABSENT, np.int64)
+        rows[named] = np.fromiter(map(place, filter(None, chain.from_iterable(columns))),
+                                  np.int64, np.count_nonzero(named))
+        found = rows >= 0
+        rows[found] = by_id[rows[found]]
         return rows
 
     return (resolve([part.replies for part in parts]),

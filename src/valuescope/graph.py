@@ -63,16 +63,18 @@ class InteractionGraph:
         at = np.arange(mentioned.size) + 2 * owner
         targets = np.searchsorted(handles, mentioned)
         arcs[0, at], arcs[1, at], arcs[2, at] = owner, targets, MENTION
-        # Corpus row -> partition row; ABSENT and UNKNOWN index the two spare -1s.
-        position = np.full(len(corpus) + 2, -1, dtype=np.int64)
-        position[rows] = np.arange(count)
+        # A named corpus row is found among the partition's rows by bisection,
+        # with no array over the corpus; ABSENT and UNKNOWN are never found.
+        by_row = np.argsort(rows)
+        sorted_rows = rows[by_row]
         self.dangling_refs = 0
         for kind, column in ((REPLY, corpus.reply_to), (RETWEET, corpus.retweet_of)):
             named = column[rows]
-            refs = position[named]
-            resolved = np.flatnonzero(refs >= 0)
+            at = np.minimum(np.searchsorted(sorted_rows, named), count - 1)
+            resolved = np.flatnonzero(sorted_rows[at] == named)
+            refs = by_row[at[resolved]]
             self.dangling_refs += int(np.count_nonzero(named != ABSENT)) - resolved.size
-            refs, targets = refs[resolved], self.authors[refs[resolved]]
+            targets = self.authors[refs]
             at = bounds[1:][resolved] + 2 * resolved + (kind - REPLY)
             arcs[0, at], arcs[1, at], arcs[2, at], arcs[3, at] = resolved, targets, kind, refs
         self.table = arcs[:, arcs[2] >= 0]

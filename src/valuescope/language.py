@@ -161,11 +161,23 @@ def language_scores(
     """
     if not rows.size:
         return dict.fromkeys(LANGUAGE_METRICS)
-    positions, bounds = segments(table.tokens.bounds, rows)
-    ids = table.tokens.ids[positions]
-    sentiments = lexicon.sentiments(ids, bounds, table.tokens.vocabulary)
+    ids, bounds, vocabulary = table.tokens
+    ends = (bounds[rows + 1] - bounds[rows]).cumsum()  # tokens through each row
+    # Rows in slices of about ID_SLICE tokens, so that no temporary spans the
+    # partition's tokens.  The surprisals are added left to right across the
+    # slices, in the order of one ``ordered_mean``.
+    slices = np.split(rows, np.searchsorted(ends, np.arange(ID_SLICE, ends[-1], ID_SLICE),
+                                            side="right"))
+    sentiments, running = [], np.zeros(0)
+    for part in slices:
+        positions, part_bounds = segments(bounds, part)
+        part_ids = ids[positions]
+        sentiments.append(lexicon.sentiments(part_ids, part_bounds, vocabulary))
+        if surprisal is not None:
+            running = np.concatenate((running, surprisal[part_ids])).cumsum()[-1:]
+    sentiments = np.concatenate(sentiments)
     return {
         "sentiment": ordered_mean(sentiments),
         "emotionality": emotionality(sentiments),
-        "complexity": ordered_mean(surprisal[ids]) if surprisal is not None and ids.size else None,
+        "complexity": float(running[0] / ends[-1]) if running.size else None,
     }

@@ -656,6 +656,26 @@ def oracle_parse_corpus(lines) -> tuple[list[Message], int]:
 UNKNOWN_REF = "<unknown>"
 
 
+def table_columns(result) -> dict:
+    """Every column of a parse, tokens and skipped count included, as plain values."""
+    table = result.messages
+    columns = {
+        name: getattr(table, name).tolist()
+        for name in ("authors", "mentions", "mention_bounds", "micros", "seconds",
+                     "reply_to", "retweet_of")
+    }
+    tokens = table.tokens
+    return {
+        **columns,
+        "ranks": table.ranks.tolist(),
+        "handles": table.handles,
+        "token_ids": tokens.ids.tolist(),
+        "token_bounds": tokens.bounds.tolist(),
+        "vocabulary": list(tokens.vocabulary.items()),
+        "skipped": result.skipped,
+    }
+
+
 def table_rows(table: MessageTable) -> list[tuple]:
     """Each row as ``Message`` fields, with its id's rank in place of the id,
     its text's tokens in place of the text, and a reference as its row's

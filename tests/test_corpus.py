@@ -8,6 +8,7 @@ import pickle
 import random
 import threading
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     oracle_rows,
     partition_ids,
     split_into_ranges,
+    table_columns,
     table_rows,
 )
 from valuescope import corpus as corpus_module
@@ -34,6 +36,7 @@ from valuescope import (
     parse_corpus,
     tokenize,
 )
+from valuescope.corpus import ABSENT, UNKNOWN
 
 
 @pytest.fixture(scope="module")
@@ -454,26 +457,6 @@ class TestPartition:
         assert len(tagged_ids) + discarded == len(messages)
 
 
-def table_columns(result) -> dict:
-    """Every column of a parse, tokens and skipped count included, as plain values."""
-    table = result.messages
-    columns = {
-        name: getattr(table, name).tolist()
-        for name in ("authors", "mentions", "mention_bounds", "micros", "seconds",
-                     "reply_to", "retweet_of")
-    }
-    tokens = table.tokens
-    return {
-        **columns,
-        "ranks": table.ranks.tolist(),
-        "handles": table.handles,
-        "token_ids": tokens.ids.tolist(),
-        "token_bounds": tokens.bounds.tolist(),
-        "vocabulary": list(tokens.vocabulary.items()),
-        "skipped": result.skipped,
-    }
-
-
 def ndjson_bytes(seed: int, newline: str = "\n", count: int = 120) -> bytes:
     """A corpus of valid, malformed and blank lines whose replies, retweets
     and mentions point all over the file, with non-ASCII text throughout."""
@@ -496,6 +479,35 @@ def ndjson_bytes(seed: int, newline: str = "\n", count: int = 120) -> bytes:
         if rng.random() < 0.15:
             lines.append(rng.choice(["", "   ", "{not json", "[" * 5000, '{"id": "x"}']))
     return newline.join(lines).encode("utf-8")
+
+
+def test_table_builds_no_dict_over_the_ids():
+    """Beyond its output columns, the merge holds fewer bytes per id than a
+    ``str -> int`` dict over the ids would."""
+    budget = 24  # bytes per id: three int64s
+    size = 20_000
+    ids = [f"id{i * 7919 % size:05d}" for i in range(size)]  # in no sorted order
+    parts = [corpus_module._rows(
+        (msg_id, f"u{i % 50}", i, "w x", ids[i - 1] if i % 3 else None, None,
+         ("u1",) if i % 2 else ())
+        for i, msg_id in enumerate(ids)
+    )]
+    columns = ("ranks", "authors", "mentions", "mention_bounds", "micros", "seconds",
+               "reply_to", "retweet_of")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = corpus_module._table(parts)
+        merge_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        index = dict(zip(ids, range(size)))
+        dict_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) == len(table) == size
+    assert dict_bytes > budget * size
+    assert merge_peak - sum(getattr(table, name).nbytes for name in columns) < budget * size
 
 
 class TestByteRanges:
@@ -550,6 +562,7 @@ class TestByteRanges:
     def test_duplicate_across_ranges_names_the_first_repeat(self, tmp_path, monkeypatch):
         lines = ndjson_bytes(4).split(b"\n")
         first_repeat = json.dumps(record("m1", author="copy")).encode()
+        # Sorted, "m0" and its repeat are the first equal neighbours.
         later_repeat = json.dumps(record("m0", author="copy")).encode()
         lines[len(lines) // 2 : len(lines) // 2] = [first_repeat]
         lines.append(later_repeat)
@@ -558,6 +571,31 @@ class TestByteRanges:
         assert self.assert_same_for_every_split(path, monkeypatch) == (
             "CorpusError: duplicate message id: 'm1'"
         )
+
+    def test_references_are_found_by_sorted_lookup(self, tmp_path, monkeypatch):
+        """Ids are looked up in their sorted list: a name past either end or
+        a prefix of an id is unknown, and a reference may name a later range."""
+        raws = [
+            record("a\x00", text="only a NUL-suffixed a"),
+            record("é", reply_to="😀"),
+            record("😀", reply_to="😀~"),  # after every id: bisection ends past the list
+            record("m1", reply_to="0"),  # before every id
+            record("m2", reply_to="a"),  # only "a\x00" exists
+            record("m3", retweet_of="zz-last"),  # the file's last record
+            *(record(f"f{i:02d}", text="filler " * i, reply_to=f"f{i - 1:02d}")
+              for i in range(40)),
+            record("zz-last", reply_to="é", retweet_of="a\x00"),
+        ]
+        lines = [json.dumps(raw, ensure_ascii=False) for raw in raws]
+        path = tmp_path / "corpus.ndjson"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        expected, _ = oracle_parse_corpus(lines)
+        for ranges in (1, 2, 3, 4):
+            table = self.load(path, monkeypatch, ranges).messages
+            assert table_rows(table) == oracle_rows(expected)
+            assert table.reply_to[:5].tolist() == [ABSENT, 2, UNKNOWN, UNKNOWN, UNKNOWN]
+            assert table.retweet_of[5] == len(table) - 1
+            assert table.reply_to[-1] == 1 and table.retweet_of[-1] == 0
 
     def test_bad_utf8_is_reported_at_its_file_offset(self, tmp_path, monkeypatch):
         data = bytearray(ndjson_bytes(5, count=200))

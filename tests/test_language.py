@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -37,6 +38,7 @@ from valuescope import (
     language_scores,
     tokenize,
 )
+from valuescope import language as language_module
 
 POS = ("good", "great", "love")
 NEG = ("bad", "awful", "hate")
@@ -253,6 +255,31 @@ class TestLanguageScores:
         expected = functools.reduce(operator.add, sentiments) / len(sentiments)
         scores = language_scores(*carrying_tokens(messages), lexicon, None)
         assert scores["sentiment"] == expected
+
+    def test_memory_is_bounded_by_the_slice(self, lexicon, monkeypatch):
+        """Four times the tokens, in four times the ``ID_SLICE`` slices, raise
+        the traced peak by far less than four times: only the per-message
+        sentiments grow with the partition."""
+        size = 1024
+        monkeypatch.setattr(language_module, "ID_SLICE", size)
+        words = ["good", "bad", "plain", "words", "here", "and", "more", "text"]
+
+        def peak(slices: int) -> int:
+            table, rows = carrying_tokens([
+                msg(f"m{i}", "x", float(i), text=" ".join(words[i % 8 :] + words[: i % 8]))
+                for i in range(slices * size // len(words))
+            ])
+            assert table.tokens.ids.size == slices * size
+            surprisal = build_reference(table.tokens)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                language_scores(table, rows, lexicon, surprisal)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.5 * peak(2)
 
 
 # Tagging words, polar words (one on both sides), plain words and noise.

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE, oracle_report, split_into_ranges
+from conftest import BASE, oracle_report, split_into_ranges, table_columns
 from reference_case import EXPECTED_HINTS
 from valuescope import (
     CONNECTIVITY_METRICS,
@@ -48,6 +48,7 @@ from valuescope import (
     PolarLexicon,
     RunConfig,
     build_graph,
+    build_reference,
     connectivity_scores,
     filter_and_partition,
     interactivity_scores,
@@ -59,6 +60,7 @@ from valuescope import (
 )
 from valuescope import corpus as corpus_module
 from valuescope import language as language_module
+from valuescope.cli import main
 from valuescope.config import read_json_object
 from valuescope.corpus import format_stamp
 from valuescope.pipeline import dump_report, round6
@@ -576,6 +578,34 @@ class TestRunVariants:
         texts = [r["text"] for r in FIXTURE_RECORDS]
         assert len(calls) == len(texts) + lexicon_terms
         assert all(calls.count(text) == 1 for text in texts)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_id_slices_change_no_result(self, tmp_path, monkeypatch, size):
+        """Every loop over ``ID_SLICE`` slices carries its state across them.
+
+        Each demo-corpus partition spans thousands of 1- or 3-id slices, and
+        three byte ranges make the token merge renumber two of them.  The
+        unrounded language scores catch a running sum restarted per slice,
+        which six-digit report values could hide.
+        """
+        corpus = tmp_path / "demo.ndjson"
+        assert main(["synth", "--preset", "demo", "--out", str(corpus)]) == 0
+        cfg = RunConfig(corpus=str(corpus), output_dir=str(tmp_path / "out"))
+
+        def results() -> tuple:
+            parsed = load_corpus(str(corpus))
+            table, polar = parsed.messages, PolarLexicon.default()
+            partitions, _ = filter_and_partition(table, OrientationLexicon.default())
+            surprisal = build_reference(table.tokens)
+            scores = {o: language_scores(table, rows, polar, surprisal)
+                      for o, rows in partitions.items()}
+            return table_columns(parsed), surprisal.tolist(), scores, run_pipeline(cfg)
+
+        expected = results()
+        split_into_ranges(monkeypatch, corpus, 3)
+        monkeypatch.setattr(corpus_module, "ID_SLICE", size)
+        monkeypatch.setattr(language_module, "ID_SLICE", size)
+        assert results() == expected
 
     def test_window_csv_and_graph_exports(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
