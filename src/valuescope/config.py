@@ -134,6 +134,8 @@ class RunConfig:
                     )
             if not any(weights.get(metric, 1.0) > 0 for metric in metrics):
                 raise ConfigError(f"{name} sets every weight to zero")
+            if not is_finite_number(sum((weights.get(metric, 1.0) for metric in metrics), 0.0)):
+                raise ConfigError(f"{name} must sum to a finite number, unset weights being 1.0")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -189,15 +189,33 @@ def window_series(graph: InteractionGraph, window_hours: float = 24.0) -> Window
     )
 
 
+def _extrema(keys: np.ndarray, windows: np.ndarray, values: np.ndarray, count: int) -> int:
+    """Strict interior extrema of each key's series over ``count`` windows, summed.
+
+    Entries are sorted by key, then window.  An absent window reads 0, and as
+    plateaus collapse, a run of absent windows is one 0 wherever it stands.
+    """
+    first = np.diff(keys, prepend=keys[:1] - 1) != 0
+    lead = np.where(first, windows > 0, np.diff(windows, prepend=0) > 1)
+    trail = np.roll(first, -1) & (windows < count - 1)  # at a key's last entry
+    size = 1 + lead + trail
+    sequence = np.zeros(int(size.sum()), dtype=values.dtype)
+    sequence[np.cumsum(size) - 1 - trail] = values
+    owner, steps = np.repeat(keys, size), np.sign(np.diff(sequence))
+    nonzero = np.flatnonzero(steps)
+    # Sign changes between consecutive nonzero steps that both lie within one key.
+    left, right = nonzero[:-1], nonzero[1:]
+    return int(np.count_nonzero((steps[left] != steps[right]) & (owner[left] == owner[right + 1])))
+
+
 def count_extrema(series: Sequence[float]) -> int:
     """Strict interior extrema after collapsing equal-value plateaus.
 
     Collapsing plateaus drops exactly the zero steps, so an extremum is a
     sign change between consecutive nonzero steps.
     """
-    steps = np.sign(np.diff(np.asarray(series)))
-    steps = steps[steps != 0]
-    return int(np.count_nonzero(steps[1:] != steps[:-1]))
+    windows = np.arange(len(series))
+    return _extrema(np.zeros_like(windows), windows, np.asarray(series), windows.size)
 
 
 def rotating_leadership(series: WindowSeries, mode: str = "group") -> int:
@@ -212,16 +230,9 @@ def rotating_leadership(series: WindowSeries, mode: str = "group") -> int:
         raise ValueError(f"unknown rotating-leadership mode: {mode!r}")
     if mode == "group":
         return count_extrema(series.centralization)
-    # Each actor's nonzero scores, grouped by node id, in window order.
-    order = np.argsort(series.score_nodes, kind="stable")
-    cuts = np.flatnonzero(np.diff(series.score_nodes[order])) + 1
-    groups = zip(np.split(series.score_windows[order], cuts), np.split(series.scores[order], cuts))
-    dense, total = np.zeros(len(series)), 0
-    for windows, scores in groups:
-        dense[windows] = scores
-        total += count_extrema(dense)
-        dense[windows] = 0.0
-    return total
+    order = np.argsort(series.score_nodes, kind="stable")  # by node, then window
+    entries = series.score_nodes[order], series.score_windows[order], series.scores[order]
+    return _extrema(*entries, len(series))
 
 
 def average_activity(volume: int, actors: int) -> float | None:

@@ -56,13 +56,11 @@ class InteractionGraph:
         handles = np.unique(np.concatenate((authors, mentioned)))
         self.authors = np.searchsorted(handles, authors)
         self.stamps = corpus.seconds[rows]
-        # Each row's mentions, then a reply slot and a retweet slot; the
-        # slots of unresolved references keep kind -1 and are dropped.
-        arcs = np.full((4, mentioned.size + 2 * count), -1, dtype=np.int64)
+        # Three blocks: the mentions, the resolved replies, the resolved retweets.  A stable
+        # sort by row then gives each row its mentions in input order, its reply, its retweet.
         owner = np.repeat(np.arange(count), np.diff(bounds))
-        at = np.arange(mentioned.size) + 2 * owner
-        targets = np.searchsorted(handles, mentioned)
-        arcs[0, at], arcs[1, at], arcs[2, at] = owner, targets, MENTION
+        targets, no_ref = np.searchsorted(handles, mentioned), np.full_like(owner, -1)
+        blocks = [np.stack((owner, targets, np.full_like(owner, MENTION), no_ref))]
         # A named corpus row is found among the partition's rows by bisection,
         # with no array over the corpus; ABSENT and UNKNOWN are never found.
         by_row = np.argsort(rows)
@@ -74,10 +72,9 @@ class InteractionGraph:
             resolved = np.flatnonzero(sorted_rows[at] == named)
             refs = by_row[at[resolved]]
             self.dangling_refs += int(np.count_nonzero(named != ABSENT)) - resolved.size
-            targets = self.authors[refs]
-            at = bounds[1:][resolved] + 2 * resolved + (kind - REPLY)
-            arcs[0, at], arcs[1, at], arcs[2, at], arcs[3, at] = resolved, targets, kind, refs
-        self.table = arcs[:, arcs[2] >= 0]
+            blocks.append(np.stack((resolved, self.authors[refs], np.full_like(refs, kind), refs)))
+        arcs = np.concatenate(blocks, axis=1)
+        self.table = arcs[:, np.argsort(arcs[0], kind="stable")]
         self.arc_rows, self.arc_targets, self.arc_kinds, self.arc_refs = self.table
         self.nodes = tuple(map(corpus.handles.__getitem__, handles.tolist()))
         self.node_count = len(self.nodes)

@@ -12,7 +12,7 @@ import pytest
 
 import valuescope
 from test_pipeline import write_corpus_file
-from valuescope import ORIENTATIONS, ConfigError, RunConfig
+from valuescope import INTERACTIVITY_METRICS, ORIENTATIONS, ConfigError, RunConfig
 from valuescope.cli import main
 
 
@@ -311,6 +311,25 @@ class TestReplayVerb:
         assert code == 1
         assert stdout == ""
         assert f"metric {metric!r}" in caplog.text
+
+    def test_weights_summing_past_the_float_range_are_config_error(
+        self, tmp_path, capsys, caplog
+    ):
+        # Each weight is finite, but the composite's weight sum would overflow
+        # and make the composite NaN, which the report cannot hold.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps({"interactivity_weights": dict.fromkeys(INTERACTIVITY_METRICS, 1e308)})
+        )
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"Customers": {"activity": 2}, "Employees": {"activity": 3}}))
+        code, stdout = run_cli(
+            capsys, "replay", "--metrics", str(path), "--config", str(cfg_path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "interactivity_weights" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 class TestSynthVerb:
@@ -668,6 +687,9 @@ class TestConfig:
             {"output_dir": None},
             {"sentiment_lexicon": 0},
             {"gbco_mode": None},
+            {"connectivity_weights": {"density": 1e308, "degree_centralization": 1e308}},
+            {"interactivity_weights": dict.fromkeys(INTERACTIVITY_METRICS, 1e308)},
+            {"interactivity_weights": {"art_hours": 10**308, "nudges": 10**308}},
         ],
     )
     def test_validation_refuses_bad_values(self, overrides):
@@ -682,6 +704,10 @@ class TestConfig:
             connectivity_weights={"density": 2, "degree_centralization": 0},
             interactivity_weights={"art_hours": 0.5},
         ).validate()
+
+    def test_weights_may_reach_the_float_range_if_their_sum_does_not(self):
+        RunConfig(connectivity_weights={"density": 1e308}).validate()
+        RunConfig(interactivity_weights={"art_hours": 1.7e308, "nudges": 0.0}).validate()
 
     def test_defaults_are_valid(self):
         RunConfig().validate()

@@ -5,11 +5,12 @@ from __future__ import annotations
 import functools
 import operator
 import random
+import time
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -431,6 +432,9 @@ def windowed_corpora(draw):
     return messages
 
 
+ACTORS = "abcdefgh"
+
+
 class TestRotatingLeadership:
     def test_fewer_than_three_windows_is_zero(self):
         messages = [
@@ -479,21 +483,27 @@ class TestRotatingLeadership:
         with pytest.raises(ValueError, match="mode"):
             rotating_leadership([], "chaos")
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
             st.dictionaries(
-                st.sampled_from("abcde"), st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=5
+                st.sampled_from(ACTORS), st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=8
             ),
-            max_size=12,
+            max_size=40,
         )
     )
+    @example([])  # no window
+    @example([{"a": 1.0, "b": 0.5}])  # one window
+    @example([{"a": 0.5, "b": 2.5}, {"a": 1.0, "b": 1.0}])  # two windows, both keys end last
+    @example([{"a": 1.0}, {}, {"a": 2.5}])  # window 0, a gap, the last window
+    @example([{}, {"a": 1.0}, {"a": 0.5}, {}, {}, {"a": 2.5}, {}])  # adjacent, then gapped
+    @example([{"b": 0.5}, {"a": 1.0, "b": 1.0}, {"a": 2.5, "b": 0.5}, {"a": 1.0}])
     def test_actor_mode_ignores_zero_scores(self, scores):
         # An absent actor reads 0.0, so dropping zeros changes no actor's series.
         # Actor "a" is node 0, "b" node 1 and so on.
         def series(dicts):
             entries = sorted(
-                (k, "abcde".index(a), v) for k, d in enumerate(dicts) for a, v in d.items()
+                (k, ACTORS.index(a), v) for k, d in enumerate(dicts) for a, v in d.items()
             )
             windows = np.array([k for k, _, _ in entries], dtype=np.int64)
             nodes = np.array([node for _, node, _ in entries], dtype=np.int64)
@@ -503,13 +513,28 @@ class TestRotatingLeadership:
                 0, 3600.0, counts, counts, np.zeros(len(dicts)), windows, nodes, values
             )
 
-        dense = [{actor: d.get(actor, 0.0) for actor in "abcde"} for d in scores]
+        dense = [{actor: d.get(actor, 0.0) for actor in ACTORS} for d in scores]
         sparse = [{actor: v for actor, v in d.items() if v} for d in scores]
         expected = oracle_rotating_leadership(
             [OracleWindow(BASE, 0, 0, d, 0.0) for d in dense], "actor"
         )
         assert rotating_leadership(series(dense), "actor") == expected
         assert rotating_leadership(series(sparse), "actor") == expected
+
+    def test_actor_mode_cost_follows_the_nonzero_scores(self):
+        # 40,000 nonzero scores of 20,000 actors over MAX_WINDOWS windows: one
+        # pass over the scores, where a dense series per actor took seconds.
+        rng = np.random.default_rng(0)
+        windows = np.sort(rng.choice(MAX_WINDOWS, 40_000, replace=False))
+        nodes = rng.integers(0, 20_000, windows.size)
+        scores, counts = rng.random(windows.size) + 0.5, np.zeros(MAX_WINDOWS, dtype=np.int64)
+        series = WindowSeries(
+            0, 3600.0, counts, counts, np.zeros(MAX_WINDOWS), windows, nodes, scores
+        )
+        start = time.perf_counter()
+        total = rotating_leadership(series, "actor")
+        assert time.perf_counter() - start < 1.0
+        assert 0 < total < 2 * windows.size
 
 
 class TestInteractivityScores:

@@ -177,6 +177,19 @@ class TestBuildGraph:
         assert graph.simple_edge_count == 1
         assert len(graph.arc_rows) == 4
 
+    def test_each_row_holds_its_mentions_then_its_reply_then_its_retweet(self):
+        # Every row has several arcs, so an unstable sort by row would mix
+        # them; the mentions name handles out of sorted order.
+        messages = [msg("m000", "h0", 0.0, mentions=("z", "y"))]
+        for i in range(1, 60):
+            messages.append(msg(
+                f"m{i:03d}", f"h{i % 7}", float(i), mentions=("z", "y", f"h{i % 5}")[: i % 4],
+                reply_to=f"m{i - 1:03d}", retweet_of=f"m{i // 2:03d}" if i % 3 else None,
+            ))
+        graph = graph_of(messages)
+        assert np.array_equal(graph.table, oracle_build_graph(messages).table)
+        assert np.all(np.diff(graph.arc_rows) >= 0)
+
     def test_empty(self):
         graph = graph_of([])
         assert graph.node_count == 0
