@@ -7,33 +7,29 @@ per-window structure with disposable dyads, driving a known leadership
 churn pattern.  Identical specs and seeds always produce identical byte
 streams.
 
-Star and dyad plants use fresh actors per window (only the star hub is
-global), so every planted contact is answered exactly once at exactly the
-configured lag.
+Each shape is a plan (``SHAPES``): pure arithmetic from the plant and the
+window count to per-window counts, raising ValueError when the plant's
+actors or messages cannot fill every window, so ``SynthSpec.validate``
+refuses such a spec.  A small generator per shape names who exchanges with
+whom and who posts, and one emission loop writes every window alike: its
+exchanges first, each answered at exactly the configured lag, then its
+plain posts.  Star and dyad plants use fresh actors per window (only the
+star hub is global), so every planted contact is answered exactly once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from .config import check_field_types, read_json_object
 from .corpus import ORIENTATIONS, OrientationLexicon, format_stamp
-from .dynamics import check_window_count
+from .dynamics import CALENDAR, check_window_count
 from .language import PolarLexicon
-
-SHAPES = ("star", "dense-core", "fragmented-dyads")
-
-_ID_PREFIX = {
-    "Customers": "cust",
-    "Employees": "empl",
-    "EconomicFinancialGrowth": "econ",
-    "Excellence": "exce",
-    "Citizenship": "citi",
-    "SocialResponsibility": "soci",
-}
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,13 @@ class SynthSpec:
         # An exact ceiling, so that no day count overflows a float before it is refused.
         hours, per = float(self.window_hours).as_integer_ratio()
         check_window_count(-(-self.days * 24 * per // hours), self.window_hours)
+        n_windows = self.n_windows
         width = self.window_hours * 3600.0
-        if self.start.timestamp() % width != 0:
+        start = self.start.timestamp()
+        if start % width != 0:
             raise ValueError("start must sit on a window boundary")
+        if start + n_windows * width > CALENDAR[1] + 1:
+            raise ValueError("the run must not end after the year 9999")
         unknown = set(self.orientations) - set(ORIENTATIONS)
         if unknown:
             raise ValueError(f"unknown orientations: {sorted(unknown)}")
@@ -105,6 +105,10 @@ class SynthSpec:
             period = plant.oscillation_period
             if period is not None and period < 2:
                 raise ValueError(f"{name}: oscillation period must be >= 2")
+            try:
+                SHAPES[plant.shape](plant, n_windows)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str) -> "SynthSpec":
@@ -211,9 +215,7 @@ def _split_even(total: int, parts: int) -> list[int]:
     return [base + (1 if i < remainder else 0) for i in range(parts)]
 
 
-def star_plan(
-    plant: OrientationPlant, n_windows: int
-) -> list[tuple[int, int, int]]:
+def star_plan(plant: OrientationPlant, n_windows: int) -> list[tuple[int, int, int]]:
     """Per-window (spokes, dyads, plain posts) for a star plant.
 
     This is pure arithmetic, no randomness, so tests can derive the exact
@@ -243,63 +245,71 @@ def _dyad_plan(plant: OrientationPlant, n_windows: int) -> list[tuple[int, int]]
     return list(zip(pairs, plains))
 
 
-class _TextSampler:
-    """Deterministic message text: keyword phrase + Zipf fillers + bias token."""
+def _core_size(plant: OrientationPlant) -> int:
+    return min(max(3, round(plant.actors * 0.2)), plant.actors)
 
-    def __init__(self, keyword: str, plant: OrientationPlant, rng: random.Random,
-                 polar: PolarLexicon):
+
+def _core_plan(plant: OrientationPlant, n_windows: int) -> list[tuple[int, int, int]]:
+    """Per-window (exchanges, periphery posts, core posts) for a dense-core plant.
+
+    Every peripheral actor posts once.  The core spends the rest of the
+    budget on exchanges; an odd remainder is one core post in window 0.
+    """
+    periphery_total = plant.actors - _core_size(plant)
+    interactions = plant.messages - periphery_total
+    exchanges_total = interactions // 2
+    if exchanges_total < 1:
+        raise ValueError("message budget below planted interaction count")
+    exchanges = _split_even(exchanges_total, n_windows)
+    periphery = _split_even(periphery_total, n_windows)
+    core_posts = [interactions % 2] + [0] * (n_windows - 1)
+    return list(zip(exchanges, periphery, core_posts))
+
+
+SHAPES = {"star": star_plan, "dense-core": _core_plan, "fragmented-dyads": _dyad_plan}
+
+# One window of a shape's generator: its number of planted exchanges, their
+# (sender, receiver) pairs and the authors of its plain posts, in order.
+_Window = tuple[int, Iterable[tuple[str, str]], list[str]]
+
+
+class _OrientationWriter:
+    """One orientation's records, each text a keyword phrase, Zipf fillers and a bias token."""
+
+    def __init__(self, name: str, spec: SynthSpec, keyword: str, polar: PolarLexicon):
+        self.plant = plant = spec.orientations[name]
+        self.rng = random.Random(f"{spec.seed}:{name}")
         self.keyword = keyword
-        self.rng = rng
         self.vocab = [f"w{i:05d}" for i in range(plant.vocab_size)]
-        weights = [1.0 / rank for rank in range(1, plant.vocab_size + 1)]
-        total = 0.0
-        self.cum_weights = []
-        for w in weights:
-            total += w
-            self.cum_weights.append(total)
+        weights = (1.0 / rank for rank in range(1, plant.vocab_size + 1))
+        self.cum_weights = list(itertools.accumulate(weights))
         self.polar_rate = 2.0 * abs(plant.sentiment_bias - 0.5)
         side = polar.positive if plant.sentiment_bias >= 0.5 else polar.negative
         self.polar_tokens = sorted(side)
+        self.prefix = name[:4].lower()
+        self.width = spec.window_hours * 3600.0
+        self.base = spec.start.timestamp()
+        self.lag = int(plant.response_lag_hours * 3600)
+        self.records: list[dict] = []
 
-    def text(self) -> str:
+    def _text(self) -> str:
         n_fillers = self.rng.randint(4, 9)
-        fillers = self.rng.choices(
-            self.vocab, cum_weights=self.cum_weights, k=n_fillers
-        )
+        fillers = self.rng.choices(self.vocab, cum_weights=self.cum_weights, k=n_fillers)
         parts = [self.keyword] + fillers
         if self.polar_rate > 0.0 and self.rng.random() < self.polar_rate:
             parts.append(self.rng.choice(self.polar_tokens))
         return " ".join(parts)
 
-
-class _OrientationWriter:
-    def __init__(self, name: str, spec: SynthSpec, keyword: str,
-                 polar: PolarLexicon):
-        self.name = name
-        self.plant = spec.orientations[name]
-        self.rng = random.Random(f"{spec.seed}:{name}")
-        self.sampler = _TextSampler(keyword, self.plant, self.rng, polar)
-        self.prefix = _ID_PREFIX[name]
-        self.counter = 0
-        self.width = spec.window_hours * 3600.0
-        self.base = spec.start.timestamp()
-        self.lag = int(self.plant.response_lag_hours * 3600)
-        self.records: list[dict] = []
-
-    def _next_id(self) -> str:
-        self.counter += 1
-        return f"{self.prefix}{self.counter:07d}"
-
     def _emit(self, author: str, stamp: float, reply_to: str | None = None,
               mentions: tuple[str, ...] = ()) -> str:
-        msg_id = self._next_id()
+        msg_id = f"{self.prefix}{len(self.records) + 1:07d}"
         created = datetime.fromtimestamp(int(stamp), tz=timezone.utc)
         self.records.append(
             {
                 "id": msg_id,
                 "author": author,
                 "created_at": format_stamp(created),
-                "text": self.sampler.text(),
+                "text": self._text(),
                 "reply_to": reply_to,
                 "retweet_of": None,
                 "mentions": list(mentions),
@@ -307,103 +317,58 @@ class _OrientationWriter:
         )
         return msg_id
 
-    def _exchange(self, sender: str, receiver: str, stamp: float) -> None:
-        """One planted contact plus its answer at exactly the configured lag."""
-        contact_id = self._emit(sender, stamp, mentions=(receiver,))
-        self._emit(receiver, stamp + self.lag, reply_to=contact_id)
-
-    def _window_times(self, window: int, count: int) -> list[float]:
-        start = self.base + window * self.width
-        lo = start + 0.05 * self.width
-        span = 0.55 * self.width
-        step = span / max(count, 1)
-        return [lo + i * step for i in range(count)]
-
-    def _plain_times(self, window: int, count: int) -> list[float]:
-        start = self.base + window * self.width
-        lo = start + 0.91 * self.width
-        step = 0.08 * self.width / max(count, 1)
+    def _times(self, window: int, count: int, at: float, span: float) -> list[float]:
+        """``count`` even stamps over ``span`` from ``at``, as shares of the window."""
+        lo = (self.base + window * self.width) + at * self.width
+        step = span * self.width / max(count, 1)
         return [lo + i * step for i in range(count)]
 
     def generate(self, n_windows: int) -> list[dict]:
         shape = self.plant.shape
-        if shape == "star":
-            self._gen_star(n_windows)
-        elif shape == "fragmented-dyads":
-            self._gen_dyads(n_windows)
-        else:
-            self._gen_dense_core(n_windows)
+        authors = {"star": self._star, "dense-core": self._core, "fragmented-dyads": self._dyads}
+        for window, (exchanges, pairs, posters) in enumerate(
+            authors[shape](SHAPES[shape](self.plant, n_windows))
+        ):
+            for (sender, receiver), stamp in zip(pairs, self._times(window, exchanges, 0.05, 0.55)):
+                contact_id = self._emit(sender, stamp, mentions=(receiver,))
+                self._emit(receiver, stamp + self.lag, reply_to=contact_id)
+            for author, stamp in zip(posters, self._times(window, len(posters), 0.91, 0.08)):
+                self._emit(author, stamp)
         return self.records
 
-    def _gen_star(self, n_windows: int) -> None:
-        hub = f"{self.prefix}_hub"
-        for window, (spokes, dyads, plains) in enumerate(
-            star_plan(self.plant, n_windows)
-        ):
-            times = self._window_times(window, spokes + dyads)
-            spoke_names = [
-                f"{self.prefix}_w{window}s{i}" for i in range(spokes)
-            ]
-            for i, spoke in enumerate(spoke_names):
-                self._exchange(spoke, hub, times[i])
-            for d in range(dyads):
-                a = f"{self.prefix}_w{window}d{d}a"
-                b = f"{self.prefix}_w{window}d{d}b"
-                self._exchange(a, b, times[spokes + d])
-            authors = spoke_names or [hub]
-            for j, stamp in enumerate(self._plain_times(window, plains)):
-                self._emit(authors[j % len(authors)], stamp)
+    def _star(self, plan: list[tuple[int, int, int]]) -> Iterator[_Window]:
+        for window, (spokes, dyads, plains) in enumerate(plan):
+            fresh = f"{self.prefix}_w{window}"
+            names = [f"{fresh}s{i}" for i in range(spokes)]
+            pairs = [(spoke, f"{self.prefix}_hub") for spoke in names]
+            pairs += [(f"{fresh}d{d}a", f"{fresh}d{d}b") for d in range(dyads)]
+            yield spokes + dyads, pairs, [names[j % spokes] for j in range(plains)]
 
-    def _gen_dyads(self, n_windows: int) -> None:
-        pair_counter = 0
-        plan = _dyad_plan(self.plant, n_windows)
-        spare = self.plant.actors - 2 * (self.plant.actors // 2)
-        for window, (pairs, plains) in enumerate(plan):
-            times = self._window_times(window, pairs)
-            members: list[str] = []
-            for i in range(pairs):
-                a = f"{self.prefix}_p{pair_counter}a"
-                b = f"{self.prefix}_p{pair_counter}b"
-                pair_counter += 1
-                self._exchange(a, b, times[i])
-                members.append(a)
-            if spare and window == 0:
+    def _dyads(self, plan: list[tuple[int, int]]) -> Iterator[_Window]:
+        ids = itertools.count()
+        for window, (count, plains) in enumerate(plan):
+            names = [f"{self.prefix}_p{next(ids)}" for _ in range(count)]
+            members = [f"{name}a" for name in names]
+            if window == 0 and self.plant.actors % 2:
                 members.append(f"{self.prefix}_spare")
-            for j, stamp in enumerate(self._plain_times(window, plains)):
-                self._emit(members[j % len(members)], stamp)
+            posters = [members[j % len(members)] for j in range(plains)]
+            yield count, [(f"{name}a", f"{name}b") for name in names], posters
 
-    def _gen_dense_core(self, n_windows: int) -> None:
-        core_size = max(3, round(self.plant.actors * 0.2))
-        core_size = min(core_size, self.plant.actors)
-        periphery_total = self.plant.actors - core_size
-        interactions = self.plant.messages - periphery_total
-        events_total = interactions // 2
-        if events_total < 1:
-            raise ValueError("message budget below planted interaction count")
-        core = [f"{self.prefix}_core{i}" for i in range(core_size)]
-        events = _split_even(events_total, n_windows)
-        periphery = _split_even(periphery_total, n_windows)
-        leftover = interactions - 2 * events_total
-        peripheral_counter = 0
-        for window in range(n_windows):
-            times = self._window_times(window, events[window])
-            for stamp in times:
-                a, b = self.rng.sample(core, 2)
-                self._exchange(a, b, stamp)
-            plains = periphery[window] + (leftover if window == 0 else 0)
-            stamps = self._plain_times(window, plains)
-            for j, stamp in enumerate(stamps):
-                if j < periphery[window]:
-                    author = f"{self.prefix}_p{peripheral_counter}"
-                    peripheral_counter += 1
-                else:
-                    author = core[0]
-                self._emit(author, stamp)
+    def _core(self, plan: list[tuple[int, int, int]]) -> Iterator[_Window]:
+        core = [f"{self.prefix}_core{i}" for i in range(_core_size(self.plant))]
+        periphery = (f"{self.prefix}_p{i}" for i in itertools.count())
+        for exchanges, peripheral, core_posts in plan:
+            # Drawn lazily: each pair comes from the rng the texts share right
+            # before its exchange's two texts, which fixes the corpus bytes.
+            pairs = (self.rng.sample(core, 2) for _ in range(exchanges))
+            posters = list(itertools.islice(periphery, peripheral)) + [core[0]] * core_posts
+            yield exchanges, pairs, posters
 
 
 def generate_corpus(spec: SynthSpec) -> list[dict]:
     """All records for the spec, in deterministic generation order."""
     spec.validate()
+    n_windows = spec.n_windows
     lexicon = OrientationLexicon.default()
     polar = PolarLexicon.default()
     records: list[dict] = []
@@ -412,7 +377,7 @@ def generate_corpus(spec: SynthSpec) -> list[dict]:
             continue
         keyword = " ".join(lexicon.phrases[name][0])
         writer = _OrientationWriter(name, spec, keyword, polar)
-        records.extend(writer.generate(spec.n_windows))
+        records.extend(writer.generate(n_windows))
     return records
 
 

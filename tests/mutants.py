@@ -243,6 +243,44 @@ SLIPS = (
             "::test_each_row_holds_its_mentions_then_its_reply_then_its_retweet",
         ),
     ),
+    Slip(
+        "a window's dense-core pairs drawn before its texts",
+        "synth.py",
+        "pairs = (self.rng.sample(core, 2) for _ in range(exchanges))",
+        "pairs = [self.rng.sample(core, 2) for _ in range(exchanges)]",
+        ("tests/test_outputs.py::test_demo_outputs_are_pinned[flipped]",),
+    ),
+    Slip(
+        "the odd dyad actor left out",
+        "synth.py",
+        "if window == 0 and self.plant.actors % 2:",
+        "if False:",
+        ("tests/test_synth.py::test_corpus_bytes_are_pinned",),
+    ),
+    Slip(
+        "a synth spec validated without its plans",
+        "synth.py",
+        "SHAPES[plant.shape](plant, n_windows)",
+        "pass",
+        (
+            "tests/test_synth.py::TestSpecValidation"
+            "::test_plant_that_cannot_fill_every_window_is_refused",
+        ),
+    ),
+    Slip(
+        "a synth run past the year 9999 let through",
+        "synth.py",
+        "if start + n_windows * width > CALENDAR[1] + 1:",
+        "if False:",
+        ("tests/test_synth.py::TestSpecValidation::test_run_must_end_by_the_year_9999",),
+    ),
+    Slip(
+        "the offset and the span of synth stamps swapped",
+        "synth.py",
+        "count: int, at: float, span: float)",
+        "count: int, span: float, at: float)",
+        ("tests/test_synth.py::test_corpus_bytes_are_pinned",),
+    ),
 )
 
 

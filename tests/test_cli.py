@@ -461,6 +461,27 @@ class TestSynthVerb:
         assert len(errors) == 1 and " 10000000 windows" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("changes", "fragment"),
+        [
+            ({"orientations": {"Employees": {"actors": 3, "messages": 90}}},
+             "Employees: too few actors for a star in every window"),
+            ({"start": "9999-12-30T00:00:00Z"}, "year 9999"),
+        ],
+    )
+    def test_spec_that_cannot_generate_is_refused_naming_the_file(
+        self, tmp_path, capsys, caplog, changes, fragment
+    ):
+        spec = {"orientations": {"Customers": {"actors": 30, "messages": 90}}, "days": 3, **changes}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "x.ndjson"
+        code, _ = run_cli(capsys, "synth", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(spec_path) in errors[0] and fragment in errors[0]
+        assert not out.exists()
+
 
 class TestUnexportableHandles:
     """A handle GraphML or UTF-8 cannot hold stops an export before its file opens."""

@@ -7,6 +7,7 @@ therefore have closed forms and most assertions here are exact.
 """
 
 import functools
+import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -210,13 +211,43 @@ class TestSpecValidation:
             minimal_spec(**plant_kwargs).validate()
 
     def test_window_count_is_bounded(self):
-        spec = minimal_spec()
+        # Enough actors for a star in each of MAX_WINDOWS daily windows.
+        spec = minimal_spec(actors=MAX_WINDOWS + 1, messages=2 * MAX_WINDOWS)
         spec.days = MAX_WINDOWS
         spec.window_hours = 24.0
         spec.validate()
         spec.window_hours = 12.0
         with pytest.raises(ValueError, match=f" {2 * MAX_WINDOWS} windows"):
             spec.validate()
+
+    @pytest.mark.parametrize(
+        "plant_kwargs, message",
+        [
+            (dict(actors=3), "too few actors for a star in every window"),
+            (dict(actors=5, shape="fragmented-dyads"), "too few actors for a dyad in every window"),
+            (dict(messages=17, shape="dense-core"), "message budget below planted interaction count"),
+        ],
+    )
+    def test_plant_that_cannot_fill_every_window_is_refused(self, plant_kwargs, message):
+        with pytest.raises(ValueError, match=f"^Employees: {message}$"):
+            minimal_spec(**plant_kwargs).validate()
+
+    def test_span_not_a_multiple_of_the_window_is_refused(self):
+        spec = minimal_spec(response_lag_hours=1.0)
+        spec.start = datetime(2021, 1, 3, 20, tzinfo=timezone.utc)
+        spec.days = 1
+        spec.window_hours = 5.0
+        with pytest.raises(ValueError, match=r"^days \* 24 must be a positive multiple of window_hours$"):
+            spec.validate()
+
+    def test_run_must_end_by_the_year_9999(self):
+        spec = minimal_spec()
+        spec.start = datetime(9999, 12, 30, tzinfo=timezone.utc)
+        with pytest.raises(ValueError, match="year 9999"):
+            spec.validate()
+        spec.start = datetime(9999, 12, 29, tzinfo=timezone.utc)
+        records = generate_corpus(spec)
+        assert records[-1]["created_at"].startswith("9999-12-31T")
 
     def test_n_windows(self):
         assert demo_spec().n_windows == 6
@@ -371,6 +402,31 @@ class TestGeneratedCorpus:
                 assert len(seen) >= plant.actors - 6
             else:
                 assert len(seen) == plant.actors
+
+
+def test_corpus_bytes_are_pinned(tmp_path):
+    # An odd dyad plant whose spare actor posts in window 0, a dense core with
+    # an odd interaction budget, so one core post, and an oscillating star.
+    spec = SynthSpec(
+        orientations={
+            "Customers": OrientationPlant(actors=20, messages=60, shape="star", sentiment_bias=0.8,
+                                          vocab_size=40, oscillation_period=2),
+            "Citizenship": OrientationPlant(actors=15, messages=51, shape="dense-core",
+                                            vocab_size=40),
+            "SocialResponsibility": OrientationPlant(actors=13, messages=30,
+                                                     shape="fragmented-dyads",
+                                                     sentiment_bias=0.3, vocab_size=40),
+        },
+        start=BASE,
+        days=3,
+        seed=4,
+    )
+    records = generate_corpus(spec)
+    assert any(r["author"] == "soci_spare" for r in records)
+    path = tmp_path / "pinned.ndjson"
+    write_corpus(records, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "13f16d800b18c272ffb90eac1f1888c19992d58671e1a1ed34c34f6ec16594db"
 
 
 @pytest.fixture(scope="module")
