@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import os
 import pickle
 import re
@@ -46,6 +47,8 @@ ORIENTATIONS: tuple[str, ...] = (
 _TOKEN_RE = re.compile(r"[@#]?\w+")
 
 _MAX_PHRASE_TOKENS = 5
+
+_logger = logging.getLogger("valuescope")
 
 # A corpus file is split into byte ranges of at least this size, one per
 # usable CPU, so a small file is read in one range with no worker process.
@@ -263,16 +266,13 @@ def _table(parts: list[_Rows]) -> MessageTable:
 def _references(ids: np.ndarray, by_id: np.ndarray,
                 parts: list[_Rows]) -> tuple[np.ndarray, np.ndarray]:
     """The ``reply_to`` and ``retweet_of`` rows of the ranges' rows, whose ids
-    are ``ids``, ``by_id`` ordering them as Python strings.  A duplicate id,
-    found next to its repeat in that order, raises for its first repeat in
-    input order."""
+    are ``ids``, ``by_id`` ordering them stably as Python strings.  A
+    duplicate id raises for its first repeat in input order: the later of
+    two equal neighbours in that order is a repeat."""
     ordered = ids[by_id].tolist()
-    if any(map(eq, ordered, islice(ordered, 1, None))):
-        seen: set[str] = set()
-        for msg_id in ids:
-            if msg_id in seen:
-                raise CorpusError(f"duplicate message id: {msg_id!r}")
-            seen.add(msg_id)
+    repeats = by_id[1:][np.fromiter(map(eq, ordered, islice(ordered, 1, None)), bool)]
+    if repeats.size:
+        raise CorpusError(f"duplicate message id: {ids[repeats.min()]!r}")
 
     def place(ref: str) -> int:
         """The named id's index in ``ordered``, or ``UNKNOWN``."""
@@ -484,74 +484,73 @@ def _cuts(file: BinaryIO) -> list[int | None]:
     return sorted(cuts)
 
 
-def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO]:
-    """Start a worker on bytes ``start:end`` of ``path``; return its pid and pipe.
+def _fork(path: str, start: int, end: int) -> tuple[int, BinaryIO] | None:
+    """Start a worker on bytes ``start:end`` of ``path``: its pid and pipe, or None.
 
     The worker pickles into the pipe its range's rows, tokens included, or
-    the error that stopped them: one result either way.  It runs
-    plain Python only, no numpy, whose threads the fork did not copy, and
-    it leaves through ``os._exit``, so it never returns into the caller.
+    nothing if reading them fails.  It runs plain Python only, no numpy,
+    whose threads the fork did not copy, and it leaves through ``os._exit``,
+    so it never returns into the caller.
     """
-    read_end, write_end = os.pipe()
+    ends: tuple[int, ...] = ()
     try:
+        ends = read_end, write_end = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+        for end in ends:
+            os.close(end)
+        return None
     if pid == 0:
         try:
             os.close(read_end)
+            with open(path, "rb") as file:
+                rows = _read_range(file, start, end)
             with open(write_end, "wb") as pipe:
-                try:
-                    with open(path, "rb") as file:
-                        rows = _read_range(file, start, end)
-                except (OSError, CorpusError) as exc:
-                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
-                else:
-                    pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     os.close(write_end)
     return pid, open(read_end, "rb")
 
 
-def _receive(worker: tuple[int, BinaryIO]) -> _Rows:
-    """The worker's rows; raises the error it sent, or if it died."""
-    pid, pipe = worker
+def _receive(worker: tuple[int, BinaryIO]) -> _Rows | None:
+    """The worker's rows, or None if it sent none whole."""
     try:
-        result = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError) as exc:
-        raise CorpusError(f"corpus worker {pid} ended without a result") from exc
-    if isinstance(result, Exception):
-        raise result
-    return result
+        return pickle.load(worker[1])
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def load_corpus(path: str) -> ParseResult:
     """Parse the NDJSON file at ``path``, one byte range per usable CPU.
 
     Range 0 is read here and every other range by a forked worker, each
-    tokenizing its texts as it parses them; the ranges' rows are joined in
-    file order into exactly the tables that one range gives.  Bad UTF-8 is
-    reported at its byte offset in the file, for the earliest range that
-    holds some.  Every worker is killed and reaped before this returns or
-    raises.
+    tokenizing its texts as it parses them; a range that no worker sent is
+    read here, with a warning.  The rows are joined in file order into
+    exactly the tables that one range gives, so bad UTF-8 is reported at its
+    file offset, for the earliest range that holds some.  Every worker is
+    killed and reaped before this returns or raises.
     """
-    workers: list[tuple[int, BinaryIO]] = []
+    workers: list[tuple[int, BinaryIO] | None] = []
     try:
         with open(path, "rb") as file:
             cuts = _cuts(file)
             for start, end in zip(cuts[1:-1], cuts[2:]):
                 workers.append(_fork(path, start, end))
             parts = [_read_range(file, cuts[0], cuts[1])]
-        parts += map(_receive, workers)
+            for start, end, worker in zip(cuts[1:-1], cuts[2:], workers):
+                # No local names a range's rows, so ``_table`` can free them.
+                parts.append(worker and _receive(worker))
+                if parts[-1] is None:
+                    _logger.warning("reading bytes %d:%d of %r here: no worker sent them",
+                                    start, end, path)
+                    parts[-1] = _read_range(file, start, end)
         skipped = sum(part.skipped for part in parts)
         return ParseResult(_table(parts), skipped)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path!r}: {exc}") from exc
     finally:
-        for pid, pipe in workers:
+        for pid, pipe in filter(None, workers):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -30,7 +30,7 @@ from .graph import (
     write_dot,
     write_graphml,
 )
-from .hierarchy import METRICS, MetricVector, evaluate_hierarchy, round6
+from .hierarchy import MetricVector, evaluate_hierarchy, round6
 from .language import PolarLexicon, ReferenceDictionary, build_reference, language_scores
 
 
@@ -154,40 +154,24 @@ def _write_outputs(
                 )
 
 
-def _write_metrics_csv(report: dict, path: str) -> None:
-    header = (
-        ["orientation"]
-        + list(METRICS)
-        + [f"mm_{name}" for name in METRICS]
-        + [
-            "connectivity_composite",
-            "interactivity_composite",
-            "connectivity_band",
-            "interactivity_band",
-            "attitude",
-            "classification",
-            "label",
-            "strategy_hint",
-        ]
-    )
+def _metrics_row(entry: dict) -> list[tuple[str, object]]:
+    """One report entry as the (column, value) pairs of its metrics.csv row."""
+    return [
+        ("orientation", entry["orientation"]),
+        *entry["metrics"].items(),
+        *((f"mm_{name}", values["mm"]) for name, values in entry["normalized"].items()),
+        *((f"{name}_composite", value) for name, value in entry["composites"].items()),
+        *((f"{name}_band", value) for name, value in entry["bands"].items()),
+        *((key, entry[key]) for key in ("attitude", "classification", "label", "strategy_hint")),
+    ]
 
+
+def _write_metrics_csv(report: dict, path: str) -> None:
+    rows = [_metrics_row(entry) for entry in report["orientations"]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for entry in report["orientations"]:
-            writer.writerow(
-                [
-                    entry["orientation"],
-                    *entry["metrics"].values(),
-                    *(values["mm"] for values in entry["normalized"].values()),
-                    *entry["composites"].values(),
-                    *entry["bands"].values(),
-                    entry["attitude"],
-                    entry["classification"],
-                    entry["label"],
-                    entry["strategy_hint"],
-                ]
-            )
+        writer.writerow(name for name, _ in rows[0])
+        writer.writerows([value for _, value in row] for row in rows)
 
 
 def _write_window_csv(series: WindowSeries, path: str) -> None:

@@ -253,12 +253,13 @@ def _core_plan(plant: OrientationPlant, n_windows: int) -> list[tuple[int, int, 
     """Per-window (exchanges, periphery posts, core posts) for a dense-core plant.
 
     Every peripheral actor posts once.  The core spends the rest of the
-    budget on exchanges; an odd remainder is one core post in window 0.
+    budget on exchanges, at least one in every window; an odd remainder is
+    one core post in window 0.
     """
     periphery_total = plant.actors - _core_size(plant)
     interactions = plant.messages - periphery_total
     exchanges_total = interactions // 2
-    if exchanges_total < 1:
+    if exchanges_total < n_windows:
         raise ValueError("message budget below planted interaction count")
     exchanges = _split_even(exchanges_total, n_windows)
     periphery = _split_even(periphery_total, n_windows)

@@ -112,14 +112,38 @@ SLIPS = (
         ("tests/test_corpus.py::TestByteRanges::test_references_are_found_by_sorted_lookup",),
     ),
     Slip(
-        "the duplicate-id scan run in sorted order",
+        "a duplicate id named by its last repeat",
         "corpus.py",
-        "for msg_id in ids:",
-        "for msg_id in ordered:",
+        "ids[repeats.min()]",
+        "ids[repeats.max()]",
         (
             "tests/test_corpus.py::TestByteRanges"
             "::test_duplicate_across_ranges_names_the_first_repeat",
         ),
+    ),
+    Slip(
+        "a range that no worker sent left out",
+        "corpus.py",
+        "parts[-1] = _read_range(file, start, end)",
+        "parts.pop()",
+        ("tests/test_corpus.py::TestByteRanges::test_range_no_worker_sent_is_read_here",),
+    ),
+    Slip(
+        "the last range's rows held past the merge",
+        "corpus.py",
+        "parts.append(worker and _receive(worker))",
+        "parts.append(rows := worker and _receive(worker))",
+        (
+            "tests/test_corpus.py::TestByteRanges"
+            "::test_merge_holds_the_only_reference_to_each_range",
+        ),
+    ),
+    Slip(
+        "every worker's rows read again here",
+        "corpus.py",
+        "parts.append(worker and _receive(worker))",
+        "parts.append(worker and _receive(worker) and None)",
+        ("tests/test_corpus.py::TestByteRanges::test_healthy_workers_send_every_range",),
     ),
     Slip(
         "references resolved through a dict over the ids",
@@ -262,6 +286,16 @@ SLIPS = (
         "synth.py",
         "SHAPES[plant.shape](plant, n_windows)",
         "pass",
+        (
+            "tests/test_synth.py::TestSpecValidation"
+            "::test_plant_that_cannot_fill_every_window_is_refused",
+        ),
+    ),
+    Slip(
+        "a dense core let leave windows without an exchange",
+        "synth.py",
+        "if exchanges_total < n_windows:",
+        "if exchanges_total < 1:",
         (
             "tests/test_synth.py::TestSpecValidation"
             "::test_plant_that_cannot_fill_every_window_is_refused",

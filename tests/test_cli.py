@@ -663,6 +663,17 @@ class TestBadInputFiles:
         path.write_text(json.dumps(WRONG_SHAPES[name]), encoding="utf-8")
         self.fails_with_one_error_line(name, path, corpus, tmp_path, capsys, caplog)
 
+    @pytest.mark.parametrize(
+        "raw", [{"positive": []}, {"positive": [], "negative": [], "neutral": []}]
+    )
+    def test_sentiment_lexicon_needs_exactly_its_two_sides(
+        self, corpus, tmp_path, capsys, caplog, raw
+    ):
+        path = tmp_path / "sentiment-lexicon.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        self.fails_with_one_error_line("sentiment-lexicon", path, corpus, tmp_path, capsys, caplog)
+        assert "exactly 'positive' and 'negative'" in caplog.text
+
 
 class TestConfig:
     def test_validation_catches_bad_thresholds(self):

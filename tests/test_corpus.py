@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -622,14 +624,56 @@ class TestByteRanges:
             with pytest.raises(CorpusError, match=f"byte 0xc3 in position {middle}:"):
                 self.load(path, monkeypatch, ranges)
 
-    @pytest.mark.parametrize("death", ["before-writing", "mid-result"])
-    def test_worker_that_dies_is_an_error_and_reaped(self, tmp_path, monkeypatch, death):
+    @staticmethod
+    def parent_reads(monkeypatch) -> list[tuple[int, int | None]]:
+        """The ranges that ``_read_range`` reads in this process, as it reads them."""
+        read_range, parent, reads = corpus_module._read_range, os.getpid(), []
+
+        def counted(file, start, end):
+            if os.getpid() == parent:
+                reads.append((start, end))
+            return read_range(file, start, end)
+
+        monkeypatch.setattr(corpus_module, "_read_range", counted)
+        return reads
+
+    @pytest.mark.parametrize("ranges", [2, 3, 4])
+    def test_healthy_workers_send_every_range(self, tmp_path, monkeypatch, caplog, ranges):
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(ndjson_bytes(7))
+        expected = table_columns(self.load(path, monkeypatch, 1))
+        reads = self.parent_reads(monkeypatch)
+        caplog.set_level(logging.WARNING, logger="valuescope")
+        assert table_columns(self.load(path, monkeypatch, ranges)) == expected
+        assert len(reads) == 1 and reads[0][0] == 0
+        assert not caplog.records
+
+    def test_merge_holds_the_only_reference_to_each_range(self, tmp_path, monkeypatch):
+        """``_table`` frees each range's columns as it goes, the last one included."""
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(ndjson_bytes(7))
+        table, counts = corpus_module._table, []
+
+        def counted(parts):
+            counts.extend(sys.getrefcount(part) for part in parts)
+            return table(parts)
+
+        monkeypatch.setattr(corpus_module, "_table", counted)
+        self.load(path, monkeypatch, 3)
+        assert len(counts) == 3 and len(set(counts)) == 1
+
+    @pytest.mark.parametrize("failure", ["fork-fails", "before-writing", "mid-pickle"])
+    def test_range_no_worker_sent_is_read_here(self, tmp_path, monkeypatch, caplog, failure):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(ndjson_bytes(7))
+        expected = table_columns(self.load(path, monkeypatch, 1))
         read_range, dump, parent = corpus_module._read_range, pickle.dump, os.getpid()
 
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
         def dying(file, start, end):
-            if start:  # a worker's range
+            if os.getpid() != parent:  # a worker; the parent must not exit
                 os._exit(3)
             return read_range(file, start, end)
 
@@ -637,16 +681,28 @@ class TestByteRanges:
             if os.getpid() == parent:
                 return dump(obj, file, *args)
             data = pickle.dumps(obj, *args)
-            file.write(data[: len(data) // 2])  # the first half of the worker's one result
+            file.write(data[: len(data) // 2])  # the first half of the worker's rows
             file.flush()
             os._exit(3)
 
-        if death == "before-writing":
-            monkeypatch.setattr(corpus_module, "_read_range", dying)
-        else:
-            monkeypatch.setattr(pickle, "dump", dying_dump)
-        with pytest.raises(CorpusError, match="without a result"):
-            self.load(path, monkeypatch, 3)
+        with monkeypatch.context() as patch:
+            if failure == "fork-fails":
+                patch.setattr(os, "fork", no_fork)
+            elif failure == "before-writing":
+                patch.setattr(corpus_module, "_read_range", dying)
+            else:
+                patch.setattr(pickle, "dump", dying_dump)
+            reads = self.parent_reads(patch)
+            caplog.set_level(logging.WARNING, logger="valuescope")
+            assert table_columns(self.load(path, monkeypatch, 3)) == expected
+        with monkeypatch.context() as patch, open(path, "rb") as file:
+            split_into_ranges(patch, path, 3)
+            cuts = corpus_module._cuts(file)
+        assert reads == list(zip(cuts, cuts[1:]))  # every range, in file order
+        assert [record.getMessage() for record in caplog.records] == [
+            f"reading bytes {start}:{end} of {str(path)!r} here: no worker sent them"
+            for start, end in reads[1:]
+        ]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -226,6 +226,9 @@ class TestSpecValidation:
             (dict(actors=3), "too few actors for a star in every window"),
             (dict(actors=5, shape="fragmented-dyads"), "too few actors for a dyad in every window"),
             (dict(messages=17, shape="dense-core"), "message budget below planted interaction count"),
+            (dict(messages=18, shape="dense-core"), "message budget below planted interaction count"),
+            (dict(messages=15, shape="fragmented-dyads"),
+             "message budget below planted interaction count"),
         ],
     )
     def test_plant_that_cannot_fill_every_window_is_refused(self, plant_kwargs, message):
