@@ -10,7 +10,6 @@ from .config import ConfigError, RunConfig
 from .corpus import (
     ORIENTATIONS,
     CorpusError,
-    Message,
     MessageTable,
     OrientationLexicon,
     ParseResult,

@@ -33,7 +33,19 @@ logger = logging.getLogger("valuescope")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the settings that ``replay`` reads as well as ``run``."""
     parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument(
+        "--flip-centralization",
+        action="store_false",
+        dest="centralization_positive",
+        default=None,
+        help="count centralization negatively in the connectivity composite",
+    )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the settings that only ``run`` reads."""
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--window-hours", type=float, dest="window_hours")
     parser.add_argument(
@@ -48,13 +60,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--orientation-lexicon", dest="orientation_lexicon")
     parser.add_argument("--sentiment-lexicon", dest="sentiment_lexicon")
     parser.add_argument("--reference-dictionary", dest="reference_dictionary")
-    parser.add_argument(
-        "--flip-centralization",
-        action="store_false",
-        dest="centralization_positive",
-        default=None,
-        help="count centralization negatively in the connectivity composite",
-    )
     parser.add_argument(
         "--export-graphml", action="store_true", dest="export_graphml", default=None
     )
@@ -87,6 +92,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="analyze an NDJSON corpus")
     p_run.add_argument("--corpus", required=True, help="NDJSON corpus path")
     _add_config_flags(p_run)
+    _add_run_flags(p_run)
 
     p_replay = sub.add_parser(
         "replay", help="classify from raw scores instead of a corpus"

@@ -27,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 from importlib import resources
 from itertools import chain, count, groupby, islice, repeat
 from operator import eq, is_not, truediv
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,19 +83,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One message as a record, the input of ``MessageTable.from_messages``."""
-
-    id: str
-    author: str
-    created_at: datetime  # always timezone-aware UTC
-    text: str
-    reply_to: str | None = None
-    retweet_of: str | None = None
-    mentions: tuple[str, ...] = ()
-
-
 # A reference column holds the referenced row, or one of these.
 ABSENT = -1  # the message names no message
 UNKNOWN = -2  # the message names an id that no message of the table has
@@ -142,15 +129,6 @@ class MessageTable:
     def __len__(self) -> int:
         return len(self.ranks)
 
-    @classmethod
-    def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
-        """The table of ``messages``, in the given order; ids must be unique."""
-        return _table([_rows(
-            (m.id, m.author, (m.created_at - _EPOCH) // _MICROSECOND, m.text,
-             m.reply_to, m.retweet_of, m.mentions)
-            for m in messages
-        )])
-
     def order(self, rows: np.ndarray | None = None) -> np.ndarray:
         """``rows`` (default: every row) in ``(created_at, id)`` order."""
         if rows is None:
@@ -189,29 +167,6 @@ def _numbering(keys: Iterable[str] = ()) -> tuple[dict[str, int], Callable[[str]
     numbers: defaultdict[str, int] = defaultdict(None, zip(keys, count()))
     numbers.default_factory = numbers.__len__
     return numbers, numbers.__getitem__
-
-
-def _rows(records: Iterable[tuple]) -> _Rows:
-    """The rows of ``(id, author, micros, text, reply_to, retweet_of, mentions)`` records."""
-    rows = _Rows([], (array("i"), array("q", [0]), []), [], [], array("q"), [],
-                 array("q"), array("q"), array("q", [0]))
-    token_ids, token_bounds, words = rows.tokens
-    vocabulary, word = _numbering()
-    handles, number = _numbering()
-    mentions = rows.mentions
-    for msg_id, author, stamp, text, reply_to, retweet_of, named in records:
-        rows.ids.append(msg_id)
-        token_ids.extend(map(word, tokenize(text)))
-        token_bounds.append(len(token_ids))
-        rows.replies.append(reply_to)
-        rows.retweets.append(retweet_of)
-        rows.micros.append(stamp)
-        rows.authors.append(number(author))
-        mentions.extend(map(number, named))
-        rows.mention_bounds.append(len(mentions))
-    words.extend(vocabulary)
-    rows.handles.extend(handles)
-    return rows
 
 
 def _table(parts: list[_Rows]) -> MessageTable:
@@ -390,26 +345,38 @@ def _record(raw: object) -> tuple | None:
 
 def _parse_lines(lines: Iterable[str]) -> _Rows:
     """The rows of the records of an NDJSON stream, with the skipped count."""
+    rows = _Rows([], (array("i"), array("q", [0]), []), [], [], array("q"), [],
+                 array("q"), array("q"), array("q", [0]))
+    token_ids, token_bounds, words = rows.tokens
+    vocabulary, word = _numbering()
+    handles, number = _numbering()
+    mentions = rows.mentions
     skipped = 0
-
-    def records() -> Iterator[tuple]:
-        nonlocal skipped
-        for line in lines:
-            line = line.strip(_JSON_SPACE)
-            if not line or line.isspace():
-                continue  # blank
-            try:
-                raw, end = _scan_json(line, 0)
-            except (StopIteration, json.JSONDecodeError, RecursionError):
-                skipped += 1
-                continue
-            record = _record(raw) if end == len(line) else None
-            if record is None:
-                skipped += 1
-            else:
-                yield record
-
-    rows = _rows(records())
+    for line in lines:
+        line = line.strip(_JSON_SPACE)
+        if not line or line.isspace():
+            continue  # blank
+        try:
+            raw, end = _scan_json(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            skipped += 1
+            continue
+        record = _record(raw) if end == len(line) else None
+        if record is None:
+            skipped += 1
+            continue
+        msg_id, author, stamp, text, reply_to, retweet_of, named = record
+        rows.ids.append(msg_id)
+        token_ids.extend(map(word, tokenize(text)))
+        token_bounds.append(len(token_ids))
+        rows.replies.append(reply_to)
+        rows.retweets.append(retweet_of)
+        rows.micros.append(stamp)
+        rows.authors.append(number(author))
+        mentions.extend(map(number, named))
+        rows.mention_bounds.append(len(mentions))
+    words.extend(vocabulary)
+    rows.handles.extend(handles)
     return rows._replace(skipped=skipped)
 
 

@@ -24,7 +24,6 @@ from valuescope import (
     ORIENTATIONS,
     CorpusError,
     InteractionGraph,
-    Message,
     MessageTable,
     MetricVector,
     OrientationLexicon,
@@ -36,6 +35,7 @@ from valuescope import (
     evaluate_hierarchy,
     interactivity_scores,
     language_scores,
+    parse_corpus,
     round6,
     tokenize,
 )
@@ -48,6 +48,40 @@ from valuescope.graph import betweenness_array, centralization
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
 
+@dataclass(frozen=True)
+class Record:
+    """One message as the tests and their oracles see it; the library reads
+    it only as its NDJSON line."""
+
+    id: str
+    author: str
+    created_at: datetime
+    text: str
+    reply_to: str | None = None
+    retweet_of: str | None = None
+    mentions: tuple[str, ...] = ()
+
+
+def ndjson_line(record: Record) -> str:
+    return json.dumps({
+        "id": record.id,
+        "author": record.author,
+        "created_at": record.created_at.isoformat(),
+        "text": record.text,
+        "reply_to": record.reply_to,
+        "retweet_of": record.retweet_of,
+        "mentions": list(record.mentions),
+    })
+
+
+def table_of(records) -> MessageTable:
+    """The table that parsing the records' NDJSON lines gives, in the given
+    order; a record the parser refuses fails the test."""
+    result = parse_corpus(map(ndjson_line, records))
+    assert result.skipped == 0, f"{result.skipped} test record(s) refused by the parser"
+    return result.messages
+
+
 def msg(
     ident: str,
     author: str,
@@ -56,8 +90,8 @@ def msg(
     mentions: tuple[str, ...] = (),
     reply_to: str | None = None,
     retweet_of: str | None = None,
-) -> Message:
-    return Message(
+) -> Record:
+    return Record(
         id=ident,
         author=author,
         created_at=BASE + timedelta(hours=hours),
@@ -69,15 +103,15 @@ def msg(
 
 
 def graph_of(messages) -> InteractionGraph:
-    """The interaction graph of ``messages`` (Message objects in any order, or a table)."""
+    """The interaction graph of ``messages`` (records in any order, or a table)."""
     if not isinstance(messages, MessageTable):
-        messages = MessageTable.from_messages(messages)
+        messages = table_of(messages)
     return build_graph(messages, messages.order())
 
 
 def carrying_tokens(messages) -> tuple[MessageTable, np.ndarray]:
     """The messages' table and every row of it, in the given order: one partition."""
-    table = MessageTable.from_messages(messages)
+    table = table_of(messages)
     return table, np.arange(len(table))
 
 
@@ -201,7 +235,7 @@ def betweenness_exact(graph: InteractionGraph) -> dict[str, Fraction]:
 
 # ----------------------------------------------------------------- oracles
 #
-# The Message-walking computations that the interaction table replaced.
+# The record-walking computations that the interaction table replaced.
 # Each resolves references on its own, straight from the messages, so the
 # table-based code can be checked against them for exact equality.
 
@@ -295,7 +329,7 @@ def oracle_window_series(messages, window_hours: float) -> list[OracleWindow]:
     stamps = [m.created_at.timestamp() for m in messages]
     first = int(min(stamps) // width)
     last = int(max(stamps) // width)
-    buckets: dict[int, list[Message]] = {}
+    buckets: dict[int, list[Record]] = {}
     for m, stamp in zip(messages, stamps):
         buckets.setdefault(int(stamp // width), []).append(m)
     series = []
@@ -495,7 +529,7 @@ def oracle_match(lexicon: OrientationLexicon, tokens) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class OracleTagged:
-    message: Message
+    message: Record
     tokens: tuple[str, ...]
 
 
@@ -567,7 +601,7 @@ def oracle_component_labels(heads, tails, n: int) -> np.ndarray:
 # ------------------------------------------------------------- parse oracle
 #
 # The record-at-a-time parser that the message table replaced: every line
-# goes through ``json.loads`` and becomes a ``Message``.
+# goes through ``json.loads`` and becomes a ``Record``.
 
 
 def _oracle_timestamp(raw):
@@ -590,8 +624,8 @@ def _oracle_handle(raw):
     return handle or None
 
 
-def oracle_parse_record(raw) -> Message | None:
-    """Turn one decoded JSON record into a Message, or None if malformed."""
+def oracle_parse_record(raw) -> Record | None:
+    """Turn one decoded JSON record into a Record, or None if malformed."""
     if not isinstance(raw, dict):
         return None
     msg_id = raw.get("id")
@@ -626,10 +660,10 @@ def oracle_parse_record(raw) -> Message | None:
         if handle is None:
             return None
         mentions.append(handle)
-    return Message(msg_id, author, created_at, text, refs[0], refs[1], tuple(mentions))
+    return Record(msg_id, author, created_at, text, refs[0], refs[1], tuple(mentions))
 
 
-def oracle_parse_corpus(lines) -> tuple[list[Message], int]:
+def oracle_parse_corpus(lines) -> tuple[list[Record], int]:
     """(messages, skipped); a duplicate id raises CorpusError."""
     messages = []
     skipped = 0
@@ -677,7 +711,7 @@ def table_columns(result) -> dict:
 
 
 def table_rows(table: MessageTable) -> list[tuple]:
-    """Each row as ``Message`` fields, with its id's rank in place of the id,
+    """Each row as ``Record`` fields, with its id's rank in place of the id,
     its text's tokens in place of the text, and a reference as its row's
     rank or ``UNKNOWN_REF``."""
 
@@ -790,7 +824,7 @@ def oracle_nudges(messages, cutoff_hours=None) -> float | None:
 
 # ----------------------------------------------------------- report oracle
 #
-# A whole run composed from the oracles above, each walking ``Message``
+# A whole run composed from the oracles above, each walking the parsed
 # records.  Only the hierarchy, the centralization formula and the six-digit
 # rounding are the code under test; every vector fed to them is the oracles'.
 

@@ -122,6 +122,32 @@ SLIPS = (
         ),
     ),
     Slip(
+        "a refused record not counted as skipped",
+        "corpus.py",
+        """        if record is None:
+            skipped += 1
+            continue
+""",
+        """        if record is None:
+            continue
+""",
+        ("tests/test_corpus.py::TestParse::test_valid_plus_one_malformed_line",),
+    ),
+    Slip(
+        "a blank line counted as skipped",
+        "corpus.py",
+        "            continue  # blank\n",
+        "            skipped += 1\n            continue\n",
+        ("tests/test_corpus.py::TestParse::test_blank_lines_are_ignored_not_counted",),
+    ),
+    Slip(
+        "a handle kept in its own case",
+        "corpus.py",
+        'handle = raw.strip().lstrip("@").lower()',
+        'handle = raw.strip().lstrip("@")',
+        ("tests/test_corpus.py::TestParse::test_mentions_normalized",),
+    ),
+    Slip(
         "a range that no worker sent left out",
         "corpus.py",
         "parts[-1] = _read_range(file, start, end)",

@@ -331,6 +331,52 @@ class TestReplayVerb:
         assert "interactivity_weights" in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sentiment-lexicon", "x.json"],
+            ["--orientation-lexicon", "x.json"],
+            ["--reference-dictionary", "x.json"],
+            ["--out", "dir"],
+            ["--window-hours", "6"],
+            ["--gbco-mode", "actor"],
+            ["--response-cutoff-hours", "1"],
+            ["--export-graphml"],
+            ["--export-dot"],
+            ["--window-csv"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_flags_only_run_reads_are_refused(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"Customers": {"density": 0.2}, "Employees": {}}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "--metrics", str(path), *flags])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flags[0]}" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["metrics.json"]
+
+    def test_flip_centralization_equals_the_config_setting(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({
+            "Customers": {"density": 0.2, "degree_centralization": 0.9, "activity": 3},
+            "Employees": {"density": 0.4, "degree_centralization": 0.1, "activity": 2},
+            "Excellence": {"density": 0.3, "degree_centralization": 0.5, "activity": 1},
+        }))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"centralization_positive": False}))
+        blocks = []
+        for flags in ([], ["--flip-centralization"], ["--config", str(cfg_path)]):
+            code, stdout = run_cli(capsys, "replay", "--metrics", str(path), *flags)
+            assert code == 0
+            blocks.append(json.loads(stdout)["orientations"])
+        default, flipped, configured = blocks
+        assert flipped == configured
+        assert flipped != default
+
 
 class TestSynthVerb:
     def test_generator_is_imported_on_first_use(self):
@@ -637,7 +683,9 @@ class TestBadInputFiles:
     def fails_with_one_error_line(name, path, corpus, tmp_path, capsys, caplog):
         (verb, flag), expected = INPUT_FILES[name]
         out = tmp_path / "out"
-        argv = [verb, flag, str(path), "--out", str(out)]
+        argv = [verb, flag, str(path)]
+        if verb != "replay":  # replay writes no output, so it takes no --out
+            argv += ["--out", str(out)]
         if verb == "run":
             argv += ["--corpus", str(corpus)]
         code = main(argv)

@@ -18,20 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Record,
     msg,
+    ndjson_line,
     oracle_parse_corpus,
     oracle_rows,
     partition_ids,
     split_into_ranges,
     table_columns,
+    table_of,
     table_rows,
 )
 from valuescope import corpus as corpus_module
 from valuescope import (
     ORIENTATIONS,
     CorpusError,
-    Message,
-    MessageTable,
     OrientationLexicon,
     filter_and_partition,
     load_corpus,
@@ -56,18 +57,17 @@ def lines(*records):
     return [json.dumps(r) for r in records]
 
 
-def parse_one(raw) -> Message | None:
+def parse_one(raw) -> Record | None:
     """The row that ``raw`` parses to alone as ``table_rows`` gives it, or
     None if it is skipped."""
     result = parse_corpus([json.dumps(raw)])
     assert len(result.messages) + result.skipped == 1
-    return Message(*table_rows(result.messages)[0]) if len(result.messages) else None
+    return Record(*table_rows(result.messages)[0]) if len(result.messages) else None
 
 
 def partition(messages, lexicon) -> tuple[dict[str, list[str]], int]:
     """Each orientation's message ids in partition order, and the discarded count."""
-    table = MessageTable.from_messages(messages)
-    partitions, discarded = filter_and_partition(table, lexicon)
+    partitions, discarded = filter_and_partition(table_of(messages), lexicon)
     return {o: partition_ids(messages, rows) for o, rows in partitions.items()}, discarded
 
 
@@ -432,7 +432,7 @@ class TestPartition:
         ids = ["😀", "a\x00", "b", "a", "é"]
         messages = [msg(ident, "x", hours=1.0, text="quality with integrity") for ident in ids]
         expected = ["a", "a\x00", "b", "é", "😀"]
-        assert partition_ids(messages, MessageTable.from_messages(messages).order()) == expected
+        assert partition_ids(messages, table_of(messages).order()) == expected
         partitions, _ = partition(messages, lexicon)
         assert partitions["Customers"] == partitions["Citizenship"] == expected
 
@@ -489,9 +489,9 @@ def test_table_builds_no_dict_over_the_ids():
     budget = 24  # bytes per id: three int64s
     size = 20_000
     ids = [f"id{i * 7919 % size:05d}" for i in range(size)]  # in no sorted order
-    parts = [corpus_module._rows(
-        (msg_id, f"u{i % 50}", i, "w x", ids[i - 1] if i % 3 else None, None,
-         ("u1",) if i % 2 else ())
+    parts = [corpus_module._parse_lines(
+        ndjson_line(msg(msg_id, f"u{i % 50}", i, "w x", ("u1",) if i % 2 else (),
+                        ids[i - 1] if i % 3 else None))
         for i, msg_id in enumerate(ids)
     )]
     columns = ("ranks", "authors", "mentions", "mention_bounds", "micros", "seconds",

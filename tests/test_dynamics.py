@@ -252,7 +252,8 @@ def conversations(draw):
                 author,
                 draw(st.integers(0, 8)) / 2,
                 mentions=tuple(draw(st.lists(st.sampled_from("abcd"), max_size=2))),
-                reply_to=draw(st.none() | st.sampled_from([*ids, "gone"])),
+                reply_to=draw(st.none() | st.sampled_from(
+                    [*(other for other in ids if other != ident), "gone"])),
             )
         )
     return draw(st.permutations(messages))

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BASE,
+    Record,
     betweenness,
     betweenness_exact,
     graph_from_edges,
@@ -39,13 +40,12 @@ from conftest import (
     oracle_contact_streams,
     oracle_window_series,
     random_edge_set,
+    table_of,
     window_scores,
     window_starts,
 )
 import valuescope
 from valuescope import (
-    Message,
-    MessageTable,
     activity,
     build_graph,
     connectivity_scores,
@@ -647,19 +647,19 @@ class TestExports:
         # timestamp text truncates.
         graph = graph_of(
             [
-                Message(
+                Record(
                     "m1", "alice", BASE + timedelta(microseconds=999_999), "",
                     mentions=("bob", "bob", "alice"),
                 ),
-                Message(
+                Record(
                     "m2", "bob", BASE + timedelta(hours=1, seconds=30, microseconds=500_000),
                     "", reply_to="m1",
                 ),
-                Message(
+                Record(
                     "m3", "carol", BASE + timedelta(hours=2), "",
                     retweet_of="m1", mentions=('d&"q"<x>',),
                 ),
-                Message("m4", "dave", BASE + timedelta(hours=3), "", reply_to="gone"),
+                Record("m4", "dave", BASE + timedelta(hours=3), "", reply_to="gone"),
             ]
         )
         graphml, dot = tmp_path / "g.graphml", tmp_path / "g.dot"
@@ -733,18 +733,19 @@ def corpora(draw):
 
     Timestamps repeat and straddle window edges; mentions repeat, point at
     their own author or at handles that never post; replies and retweets
-    point anywhere in the corpus (other windows, later messages, the
-    message itself) or at ids that do not exist.
+    point at any other message of the corpus (other windows, later
+    messages) or at ids that do not exist.
     """
     size = draw(st.integers(min_value=0, max_value=16))
     ids = [f"m{i:02d}" for i in range(size)]
-    references = st.none() | st.sampled_from([*ids, "gone1", "gone2"])
     messages = []
     for ident in ids:
+        others = [other for other in ids if other != ident]
+        references = st.none() | st.sampled_from([*others, "gone1", "gone2"])
         hours = draw(st.sampled_from([0.0, 0.5, 5.9, 6.0, 11.75, 23.999, 24.0, 31.0, 49.5]))
         micros = draw(st.sampled_from([0, 250_000, 999_999]))
         messages.append(
-            Message(
+            Record(
                 id=ident,
                 author=draw(st.sampled_from(HANDLES)),
                 created_at=BASE + timedelta(hours=hours, microseconds=micros),
@@ -804,7 +805,7 @@ def test_interaction_table_matches_message_walking_oracles(messages, window_hour
 @given(corpora(), st.lists(st.booleans(), min_size=16, max_size=16))
 def test_partition_graph_resolves_references_inside_the_partition(messages, keep):
     # The table holds the whole corpus; the graph sees one partition's rows.
-    table = MessageTable.from_messages(messages)
+    table = table_of(messages)
     rows = table.order(np.flatnonzero(keep[: len(messages)]))
     graph = build_graph(table, rows)
     inside = sorted(

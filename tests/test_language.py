@@ -25,10 +25,10 @@ from conftest import (
     partition_ids,
     reference_from_tokens,
     scored_sentiment,
+    table_of,
 )
 from valuescope import (
     ORIENTATIONS,
-    MessageTable,
     OrientationLexicon,
     PolarLexicon,
     ReferenceDictionary,
@@ -148,7 +148,7 @@ class TestReferenceDictionary:
             for _ in range(700)
         ]
         messages = [msg(f"m{i:03d}", "a", float(i), text=t) for i, t in enumerate(texts)]
-        tokens = MessageTable.from_messages(messages).tokens
+        tokens = table_of(messages).tokens
         assert tokens.ids.size == 70_000
         corpus = reference_from_tokens(t for text in texts for t in text.split())
         surprisal = build_reference(tokens)
@@ -330,7 +330,7 @@ def test_carried_tokens_equal_text_based_computation(texts, file_reference):
         ("good", "great", "love", "mixed"), ("bad", "awful", "hate", "mixed")
     )
     messages = [msg(f"m{i:02d}", "a", float(i), text=t) for i, t in enumerate(texts)]
-    table = MessageTable.from_messages(messages)
+    table = table_of(messages)
     partitions, _ = filter_and_partition(table, OrientationLexicon.default())
     tokens = table.tokens
 
@@ -399,7 +399,7 @@ def test_token_table_matches_per_message_oracle(texts, hours, ids, custom, file_
         msg(f"m{ids[i]:02d}", "a", float(hours[i]), text=text)
         for i, text in enumerate(texts)
     ]
-    table = MessageTable.from_messages(messages)
+    table = table_of(messages)
     partitions, discarded = filter_and_partition(table, lexicon)
     expected, expected_discarded, expected_counts = oracle_filter_and_partition(
         messages, lexicon

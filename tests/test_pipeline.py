@@ -647,22 +647,6 @@ class TestRunVariants:
         assert '<data key="d3">0500-03-01T10:00:00Z</data>' in graphml
         assert 'timestamp="0500-03-01T11:00:00Z"' in (out / "graphs" / "Customers.dot").read_text()
 
-    def test_run_builds_no_message_objects(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Message was built")
-
-        monkeypatch.setattr(corpus_module.Message, "__init__", refuse)
-        corpus = tmp_path / "corpus.ndjson"
-        write_corpus_file(corpus)
-        cfg = RunConfig(
-            corpus=str(corpus),
-            output_dir=str(tmp_path / "out"),
-            window_csv=True,
-            export_graphml=True,
-            export_dot=True,
-        )
-        run_pipeline(cfg)
-
     def test_external_reference_dictionary_used(self, tmp_path):
         corpus = tmp_path / "corpus.ndjson"
         write_corpus_file(corpus)
