@@ -1,10 +1,9 @@
 """Command line interface.
 
 Verbs:
-  run           analyze an NDJSON corpus and write the hierarchy report
-  replay        normalize and classify externally supplied raw scores
-  synth         generate a seeded synthetic corpus
-  export-graph  write one orientation's interaction graph (GraphML/DOT)
+  run     analyze an NDJSON corpus and write the report (and graph files)
+  replay  normalize and classify externally supplied raw scores
+  synth   generate a seeded synthetic corpus
 
 Exit codes: 0 on success; 1 for a bad ``--corpus`` or ``replay --metrics``
 file or an unwritable output; 2 for a bad flag value or configuration file
@@ -18,15 +17,8 @@ import dataclasses
 import logging
 import sys
 
-from .config import ConfigError, RunConfig, read_json_object
-from .corpus import (
-    ORIENTATIONS,
-    CorpusError,
-    OrientationLexicon,
-    filter_and_partition,
-    load_corpus,
-)
-from .graph import build_graph, write_dot, write_graphml
+from .config import HIERARCHY_SETTINGS, ConfigError, RunConfig, read_json_object
+from .corpus import CorpusError
 from .pipeline import dump_report, replay_metrics, run_pipeline
 
 logger = logging.getLogger("valuescope")
@@ -71,8 +63,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+def _build_config(args: argparse.Namespace, keys: frozenset[str] | None = None) -> RunConfig:
+    cfg = RunConfig.from_file(args.config, keys) if args.config else RunConfig()
     for f in dataclasses.fields(RunConfig):
         if hasattr(args, f.name):
             value = getattr(args, f.name)
@@ -112,17 +104,6 @@ def _parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--out", required=True, help="corpus output path")
 
-    p_export = sub.add_parser(
-        "export-graph", help="write one orientation's interaction graph"
-    )
-    p_export.add_argument("--corpus", required=True)
-    p_export.add_argument("--orientation", required=True, choices=ORIENTATIONS)
-    p_export.add_argument(
-        "--format", required=True, choices=("graphml", "dot"), dest="fmt"
-    )
-    p_export.add_argument("--out", required=True, help="output file path")
-    p_export.add_argument("--orientation-lexicon", dest="orientation_lexicon")
-
     return parser
 
 
@@ -135,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, HIERARCHY_SETTINGS)
     # cfg is valid, so whatever replay_metrics refuses is the file's fault.
     with read_json_object(args.metrics, "metrics file", CorpusError) as raw:
         report = replay_metrics(raw, cfg)
@@ -162,24 +143,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_graph(args: argparse.Namespace) -> int:
-    lexicon = (OrientationLexicon.from_file(args.orientation_lexicon)
-               if args.orientation_lexicon else OrientationLexicon.default())
-    parsed = load_corpus(args.corpus)
-    rows = filter_and_partition(parsed.messages, lexicon).partitions[args.orientation]
-    graph = build_graph(parsed.messages, rows)
-    if args.fmt == "graphml":
-        write_graphml(graph, args.orientation, args.out)
-    else:
-        write_dot(graph, args.orientation, args.out)
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "replay": _cmd_replay,
     "synth": _cmd_synth,
-    "export-graph": _cmd_export_graph,
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .hierarchy import CONNECTIVITY_METRICS, INTERACTIVITY_METRICS, is_finite_number
 
@@ -138,14 +138,26 @@ class RunConfig:
                 raise ConfigError(f"{name} must sum to a finite number, unset weights being 1.0")
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, keys: Collection[str] | None = None) -> "RunConfig":
+        """The config in the JSON file at ``path``; if given, ``keys`` names all it may set."""
         with read_json_object(path, "config") as raw:
             unknown = set(raw) - {f.name for f in fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            refused = set(raw) - set(raw if keys is None else keys)
+            if refused:
+                raise ConfigError(f"keys this command does not read: {sorted(refused)}")
             cfg = cls(**raw)
             cfg.validate()
             return cfg
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+# The settings that replay reads, so the only keys its config file may set.
+HIERARCHY_SETTINGS = frozenset({
+    "interactivity_low", "interactivity_high", "connectivity_low", "connectivity_high",
+    "attitude_negative_max", "attitude_positive_min", "centralization_positive",
+    "connectivity_weights", "interactivity_weights",
+})

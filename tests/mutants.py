@@ -256,6 +256,23 @@ SLIPS = (
         ),
     ),
     Slip(
+        "graph handles checked only as each file is written",
+        "pipeline.py",
+        "            check_exportable(graph, orientation)  # before any output is written\n",
+        "",
+        ("tests/test_cli.py::TestUnexportableHandles::test_run_writes_nothing[control-graphml]",),
+    ),
+    Slip(
+        "a replay config file let set run-only keys",
+        "cli.py",
+        "_build_config(args, HIERARCHY_SETTINGS)",
+        "_build_config(args)",
+        (
+            "tests/test_cli.py::TestReplayVerb"
+            "::test_config_keys_only_run_reads_are_refused[sentiment_lexicon]",
+        ),
+    ),
+    Slip(
         "leadership without the 0 before an actor's first score",
         "dynamics.py",
         "np.where(first, windows > 0,",

@@ -359,6 +359,41 @@ class TestReplayVerb:
         assert f"unrecognized arguments: {flags[0]}" in captured.err
         assert sorted(os.listdir(tmp_path)) == ["metrics.json"]
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"sentiment_lexicon": "x.json"},
+            {"orientation_lexicon": "x.json"},
+            {"reference_dictionary": "x.json"},
+            {"output_dir": "dir"},
+            {"window_hours": 6},
+            {"gbco_mode": "actor"},
+            {"response_cutoff_hours": 1},
+            {"export_graphml": True},
+            {"export_dot": True},
+            {"window_csv": True},
+            {"corpus": "corpus.ndjson"},
+        ],
+        ids=lambda setting: next(iter(setting)),
+    )
+    def test_config_keys_only_run_reads_are_refused(
+        self, tmp_path, capsys, caplog, monkeypatch, setting
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"Customers": {"density": 0.2}, "Employees": {}}))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"connectivity_low": 0.4, **setting}))
+        code, stdout = run_cli(
+            capsys, "replay", "--metrics", str(path), "--config", str(cfg_path)
+        )
+        assert code == 2
+        assert stdout == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert str(cfg_path) in errors[0] and repr([*setting]) in errors[0]
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "metrics.json"]
+
     def test_flip_centralization_equals_the_config_setting(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps({
@@ -551,68 +586,32 @@ class TestUnexportableHandles:
         assert f"cannot export Customers: handle {author!r}" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt", ["graphml", "dot"])
-    def test_export_graph_opens_no_file(self, author_corpus, tmp_path, capsys, caplog, fmt):
-        author, corpus = author_corpus
-        target = tmp_path / f"customers.{fmt}"
-        code, _ = run_cli(
-            capsys, "export-graph", "--corpus", str(corpus), "--orientation", "Customers",
-            "--format", fmt, "--out", str(target),
-        )
-        assert code == 1
-        assert f"cannot export Customers: handle {author!r}" in caplog.text
-        assert not target.exists()
 
-
-class TestExportGraphVerb:
-    def test_graphml_and_dot(self, corpus, tmp_path, capsys):
-        graphml = tmp_path / "customers.graphml"
-        dot = tmp_path / "customers.dot"
-        assert run_cli(
-            capsys, "export-graph", "--corpus", str(corpus),
-            "--orientation", "Customers", "--format", "graphml",
-            "--out", str(graphml),
-        )[0] == 0
-        assert run_cli(
-            capsys, "export-graph", "--corpus", str(corpus),
-            "--orientation", "Customers", "--format", "dot",
-            "--out", str(dot),
-        )[0] == 0
-        assert "graphml" in graphml.read_text()
-        assert dot.read_text().startswith("digraph")
-
-    def test_missing_corpus_is_input_error(self, tmp_path, capsys):
-        code, _ = run_cli(
-            capsys, "export-graph", "--corpus", str(tmp_path / "nope"),
-            "--orientation", "Customers", "--format", "dot",
-            "--out", str(tmp_path / "x.dot"),
-        )
-        assert code == 1
-
-    def test_bad_orientation_lexicon_is_config_error(self, corpus, tmp_path, capsys):
-        lexicon = tmp_path / "lexicon.json"
-        lexicon.write_text(json.dumps({"Customers": ["quality"]}))
-        code, _ = run_cli(
-            capsys, "export-graph", "--corpus", str(corpus),
-            "--orientation", "Customers", "--format", "dot",
-            "--out", str(tmp_path / "x.dot"), "--orientation-lexicon", str(lexicon),
-        )
-        assert code == 2
+def test_export_graph_is_no_verb(corpus, tmp_path, capsys):
+    # run --export-graphml/--export-dot is the one way to write graph files.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["export-graph", "--corpus", str(corpus), "--orientation", "Customers",
+              "--format", "dot", "--out", str(tmp_path / "x.dot")])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'export-graph'" in captured.err
+    assert not (tmp_path / "x.dot").exists()
 
 
 class TestLexiconFiles:
-    @pytest.mark.parametrize("verb", ["run", "export-graph"])
+    # One verb reads a corpus; the parameter keeps these tests' ids as they were.
+    @pytest.mark.parametrize("verb", ["run"])
     @pytest.mark.parametrize("phrases", [5, [5], "client", {"client": 1}, None])
     def test_orientation_phrases_of_wrong_type_are_config_error(
         self, corpus, tmp_path, capsys, verb, phrases
     ):
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text(json.dumps({**default_lexicon("orientation"), "Customers": phrases}))
-        out = tmp_path / ("out" if verb == "run" else "x.dot")
-        extra = () if verb == "run" else ("--orientation", "Customers", "--format", "dot")
+        out = tmp_path / "out"
         code, stdout = run_cli(
             capsys, verb, "--corpus", str(corpus), "--out", str(out),
-            "--orientation-lexicon", str(lexicon), *extra,
+            "--orientation-lexicon", str(lexicon),
         )
         assert code == 2
         assert stdout == ""
