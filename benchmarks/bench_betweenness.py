@@ -4,19 +4,20 @@ Three graph shapes, all in CSR form and seeded:
 
 * ``random``: connected-ish random graphs with no leaves, where the
   component split and leaf folding in ``betweenness_csr`` save nothing.
-  The kernel is timed on them as one single-root sweep per node.
+  They are timed as one single-root sweep per node, the unbatched
+  level-synchronous search defined here.
 * ``forest``: the shape the pipeline actually builds from discourse data, a
   leaf-heavy star forest (one hub with thousands of spokes plus small
   stars) with dyads and isolated nodes beside it.  ``betweenness_csr``
-  (reduced, one sweep per round) is timed against one unweighted
+  (reduced, rounds batched) is timed against one unweighted
   single-root sweep per node over the whole graph, and the row prints the
   largest score difference.
 * ``path``, ``cycle`` and ``caterpillar``: deep shapes with shuffled node
-  ids, the worst case for the level-by-level sweeps.  For each
-  ``--path-nodes`` n there is a path of n nodes (diameter n - 1), a cycle
-  of n nodes (diameter n // 2) and a caterpillar, a spine of n // 2 nodes
-  with one leaf on each (diameter n // 2 + 1), so every sweep takes
-  hundreds of BFS levels.  ``betweenness_csr`` is timed on each.
+  ids, the deepest searches.  For each ``--path-nodes`` n there is a path
+  of n nodes (diameter n - 1), a cycle of n nodes (diameter n // 2) and a
+  caterpillar, a spine of n // 2 nodes with one leaf on each (diameter
+  n // 2 + 1), so every search takes hundreds of BFS levels.
+  ``betweenness_csr`` is timed on each.
 
 Run it as
 
@@ -30,7 +31,7 @@ import time
 
 import numpy as np
 
-from valuescope._kernels import _brandes_sweep, betweenness_csr
+from valuescope._kernels import betweenness_csr
 
 
 def to_csr(n: int, pairs):
@@ -105,12 +106,44 @@ def deep_shapes(n: int, rng: random.Random):
             yield (name, nodes, *to_csr(nodes, [(relabel[i], relabel[j]) for i, j in pairs]))
 
 
+def single_root_sweep(heads, tails, n: int, root: int) -> np.ndarray:
+    """Dependencies on one level-synchronous search from ``root``.
+
+    Each level scans every arc for those leaving the frontier, as the
+    kernel did before its searches were batched.
+    """
+    dist = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    dist[root] = 0
+    sigma[root] = 1.0
+    steps = []  # the shortest-path DAG's edges, one array pair per level
+    level = 0
+    while True:
+        on_level = dist[heads] == level
+        step_heads = heads[on_level]
+        if not step_heads.size:
+            break
+        step_tails = tails[on_level]
+        dist[step_tails[dist[step_tails] < 0]] = level + 1
+        forward = dist[step_tails] == level + 1
+        up, down = step_heads[forward], step_tails[forward]
+        sigma += np.bincount(down, weights=sigma[up], minlength=n)
+        steps.append((up, down))
+        level += 1
+    delta = np.zeros(n, dtype=np.float64)
+    for up, down in reversed(steps[1:]):
+        delta += np.bincount(
+            up, weights=sigma[up] / sigma[down] * (1.0 + delta[down]), minlength=n
+        )
+    return delta
+
+
 def all_sources(indptr, indices, n):
     """Unreduced Brandes: one single-root sweep per node, summed."""
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     bc = np.zeros(n, dtype=np.float64)
     for source in range(n):
-        bc += _brandes_sweep(heads, indices, n, np.array([source]))
+        bc += single_root_sweep(heads, indices, n, source)
     return bc
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .config import ConfigError
-from .graph import RETWEET, InteractionGraph, _simple_csr, centralization
+from .graph import RETWEET, InteractionGraph, _simple_csr, centralization, distinct
 from .hierarchy import ordered_mean
 
 SECONDS_PER_HOUR = 3600.0
@@ -63,13 +63,13 @@ def _contacts(graph: InteractionGraph) -> _Contacts:
     # Search by (pair rank, stamp rank): both ranks are dense, so for C
     # contacts every key is below C * (C + 1).  The keys ascend because
     # rows, and so stamps, ascend within a pair.
-    distinct, pair_rank = np.unique(pairs, return_inverse=True)
+    each_pair, pair_rank = np.unique(pairs, return_inverse=True)
     _, stamp_rank = np.unique(stamps, return_inverse=True)
     reverse = pairs % n * n + pairs // n
     width = pairs.size
     found = np.searchsorted(
         pair_rank * width + stamp_rank,
-        np.searchsorted(distinct, reverse) * width + stamp_rank,
+        np.searchsorted(each_pair, reverse) * width + stamp_rank,
         side="right",
     )
     # A search past the reverse pair's block lands in another pair or the end.
@@ -174,14 +174,14 @@ def window_series(graph: InteractionGraph, window_hours: float = 24.0) -> Window
     inside = (refs < 0) | (labels[refs] == arc_labels)
     heads = arc_labels[inside] * n + graph.authors[rows[inside]]
     tails = arc_labels[inside] * n + graph.arc_targets[inside]
-    keys = np.unique(np.concatenate((labels * n + graph.authors, tails)))
+    keys = distinct(np.concatenate((labels * n + graph.authors, tails)))
     indptr, indices = _simple_csr(keys.size, *np.searchsorted(keys, (heads, tails)))
     bounds = np.searchsorted(keys, np.arange(count + 1) * n)
     scores = _kernels.betweenness_csr(indptr, indices, keys.size) / 2.0
     scored = np.flatnonzero(scores)
     # A window without a nonzero score has centralization exactly 0.
     central = np.zeros(count)
-    for k in np.unique(keys[scored] // n).tolist():
+    for k in distinct(keys[scored] // n).tolist():
         central[k] = centralization(scores[bounds[k] : bounds[k + 1]])
     return WindowSeries(
         first, width, np.diff(bounds), np.diff(indptr[bounds]) // 2, central,

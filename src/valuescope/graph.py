@@ -24,9 +24,21 @@ ARC_KINDS = ("mention", "reply", "retweet")
 MENTION, REPLY, RETWEET = range(len(ARC_KINDS))
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.
+
+    A plain ``np.unique`` gives the same, but on numpy 2.4 it imports
+    ``numpy.ma``, which a run has no other use for.
+    """
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _simple_csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of the distinct unordered pairs among arcs ``heads[i] -> tails[i]``, self-pairs dropped."""
-    pairs = np.unique((np.minimum(heads, tails) * n + np.maximum(heads, tails))[heads != tails])
+    pairs = distinct((np.minimum(heads, tails) * n + np.maximum(heads, tails))[heads != tails])
     both = np.sort(np.concatenate((pairs, pairs % n * n + pairs // n)))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
@@ -53,7 +65,7 @@ class InteractionGraph:
         count = rows.size
         places, bounds = segments(corpus.mention_bounds, rows)
         authors, mentioned = corpus.authors[rows], corpus.mentions[places]
-        handles = np.unique(np.concatenate((authors, mentioned)))
+        handles = distinct(np.concatenate((authors, mentioned)))
         self.authors = np.searchsorted(handles, authors)
         self.stamps = corpus.seconds[rows]
         # Three blocks: the mentions, the resolved replies, the resolved retweets.  A stable

@@ -455,7 +455,7 @@ def oracle_betweenness_csr(indptr, indices, n: int) -> np.ndarray:
         size = hi - lo
         sources = np.flatnonzero(kept_degree[lo:hi] > 1)
         folded = leaves[perm[lo:hi][sources]].astype(np.float64)
-        scores = _oracle_brandes(
+        scores = oracle_brandes(
             sub_indptr[lo : hi + 1] - sub_indptr[lo],
             sub_indices[sub_indptr[lo] : sub_indptr[hi]] - lo,
             size,
@@ -467,7 +467,7 @@ def oracle_betweenness_csr(indptr, indices, n: int) -> np.ndarray:
     return bc
 
 
-def _oracle_brandes(indptr, indices, n, sources, weights) -> np.ndarray:
+def oracle_brandes(indptr, indices, n, sources, weights) -> np.ndarray:
     """Level-synchronous Brandes from each source in turn, weighted."""
     bc = np.zeros(n, dtype=np.float64)
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))

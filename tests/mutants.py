@@ -227,9 +227,30 @@ SLIPS = (
     Slip(
         "the leaf weight 1 + leaves of a folded source",
         "_kernels.py",
-        "weight[label[roots]] = 1.0 + leaves[roots]",
-        "weight[label[roots]] = 1.0",
+        "root_weight = 1.0 + leaves[sources[by_rank]]",
+        "root_weight = 1.0 + 0.0 * leaves[sources[by_rank]]",
         ("tests/test_acceptance.py::test_betweenness_oracle",),
+    ),
+    Slip(
+        "the DAG's level sort made unstable",
+        "_kernels.py",
+        'by_level = np.argsort(depth, kind="stable")',
+        "by_level = np.argsort(depth)",
+        ("tests/test_graph.py::TestBetweenness::test_searches_past_one_word_per_node",),
+    ),
+    Slip(
+        "a round's bit set in the wrong word",
+        "_kernels.py",
+        "seen[roots, bits >> 6]",
+        "seen[roots, bits >> 7]",
+        ("tests/test_graph.py::TestBetweenness::test_searches_past_one_word_per_node",),
+    ),
+    Slip(
+        "rounds added to the scores out of order",
+        "_kernels.py",
+        "* delta.reshape(m, b - a)).T:",
+        "* delta.reshape(m, b - a)).T[::-1]:",
+        ("tests/test_graph.py::TestBetweenness::test_searches_past_one_word_per_node",),
     ),
     Slip(
         "report values rounded to seven digits",

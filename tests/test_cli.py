@@ -35,6 +35,22 @@ def default_lexicon(kind: str) -> dict:
 
 
 class TestRunVerb:
+    def test_run_leaves_out_numpy_ma(self, tmp_path, capsys):
+        """A plain ``np.unique`` imports ``numpy.ma`` on numpy 2.4; no run step calls one."""
+        demo = tmp_path / "demo.ndjson"
+        assert run_cli(capsys, "synth", "--preset", "demo", "--out", str(demo))[0] == 0
+        src = os.path.dirname(os.path.dirname(valuescope.__file__))
+        code = (
+            "import sys\n"
+            "from valuescope.cli import main\n"
+            f"code = main(['run', '--corpus', {str(demo)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split()[-2:] == ["0", "False"]
+
     def test_happy_path_prints_report(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout = run_cli(

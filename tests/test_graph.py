@@ -35,6 +35,7 @@ from conftest import (
     msg,
     oracle_activity,
     oracle_betweenness_csr,
+    oracle_brandes,
     oracle_build_graph,
     oracle_component_labels,
     oracle_contact_streams,
@@ -57,7 +58,7 @@ from valuescope import (
     write_graphml,
 )
 from valuescope import _kernels
-from valuescope._kernels import _brandes_sweep, _component_labels, betweenness_csr
+from valuescope._kernels import _component_labels, betweenness_csr
 from valuescope.dynamics import _contacts
 from valuescope.graph import _quote_attr
 
@@ -272,26 +273,23 @@ class TestBetweenness:
                 assert abs(approx[node] - float(value)) < 1e-12
 
     def test_numpy_kernel_matches_exact(self):
-        # One single-root sweep per node, summed, and the rounds behind the
-        # component split and leaf folding of betweenness_csr.
+        # One unweighted search from every node, summed, and the batched
+        # rounds behind the component split and leaf folding of betweenness_csr.
         rng = random.Random(7)
         for _ in range(15):
             n = rng.randint(2, 30)
             edges = random_edge_set(rng, n, rng.uniform(0.05, 0.3))
             graph = graph_from_edges(edges, extra_nodes=indexed_nodes(n))
             exact = [float(betweenness_exact(graph)[h]) for h in graph.nodes]
-            heads = np.repeat(np.arange(n), np.diff(graph._indptr))
-            direct = sum(
-                _brandes_sweep(heads, graph._indices, n, np.array([s])) for s in range(n)
-            )
+            direct = oracle_brandes(graph._indptr, graph._indices, n, np.arange(n), np.ones(n))
             assert np.abs(direct / 2.0 - exact).max() < 1e-12
             reduced = betweenness_csr(graph._indptr, graph._indices, n)
             assert np.abs(reduced / 2.0 - exact).max() < 1e-12
 
-    def test_one_sweep_per_round_not_per_component(self, monkeypatch):
+    def test_one_search_per_batch_of_rounds(self, monkeypatch):
         # 40 stars of 2 to 6 spokes need one source each and 30 paths of 3 to
         # 8 nodes need 1 to 6: six rounds, the first searching all 70
-        # components at once.
+        # components at once, and all six share one bit-parallel search.
         edges, count = [], 0
         for star in range(40):
             hub, spokes = count, 2 + star % 5
@@ -304,19 +302,55 @@ class TestBetweenness:
         names = indexed_nodes(count)
         random.Random(5).shuffle(names)
         graph = graph_from_edges([(names[u], names[v]) for u, v in edges])
-        roots = []
-        sweep = _kernels._brandes_sweep
+        csr = graph._indptr, graph._indices, graph.node_count
+        oracle = oracle_betweenness_csr(*csr)
+        searches, batches = [], []
+        levels, dependencies = _kernels._levels, _kernels._dependencies
 
-        def counted(heads, tails, n, round_roots):
-            roots.append(round_roots.size)
-            return sweep(heads, tails, n, round_roots)
+        def search(starts, tails, roots, bits, width):
+            searches.append((starts.size, width, np.bincount(bits, minlength=width).tolist()))
+            return levels(starts, tails, roots, bits, width)
 
-        monkeypatch.setattr(_kernels, "_brandes_sweep", counted)
-        scores = betweenness_csr(graph._indptr, graph._indices, graph.node_count)
-        assert roots == [70, 25, 20, 15, 10, 5]
-        assert np.array_equal(
-            scores, oracle_betweenness_csr(graph._indptr, graph._indices, graph.node_count)
+        def depend(level, up, down, origins):
+            batches.append((up.shape[1], origins.size))
+            return dependencies(level, up, down, origins)
+
+        monkeypatch.setattr(_kernels, "_levels", search)
+        monkeypatch.setattr(_kernels, "_dependencies", depend)
+        assert np.array_equal(betweenness_csr(*csr), oracle)
+        assert searches == [(365, 6, [70, 25, 20, 15, 10, 5])]
+        assert batches == [(6, 145)]
+        # Four rounds per search: the second holds only the 10 paths of 7
+        # and 8 nodes, the components still searching in rounds 4 and 5.
+        searches.clear(), batches.clear()
+        monkeypatch.setattr(_kernels, "ROUNDS", 4)
+        assert np.array_equal(betweenness_csr(*csr), oracle)
+        assert searches == [(365, 4, [70, 25, 20, 15]), (75, 2, [10, 5])]
+        assert batches == [(4, 130), (2, 15)]
+        # A cap of 2000 elements: levels for 5 rounds of 365 nodes, and
+        # dependencies for 2 rounds of 365 nodes and 590 arcs at a time.
+        searches.clear(), batches.clear()
+        monkeypatch.setattr(_kernels, "ROUNDS", 64)
+        monkeypatch.setattr(_kernels, "SLICE", 2000)
+        assert np.array_equal(betweenness_csr(*csr), oracle)
+        assert searches == [(365, 5, [70, 25, 20, 15, 10]), (40, 1, [5])]
+        assert batches == [(2, 95), (2, 35), (1, 10), (1, 5)]
+
+    def test_searches_past_one_word_per_node(self, monkeypatch):
+        # Over 64 rounds in one search: each node carries several words.
+        rng = random.Random(17)
+        cycle = [(i, (i + 1) % 150) for i in range(150)]
+        chords = [(i, rng.randrange(150, 270)) for i in range(0, 150, 3)]
+        core = [(u, v) for u in range(270, 370) for v in range(u + 1, 370) if rng.random() < 0.05]
+        core += [(u, u + 1) for u in range(270, 369)]
+        graph = graph_from_edges(
+            [(f"n{u:04d}", f"n{v:04d}") for u, v in cycle + chords + core]
         )
+        csr = graph._indptr, graph._indices, graph.node_count
+        oracle = oracle_betweenness_csr(*csr)
+        for rounds in (100, 130, 200):
+            monkeypatch.setattr(_kernels, "ROUNDS", rounds)
+            assert np.array_equal(betweenness_csr(*csr), oracle)
 
     def test_disconnected_components_scored_independently(self):
         graph = graph_from_edges(
@@ -524,9 +558,54 @@ def test_rounds_match_component_loop(shapes):
     assert np.array_equal(betweenness_csr(*csr), oracle_betweenness_csr(*csr))
 
 
+@pytest.mark.parametrize(
+    "rounds, cap, cycle", [(1, 1 << 16, 0), (3, 1 << 16, 0), (3, 256, 0), (130, 1 << 16, 70)]
+)
+@settings(max_examples=25, deadline=None)
+@given(shapes=shattered_unions)
+def test_batch_sizes_change_no_bit(rounds, cap, cycle, shapes):
+    # One round per search, three, or 70 (a 70-node cycle beside the drawn
+    # shapes: two words per node), and a cap that splits a search's rounds
+    # into several dependency batches.
+    blocks = [graph_from_edges(edges, extra_nodes=isolated) for edges, isolated in shapes]
+    ring = [(f"c{i:03d}", f"c{(i + 1) % cycle:03d}") for i in range(cycle)]
+    csr = block_diagonal([*blocks, graph_from_edges(ring)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "ROUNDS", rounds)
+        patch.setattr(_kernels, "SLICE", cap)
+        scores = betweenness_csr(*csr)
+    assert np.array_equal(scores, oracle_betweenness_csr(*csr))
+
+
 def _both_ways(pairs):
     heads, tails = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     return np.concatenate((heads, tails)), np.concatenate((tails, heads))
+
+
+def test_long_path_takes_a_level_step_per_level_per_batch(monkeypatch):
+    # A path of n nodes has diameter D = n - 1 and S = n - 2 sources.  One
+    # search at a time would take about D level steps per source; batched,
+    # each of the ceil(S / 64) searches takes at most D + 1, the last of
+    # which finds no new node.
+    n = 400
+    order = np.random.default_rng(3).permutation(n)
+    heads, tails = _both_ways(np.stack((order[:-1], order[1:]), axis=1))
+    by_arc = np.lexsort((tails, heads))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
+    steps = []
+    levels = _kernels._levels
+
+    def counted(*args):
+        level = levels(*args)
+        steps.append(int(level.max()) + 1)  # the loop runs once per level found, plus one
+        return level
+
+    monkeypatch.setattr(_kernels, "_levels", counted)
+    scores = betweenness_csr(indptr, tails[by_arc], n)
+    position = np.arange(n)
+    assert np.array_equal(scores[order], 2.0 * position * (n - 1 - position))
+    assert len(steps) == math.ceil((n - 2) / 64)
+    assert sum(steps) <= n * math.ceil((n - 2) / 64)
 
 
 def test_component_labels_take_logarithmic_rounds_on_a_long_path():
